@@ -35,7 +35,7 @@ class DualAttnConfig:
     def __post_init__(self):
         if self.depth < 0:
             raise ContractError("depth must be >= 0")
-        if self.token_dim % self.heads != 0:
+        if self.heads < 1 or self.token_dim % self.heads != 0:
             raise ContractError(f"token_dim {self.token_dim} must divide over {self.heads} heads")
         if self.memorial_query_source not in ("stream", "input"):
             raise ContractError("memorial_query_source must be 'stream' or 'input'")
@@ -53,27 +53,21 @@ def _ln_params(d, dt):
     return g, b
 
 
-def _multi_head(q, k, v, heads, logit_override=None, detach_logits=False):
-    """Per-head scaled dot-product attention on (L, dim) tensors. Returns the
-    concatenated head outputs plus the attention weights as plain arrays."""
+def _multi_head(q, k, v, heads):
+    """Per-head scaled dot-product attention on (L, dim) tensors; returns the
+    concatenated head outputs."""
     dim = q.shape[-1]
     dh = dim // heads
     scale = 1.0 / np.sqrt(dh)
-    outs, weights = [], []
+    outs = []
     for h in range(heads):
         lo, hi = h * dh, (h + 1) * dh
         qh = ad.take_last(q, lo, hi)
         kh = ad.take_last(k, lo, hi)
         vh = ad.take_last(v, lo, hi)
         logits = ad.mul(ad.matmul(qh, ad.transpose(kh)), scale)
-        if logit_override is not None:
-            logits = Tensor(np.full(logits.shape, logit_override, dtype=default_dtype()))
-        elif detach_logits:
-            logits = logits.detach()
-        attn = ad.softmax_rows(logits)
-        weights.append(attn.data.copy())
-        outs.append(ad.matmul(attn, vh))
-    return ad.concat_last(outs), weights
+        outs.append(ad.matmul(ad.softmax_rows(logits), vh))
+    return ad.concat_last(outs)
 
 
 class SelfBlock:
@@ -92,7 +86,6 @@ class SelfBlock:
         hidden = d * cfg.mlp_ratio
         self.mlp1 = _linear_params(rng, d, hidden, dt)
         self.mlp2 = _linear_params(rng, hidden, d, dt)
-        self.attn_weights = None
 
     def params(self):
         return {
@@ -111,7 +104,7 @@ class SelfBlock:
         q = ad.add_bias(ad.matmul(xn, self.wq[0]), self.wq[1])
         k = ad.add_bias(ad.matmul(xn, self.wk[0]), self.wk[1])
         v = ad.add_bias(ad.matmul(xn, self.wv[0]), self.wv[1])
-        mixed, self.attn_weights = _multi_head(q, k, v, self.heads)
+        mixed = _multi_head(q, k, v, self.heads)
         x = ad.add(x, ad.add_bias(ad.matmul(mixed, self.wo[0]), self.wo[1]))
         xn2 = ad.layer_norm(x, *self.ln2)
         h = ad.gelu(ad.add_bias(ad.matmul(xn2, self.mlp1[0]), self.mlp1[1]))
@@ -137,10 +130,6 @@ class MemorialBlock:
         hidden = d * cfg.mlp_ratio
         self.mlp1 = _linear_params(rng, d, hidden, dt)
         self.mlp2 = _linear_params(rng, hidden, d, dt)
-        self.attn_weights = None
-        # test hooks: freeze attention to a constant, or cut its gradient
-        self.logit_override = None
-        self.detach_logits = False
 
     def params(self):
         return {
@@ -163,9 +152,7 @@ class MemorialBlock:
         q = ad.add_bias(ad.matmul(qn, self.wq[0]), self.wq[1])
         k = ad.add_bias(ad.matmul(kn, self.wk[0]), self.wk[1])
         v = ad.add_bias(ad.matmul(kn, self.wv[0]), self.wv[1])
-        mixed, self.attn_weights = _multi_head(
-            q, k, v, self.heads,
-            logit_override=self.logit_override, detach_logits=self.detach_logits)
+        mixed = _multi_head(q, k, v, self.heads)
         mem = ad.add(mem, ad.add_bias(ad.matmul(mixed, self.wo[0]), self.wo[1]))
         mn = ad.layer_norm(mem, *self.ln2)
         h = ad.gelu(ad.add_bias(ad.matmul(mn, self.mlp1[0]), self.mlp1[1]))

@@ -182,13 +182,6 @@ class Tape:
                     inp.grad = gi.copy() if inp.grad is None else inp.grad + gi
 
 
-def backward(loss: Tensor) -> None:
-    tape = active_tape()
-    if tape is None:
-        raise ContractError("backward called with no active tape")
-    tape.backward(loss)
-
-
 def reset_grads(params) -> None:
     for p in params:
         p.grad = None
@@ -468,11 +461,6 @@ def sum_batch(x) -> Tensor:
         return vjp
 
     return _emit(x.data.sum(axis=axes), (x,), make)
-
-
-def mean_all(x) -> Tensor:
-    x = _as_tensor(x)
-    return mul(sum_all(x), 1.0 / x.data.size)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-# section -> key -> (field owner, parser)
+# section (a RunConfig field name) -> key -> parser
 _SCHEMA = {
     "encoder": {"in_size": int, "stage_channels": _int_tuple, "seed": int},
     "patch_embed": {"patch_sizes": _int_tuple, "token_dim": int},
@@ -59,13 +59,9 @@ _SCHEMA = {
                 "fpr_limit": float},
 }
 
-_SECTION_FIELD = {"encoder": "encoder", "patch_embed": "patch_embed",
-                  "attention": "attention", "flow": "flow", "train": "train",
-                  "scoring": "scoring"}
-
 
 def _section_values(rc: RunConfig, section: str) -> dict:
-    sub = getattr(rc, _SECTION_FIELD[section])
+    sub = getattr(rc, section)
     return {key: getattr(sub, key) for key in _SCHEMA[section]}
 
 
@@ -129,9 +125,8 @@ def apply_overrides(rc: RunConfig, pairs) -> RunConfig:
         except ValueError as exc:
             raise ContractError(f"bad value for {section}.{key}: {raw!r}") from exc
     for section, kv in updates.items():
-        field = _SECTION_FIELD[section]
-        sub = dataclasses.replace(getattr(rc, field), **kv)
-        rc = dataclasses.replace(rc, **{field: sub})
+        sub = dataclasses.replace(getattr(rc, section), **kv)
+        rc = dataclasses.replace(rc, **{section: sub})
     if "patch_embed" in updates:
         attn = dataclasses.replace(rc.attention, token_dim=rc.patch_embed.token_dim)
         rc = dataclasses.replace(rc, attention=attn)

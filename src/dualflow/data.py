@@ -223,6 +223,9 @@ def write_pgm16(path, values: np.ndarray, comment: str = "") -> None:
 
 
 def _read_netpbm_header(fh, path):
+    """(magic, width, height, maxval). Tokens are capped at 10 bytes: no
+    valid field is longer, and the cap keeps ``int`` far inside its digit
+    limit."""
     def token():
         out = b""
         while True:
@@ -237,11 +240,26 @@ def _read_netpbm_header(fh, path):
                 if out:
                     return out
                 continue
+            if len(out) == 10:
+                raise DataError(f"{path}: header token too long")
             out += ch
 
     magic = token()
-    w, h, maxval = (int(token()) for _ in range(3))
+    fields = [token() for _ in range(3)]
+    if not all(f.isdigit() for f in fields):
+        raise DataError(f"{path}: header fields must be decimal integers")
+    w, h, maxval = (int(f) for f in fields)
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: image dimensions must be positive")
     return magic, w, h, maxval
+
+
+def _read_raster(fh, path, n: int) -> bytes:
+    """The next ``n`` bytes, checked against the file size first so that a
+    corrupt header cannot request a huge read."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise DataError(f"{path}: truncated pixel data")
+    return fh.read(n)
 
 
 def read_ppm(path) -> np.ndarray:
@@ -253,9 +271,7 @@ def read_ppm(path) -> np.ndarray:
         magic, w, h, maxval = _read_netpbm_header(fh, path)
         if magic != b"P6" or maxval != 255:
             raise DataError(f"{path}: expected binary P6 maxval 255")
-        raw = fh.read(w * h * 3)
-        if len(raw) != w * h * 3:
-            raise DataError(f"{path}: truncated pixel data")
+        raw = _read_raster(fh, path, w * h * 3)
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
     return arr.astype(np.float64) / 255.0
 
@@ -269,9 +285,7 @@ def read_pgm(path) -> np.ndarray:
         magic, w, h, maxval = _read_netpbm_header(fh, path)
         if magic != b"P5" or maxval != 255:
             raise DataError(f"{path}: expected binary P5 maxval 255")
-        raw = fh.read(w * h)
-        if len(raw) != w * h:
-            raise DataError(f"{path}: truncated pixel data")
+        raw = _read_raster(fh, path, w * h)
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w) > 127
 
 

@@ -29,6 +29,8 @@ class EncoderConfig:
     def __post_init__(self):
         if len(self.stage_channels) != 3:
             raise ContractError("encoder uses exactly 3 stages")
+        if min(self.stage_channels) < 1:
+            raise ContractError("stage channel counts must be positive")
         if tuple(self.stage_strides) != (4, 8, 16):
             raise ContractError("stage strides are fixed at (4, 8, 16)")
         if self.in_size % 16 != 0 or self.in_size <= 0:
@@ -108,12 +110,6 @@ def patchify(fmap: np.ndarray, p: int) -> np.ndarray:
     gy, gx = h // p, w // p
     out = fmap.reshape(gy, p, gx, p, c).transpose(0, 2, 1, 3, 4)
     return np.ascontiguousarray(out).reshape(gy * gx, p * p * c)
-
-
-def unpatchify_np(rows: np.ndarray, p: int, h: int, w: int, c: int) -> np.ndarray:
-    gy, gx = h // p, w // p
-    out = rows.reshape(gy, gx, p, p, c).transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(out).reshape(h, w, c)
 
 
 def unpatchify(rows: Tensor, p: int, h: int, w: int, c: int) -> Tensor:

@@ -47,13 +47,6 @@ class FlowConfig:
             raise ContractError("clamp must be positive")
 
 
-def concat_joint(parts) -> Tensor:
-    """Channel concatenation of per-branch feature maps for one scale."""
-    if not parts:
-        raise ContractError("concat_joint needs at least one branch")
-    return ad.concat_last(parts)
-
-
 class Subnet:
     """dw3x3 -> pw1x1 -> LeakyReLU -> pw1x1(zero init): identity-at-init
     predictor of a per-location field from the untouched channel half."""

@@ -1,15 +1,18 @@
 """Detection and localization metrics.
 
-AUROC uses the rank statistic with half credit for ties. Region-level
-localization builds one exact curve: pixels sorted once by score, per-region
-overlap (optionally divided by a saturation area and clipped at 1) averaged
-region by region at every distinct-score boundary against the global false
-positive rate, then trapezoid-integrated up to an FPR limit and normalized.
-Regions come from 8-connected components, enumerated in row-major order of
-their first pixel.
+AUROC uses the rank statistic with half credit for ties: every tie group
+gets its mean rank. Region-level localization builds one exact curve:
+pixels sorted once by score, per-region overlap (optionally divided by a
+saturation area and clipped at 1) averaged region by region at every
+distinct-score boundary against the global false positive rate, then
+trapezoid-integrated up to an FPR limit and normalized. Regions are the
+8-connected components that ``scipy.ndimage.label`` finds, enumerated in
+row-major order of their first pixel: ``label`` numbers regions in the order
+its raster scan first meets them, which is exactly that order.
 
-Float sums that feed reported numbers run left-to-right (region order, then
-segment order), so results are reproducible bit for bit.
+Scores must be finite; a NaN or infinity has no rank and raises
+``NumericError``. Float sums that feed reported numbers run left-to-right
+(region order, then segment order), so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
 from .scoring import anomaly_map
 
 
@@ -34,14 +38,15 @@ def auroc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ContractError("AUROC needs both classes present")
+    if not np.isfinite(scores).all():
+        raise NumericError("AUROC scores must be finite")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
     s_sorted = scores[order]
     boundaries = np.flatnonzero(np.diff(s_sorted) != 0)
     starts = np.concatenate(([0], boundaries + 1))
     ends = np.concatenate((boundaries + 1, [scores.size]))
-    for lo, hi in zip(starts, ends):
-        ranks[order[lo:hi]] = 0.5 * (lo + 1 + hi)
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     r_pos = ranks[pos].sum()
     return (r_pos - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg)
 
@@ -52,27 +57,13 @@ def connected_components(mask: np.ndarray) -> list:
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise ShapeError(f"mask must be 2-d, got shape {mask.shape}")
-    h, w = mask.shape
-    seen = np.zeros_like(mask)
-    regions = []
-    for y in range(h):
-        for x in range(w):
-            if not mask[y, x] or seen[y, x]:
-                continue
-            stack = [(y, x)]
-            seen[y, x] = True
-            coords = []
-            while stack:
-                cy, cx = stack.pop()
-                coords.append((cy, cx))
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        ny, nx = cy + dy, cx + dx
-                        if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not seen[ny, nx]:
-                            seen[ny, nx] = True
-                            stack.append((ny, nx))
-            regions.append(np.array(sorted(coords), dtype=np.int64))
-    return regions
+    labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    if n == 0:
+        return []
+    coords = np.argwhere(labels)
+    # a stable sort keeps each region's pixels in row-major order
+    coords = coords[np.argsort(labels[coords[:, 0], coords[:, 1]], kind="stable")]
+    return np.split(coords, np.cumsum(np.bincount(labels.reshape(-1))[1:-1]))
 
 
 def region_overlap_curve(maps, masks, saturations=None):
@@ -97,6 +88,8 @@ def region_overlap_curve(maps, masks, saturations=None):
             raise ShapeError(f"map {amap.shape} and mask {mask.shape} differ")
         if not (0.0 < sat <= 1.0):
             raise ContractError("saturation must be a region fraction in (0, 1]")
+        if not np.isfinite(amap).all():
+            raise NumericError("localization scores must be finite")
         region_id = np.full(mask.shape, -1, dtype=np.int64)
         for coords in connected_components(mask):
             region_id[coords[:, 0], coords[:, 1]] = len(region_sizes)

@@ -169,17 +169,9 @@ class Model:
 # losses
 
 
-def loss_self(prior_pyramid, recon) -> Tensor:
-    """Summed squared reconstruction error of the self branch, all scales."""
-    return _recon_loss(prior_pyramid, recon)
-
-
-def loss_memory(prior_pyramid, recon) -> Tensor:
-    """Summed squared reconstruction error of the memorial branch."""
-    return _recon_loss(prior_pyramid, recon)
-
-
-def _recon_loss(prior_pyramid, recon) -> Tensor:
+def recon_loss(prior_pyramid, recon) -> Tensor:
+    """Summed squared reconstruction error over all scales; both branches
+    are fitted with it."""
     if len(prior_pyramid) != len(recon):
         raise ShapeError("pyramid and reconstruction scale counts differ")
     total = None
@@ -205,24 +197,6 @@ def loss_flow(stacks, joints) -> Tensor:
         term = ad.mul(ad.sum_all(nll), 1.0 / b)
         total = term if total is None else ad.add(total, term)
     return total
-
-
-def total_loss(stage: str, recon_terms=None, flow_term=None) -> Tensor:
-    """Stage objective: reconstruction terms in stage 1, flow NLL in stage 2,
-    their sum for joint evaluation."""
-    if stage == "recon":
-        if recon_terms is None:
-            raise ContractError("stage 'recon' needs reconstruction terms")
-        return ad.add(*recon_terms) if len(recon_terms) == 2 else recon_terms[0]
-    if stage == "flow":
-        if flow_term is None:
-            raise ContractError("stage 'flow' needs the flow term")
-        return flow_term
-    if stage == "joint":
-        if recon_terms is None or flow_term is None:
-            raise ContractError("stage 'joint' needs every term")
-        return ad.add(ad.add(*recon_terms), flow_term)
-    raise ContractError(f"unknown stage {stage!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +235,11 @@ def train_transformer(model: Model, images, cfg: TrainConfig, log=None) -> None:
                 ls_total, lm_total = None, None
                 for idx in batch:
                     recon_s, recon_m = model.reconstruct(pyramids[idx])
-                    ls = loss_self(pyramids[idx], recon_s)
-                    lm = loss_memory(pyramids[idx], recon_m)
+                    ls = recon_loss(pyramids[idx], recon_s)
+                    lm = recon_loss(pyramids[idx], recon_m)
                     ls_total = ls if ls_total is None else ad.add(ls_total, ls)
                     lm_total = lm if lm_total is None else ad.add(lm_total, lm)
-                loss = ad.mul(total_loss("recon", (ls_total, lm_total)), 1.0 / len(batch))
+                loss = ad.mul(ad.add(ls_total, lm_total), 1.0 / len(batch))
                 if not np.isfinite(loss.data):
                     raise NumericError("non-finite loss in transformer training")
                 tape.backward(loss)
@@ -322,7 +296,7 @@ def train_flow(model: Model, images, cfg: TrainConfig, log=None) -> None:
             opt.zero_grad()
             with Tape() as tape:
                 joints = [Tensor(stacked[batch]) for stacked in cached]
-                loss = total_loss("flow", flow_term=loss_flow(model.flows, joints))
+                loss = loss_flow(model.flows, joints)
                 if not np.isfinite(loss.data):
                     raise NumericError("non-finite loss in flow training")
                 tape.backward(loss)

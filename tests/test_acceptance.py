@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from dualflow import autodiff as ad
 from dualflow import data, metrics, pipeline
 from dualflow.autodiff import Tape, Tensor, using_dtype
 from dualflow.checkpoint import save_checkpoint
@@ -230,9 +231,7 @@ def test_criterion_04_gradient_integrity():
 
         def stage1():
             rs, rm = model.reconstruct(pyr)
-            return pipeline.total_loss(
-                "recon", (pipeline.loss_self(pyr, rs),
-                          pipeline.loss_memory(pyr, rm)))
+            return ad.add(pipeline.recon_loss(pyr, rs), pipeline.recon_loss(pyr, rm))
 
         # central differences at the optimum step for a loss of this
         # magnitude (~1e2): large enough that f64 roundoff in the loss does
@@ -244,8 +243,7 @@ def test_criterion_04_gradient_integrity():
         joints = [Tensor(j[None]) for j in model.joint_arrays(pyr, rs, rm)]
 
         def stage2():
-            return pipeline.total_loss(
-                "flow", flow_term=pipeline.loss_flow(model.flows, joints))
+            return pipeline.loss_flow(model.flows, joints)
 
         worst2 = check_gradients(stage2, list(model.flow_parameters().values()),
                                  eps=1e-5)

@@ -16,6 +16,28 @@ from dualflow.errors import ContractError
 CFG = DualAttnConfig(depth=2, heads=4, token_dim=96)
 
 
+def record_attention(monkeypatch) -> list:
+    """Collect the weights of every attention softmax into the returned list."""
+    softmax = ad.softmax_rows
+    weights = []
+
+    def recording(logits):
+        out = softmax(logits)
+        weights.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(ad, "softmax_rows", recording)
+    return weights
+
+
+def freeze_attention(monkeypatch) -> None:
+    """Replace every attention's logits by the constant 0 (uniform weights,
+    no path back to the logits)."""
+    softmax = ad.softmax_rows
+    monkeypatch.setattr(ad, "softmax_rows",
+                        lambda logits: softmax(Tensor(np.zeros_like(logits.data))))
+
+
 def make_seq(rng, length=16, dim=96, requires_grad=False):
     tokens = Tensor(rng.normal(size=(length, dim)).astype(np.float64), requires_grad=requires_grad)
     return TokenSequence(tokens=tokens, pos=position_encoding(length, dim))
@@ -25,17 +47,21 @@ def test_config_validation():
     with pytest.raises(ContractError):
         DualAttnConfig(heads=5, token_dim=96)
     with pytest.raises(ContractError):
+        DualAttnConfig(heads=0, token_dim=96)
+    with pytest.raises(ContractError):
         DualAttnConfig(memorial_query_source="both")
 
 
-def test_attention_rows_stochastic_everywhere(rng):
+def test_attention_rows_stochastic_everywhere(rng, monkeypatch):
     with using_dtype(np.float64):
         model = DualAttention(CFG, 16, np.random.default_rng(0))
+        weights = record_attention(monkeypatch)
         model(make_seq(rng))
-        for blk in model.self_blocks + model.mem_blocks:
-            for w in blk.attn_weights:
-                assert (w >= 0).all()
-                np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
+        # every head of every block of both branches
+        assert len(weights) == 2 * CFG.depth * CFG.heads
+        for w in weights:
+            assert (w >= 0).all()
+            np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_self_block_permutation_equivariance(rng):
@@ -59,7 +85,7 @@ def test_self_block_identity_with_zero_output_projections(rng):
         np.testing.assert_allclose(blk(Tensor(x)).data, x, atol=1e-12)
 
 
-def test_memorial_output_in_convex_hull_of_normed_memory(rng):
+def test_memorial_output_in_convex_hull_of_normed_memory(rng, monkeypatch):
     """With identity value/output projections and a zeroed MLP, each update
     row must equal attention-weighted rows of LN(memory)."""
     with using_dtype(np.float64):
@@ -74,9 +100,10 @@ def test_memorial_output_in_convex_hull_of_normed_memory(rng):
         blk.mlp2[1].data[:] = 0.0
         q_src = Tensor(rng.normal(size=(5, 8)))
         mem = Tensor(rng.normal(size=(5, 8)))
+        weights = record_attention(monkeypatch)
         out = blk(q_src, mem).data
         mem_n = ad.layer_norm(mem, *blk.ln_kv).data
-        attn = blk.attn_weights[0]
+        (attn,) = weights
         np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-9)
         assert (attn >= 0).all()
         np.testing.assert_allclose(out - mem.data, attn @ mem_n, atol=1e-10)
@@ -95,25 +122,25 @@ def test_memorial_query_shift_invariance(rng):
         np.testing.assert_allclose(a, b, atol=1e-5)
 
 
-def test_memorial_independent_of_input_with_frozen_attention(rng):
+def test_memorial_independent_of_input_with_frozen_attention(rng, monkeypatch):
     """Clamping attention logits to a constant severs the only path from the
     feature stream into the memorial output."""
     with using_dtype(np.float64):
         model = DualAttention(CFG, 16, np.random.default_rng(4))
-        for blk in model.mem_blocks:
-            blk.logit_override = 0.0
+        freeze_attention(monkeypatch)
         _, mem_a = model(make_seq(np.random.default_rng(10)))
         _, mem_b = model(make_seq(np.random.default_rng(11)))
         np.testing.assert_array_equal(mem_a.data, mem_b.data)
 
 
-def test_memorial_value_path_carries_no_input_gradient(rng):
+def test_memorial_value_path_carries_no_input_gradient(rng, monkeypatch):
     """With detached logits the memorial output still varies with the input
     only through attention; its gradient w.r.t. the input must vanish."""
     with using_dtype(np.float64):
         blk = MemorialBlock(DualAttnConfig(depth=1, heads=2, token_dim=8),
                             np.random.default_rng(5))
-        blk.detach_logits = True
+        softmax = ad.softmax_rows
+        monkeypatch.setattr(ad, "softmax_rows", lambda logits: softmax(logits.detach()))
         q = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         mem = Tensor(rng.normal(size=(4, 8)))
         with Tape() as tape:
@@ -122,9 +149,9 @@ def test_memorial_value_path_carries_no_input_gradient(rng):
         assert q.grad is None
 
 
-def test_memorial_query_gradient_flows_only_through_logits(rng):
-    """Without the hooks the query does receive gradient, and zeroing it via
-    the frozen-uniform override removes it entirely."""
+def test_memorial_query_gradient_flows_only_through_logits(rng, monkeypatch):
+    """Unpatched, the query does receive gradient, and freezing attention to
+    uniform weights removes it entirely."""
     with using_dtype(np.float64):
         blk = MemorialBlock(DualAttnConfig(depth=1, heads=2, token_dim=8),
                             np.random.default_rng(6))
@@ -134,7 +161,7 @@ def test_memorial_query_gradient_flows_only_through_logits(rng):
             out = blk(q, mem)
             tape.backward(ad.sum_all(ad.mul(out, out)))
         assert q.grad is not None and np.abs(q.grad).max() > 0
-        blk.logit_override = 0.0
+        freeze_attention(monkeypatch)
         q2 = Tensor(q.data.copy(), requires_grad=True)
         with Tape() as tape:
             out = blk(q2, mem)

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualflow import data
 from dualflow.data import (ANOMALY_KINDS, SWAP_SATURATION, TEXTURES,
@@ -155,6 +157,25 @@ def test_read_ppm_rejects_garbage(tmp_path):
     with pytest.raises(DataError) as err:
         read_ppm(q)
     assert "short.ppm" in str(err.value)
+
+
+@given(magic=st.sampled_from([b"P5", b"P6", b"P3", b""]),
+       header=st.binary(max_size=32)
+       | st.text(alphabet=" \n\t#-+_0123456789ab", max_size=32).map(str.encode),
+       payload=st.binary(max_size=64))
+@example(magic=b"P6", header=b"\nab 4\n255\n", payload=b"")
+@example(magic=b"P6", header=b"\n-1 -1\n255\n", payload=b"")
+@example(magic=b"P5", header=b"\n99999999 99999999\n255\n", payload=b"")
+@settings(max_examples=300, deadline=None)
+def test_netpbm_readers_fail_only_as_data_error(tmp_path_factory, magic, header, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pnm"
+    path.write_bytes(magic + header + payload)
+    for read in (read_ppm, read_pgm):
+        try:
+            out = read(path)
+        except DataError:
+            continue
+        assert out.size > 0 and out.shape[0] >= 1 and out.shape[1] >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,15 @@ import pytest
 from dualflow import autodiff as ad
 from dualflow.autodiff import Tensor, using_dtype
 from dualflow.encoder import (EncoderConfig, FrozenEncoder, PatchEmbed, PatchEmbedConfig,
-                              patchify, position_encoding, unpatchify, unpatchify_np)
+                              patchify, position_encoding, unpatchify)
 from dualflow.errors import ContractError, ShapeError
+
+
+def unpatchify_np(rows: np.ndarray, p: int, h: int, w: int, c: int) -> np.ndarray:
+    """Plain-numpy inverse of ``patchify``, the oracle for the tape op."""
+    gy, gx = h // p, w // p
+    out = rows.reshape(gy, gx, p, p, c).transpose(0, 2, 1, 3, 4)
+    return np.ascontiguousarray(out).reshape(h, w, c)
 
 
 def test_config_validation():
@@ -18,6 +25,8 @@ def test_config_validation():
         EncoderConfig(stage_channels=(16, 32))
     with pytest.raises(ContractError):
         EncoderConfig(stage_strides=(2, 4, 8))
+    with pytest.raises(ContractError):
+        EncoderConfig(stage_channels=(0, 32, 64))
 
 
 def test_pyramid_shapes_and_dtype():

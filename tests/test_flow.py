@@ -10,7 +10,7 @@ from dualflow import autodiff as ad
 from dualflow.autodiff import Tensor, using_dtype
 from dualflow.errors import NumericError, ShapeError
 from dualflow.flow import (FLOW_VARIANTS, CouplingLayer, FlowConfig, FlowStack, PermuteStage,
-                           concat_joint, log_likelihood, per_location_stats)
+                           log_likelihood, per_location_stats)
 
 
 def perturb(stack: FlowStack, rng, scale=0.1):
@@ -178,7 +178,7 @@ def test_flow_variants_channel_counts():
         p = Tensor(np.zeros((1, 2, 2, 3)))
         s = Tensor(np.ones((1, 2, 2, 3)))
         m = Tensor(np.full((1, 2, 2, 3), 2.0))
-        joint = concat_joint([p, s, m])
+        joint = ad.concat_last([p, s, m])
         assert joint.shape == (1, 2, 2, 9)
         np.testing.assert_array_equal(joint.data[0, 0, 0], [0, 0, 0, 1, 1, 1, 2, 2, 2])
 

@@ -1,12 +1,17 @@
 """Detection/localization metrics against brute-force oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from dualflow.errors import ContractError, ShapeError
+import dualflow
+from dualflow.errors import ContractError, NumericError, ShapeError
 from dualflow.metrics import (au_pro, auroc, connected_components,
                               region_overlap_curve, spro)
 from dualflow.selftest import (area_bruteforce, au_pro_bruteforce,
@@ -31,6 +36,8 @@ def test_auroc_errors():
         auroc([1.0, 2.0], [0, 0])
     with pytest.raises(ShapeError):
         auroc([1.0, 2.0], [0, 1, 1])
+    with pytest.raises(NumericError):
+        auroc([np.nan, 0.2, 0.5, np.inf], [1, 0, 1, 0])
 
 
 def test_auroc_matches_pairwise_oracle_exactly():
@@ -42,6 +49,11 @@ def test_auroc_matches_pairwise_oracle_exactly():
         rng.shuffle(labels)
         # dyadic rationals: rank arithmetic stays exact, ties happen often
         scores = rng.integers(0, 8, size=n) / 8.0
+        assert auroc(scores, labels) == auroc_bruteforce(scores, labels)
+    # pixel-sized inputs: float32-rounded scores on a coarse grid, many ties
+    for n_levels in (7, 60, 400):
+        scores = (rng.integers(0, n_levels, size=500) * 0.1).astype(np.float32)
+        labels = (rng.random(500) < 0.3).astype(int)
         assert auroc(scores, labels) == auroc_bruteforce(scores, labels)
 
 
@@ -103,6 +115,13 @@ def test_components_match_bfs_and_scipy():
                                   np.asarray(sorted(map(tuple, w))))
         n_scipy = ndimage.label(mask, structure=eight)[1]
         assert len(got) == n_scipy
+    for density in (0.1, 0.4, 0.6):
+        mask = rng.random((64, 64)) < density
+        got = connected_components(mask)
+        want = connected_components_bfs(mask)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------
@@ -227,3 +246,17 @@ def test_metric_input_validation():
     with pytest.raises(ContractError):
         # all-anomalous: no negatives anywhere, FPR undefined
         au_pro([np.zeros((2, 2))], [np.ones((2, 2), dtype=bool)])
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[1, 1] = True
+    with pytest.raises(NumericError):
+        au_pro([np.full((4, 4), np.nan)], [mask])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """Importing scipy.stats adds about 30 MB of resident memory, so the
+    package, its CLI included, keeps its rank code on numpy."""
+    src = os.path.dirname(os.path.dirname(dualflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, dualflow, dualflow.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

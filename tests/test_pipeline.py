@@ -1,21 +1,21 @@
 """Training objectives, stage schedule, and checkpoint round-trips."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from helpers import tiny_images, tiny_run_config
 
-from dualflow import autodiff as ad
 from dualflow import pipeline, scoring
 from dualflow.autodiff import Tensor
 from dualflow.checkpoint import load_checkpoint, save_checkpoint
+from dualflow.cli import main
 from dualflow.errors import CheckpointError, ContractError
 from dualflow.flow import FlowConfig, FlowStack
 from dualflow.gradcheck import check_gradients
-from dualflow.pipeline import (build_model, loss_flow, loss_memory, loss_self,
-                               total_loss, train, train_flow,
-                               train_transformer)
+from dualflow.pipeline import (build_model, loss_flow, recon_loss, train,
+                               train_flow, train_transformer)
 
 
 # ---------------------------------------------------------------------------
@@ -25,26 +25,26 @@ from dualflow.pipeline import (build_model, loss_flow, loss_memory, loss_self,
 def test_loss_self_zero_for_equal_args():
     pyr = [np.ones((2, 2, 3)), np.zeros((1, 1, 4))]
     recon = [Tensor(p.copy()) for p in pyr]
-    assert loss_self(pyr, recon).item() == 0.0
+    assert recon_loss(pyr, recon).item() == 0.0
 
 
 def test_loss_self_hand_value():
     pyr = [np.zeros((1, 1, 2))]
     recon = [Tensor(np.array([[[1.0, -1.0]]]))]
-    assert loss_self(pyr, recon).item() == pytest.approx(2.0)
+    assert recon_loss(pyr, recon).item() == pytest.approx(2.0)
 
 
 def test_loss_memory_same_kernel_and_positive():
+    # both branches are fitted with the one recon_loss kernel
     rng = np.random.default_rng(0)
     pyr = [rng.normal(size=(3, 3, 2))]
     recon = [Tensor(rng.normal(size=(3, 3, 2)))]
-    assert loss_memory(pyr, recon).item() == loss_self(pyr, recon).item()
-    assert loss_memory(pyr, recon).item() > 0.0
+    assert recon_loss(pyr, recon).item() > 0.0
 
 
 def test_recon_loss_shape_mismatch():
     with pytest.raises(Exception):
-        loss_self([np.zeros((2, 2, 2))], [])
+        recon_loss([np.zeros((2, 2, 2))], [])
 
 
 def test_loss_self_gradcheck(f64):
@@ -53,7 +53,7 @@ def test_loss_self_gradcheck(f64):
     recon = [Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)]
 
     def f():
-        return loss_self(pyr, recon)
+        return recon_loss(pyr, recon)
 
     assert check_gradients(f, recon) < 1e-6
 
@@ -94,27 +94,7 @@ def test_loss_flow_stack_count_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# total loss and stage separation
-
-
-def test_total_loss_additivity():
-    a = Tensor(np.array(1.5))
-    b = Tensor(np.array(2.25))
-    c = Tensor(np.array(4.0))
-    joint = total_loss("joint", recon_terms=(a, b), flow_term=c)
-    parts = ad.add(ad.add(a, b), c)
-    assert joint.item() == parts.item()
-    assert total_loss("recon", recon_terms=(a, b)).item() == 3.75
-    assert total_loss("flow", flow_term=c).item() == 4.0
-
-
-def test_total_loss_contract_errors():
-    with pytest.raises(ContractError):
-        total_loss("recon")
-    with pytest.raises(ContractError):
-        total_loss("flow")
-    with pytest.raises(ContractError):
-        total_loss("nonsense", flow_term=Tensor(np.array(0.0)))
+# stage separation
 
 
 def test_stage1_leaves_flow_params_untouched():
@@ -293,3 +273,79 @@ def test_checkpoint_bad_magic_and_trailing(tmp_path):
     trailing.write_bytes(blob + b"junk")
     with pytest.raises(CheckpointError):
         load_checkpoint(trailing)
+
+
+def _first_entry_dims_offset(blob: bytes) -> int:
+    """Byte offset of the dims of the first array entry ("embed.0.w", rank 2)."""
+    (name_len,) = struct.unpack_from("<H", blob, 12)
+    assert blob[14:14 + name_len] == b"embed.0.w" and blob[15 + name_len] == 2
+    return 16 + name_len
+
+
+def _assert_rejected(path, match=None):
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+    # the checkpoint is loaded before the image is opened
+    assert main(["score", "--image", str(path), "--ckpt", str(path)]) == 1
+
+
+def _saved(model, rc, tmp_path, name="m.ckpt"):
+    path = tmp_path / name
+    save_checkpoint(model, rc, path)
+    return path
+
+
+def test_checkpoint_dim_overflowing_int64_size_rejected(tmp_path):
+    rc = tiny_run_config()
+    blob = bytearray(_saved(build_model(rc), rc, tmp_path).read_bytes())
+    struct.pack_into("<Q", blob, _first_entry_dims_offset(blob), 2 ** 61)
+    (tmp_path / "big.ckpt").write_bytes(bytes(blob))
+    _assert_rejected(tmp_path / "big.ckpt", match="exceed the file")
+
+
+def test_checkpoint_dim_beyond_numpy_limit_rejected(tmp_path):
+    rc = tiny_run_config()
+    blob = bytearray(_saved(build_model(rc), rc, tmp_path).read_bytes())
+    # a zero second dim makes the byte size 0, so only the dim check stops it
+    struct.pack_into("<QQ", blob, _first_entry_dims_offset(blob), 2 ** 63, 0)
+    (tmp_path / "huge.ckpt").write_bytes(bytes(blob))
+    _assert_rejected(tmp_path / "huge.ckpt", match="exceed the file")
+
+
+def test_checkpoint_non_utf8_name_rejected(tmp_path):
+    rc = tiny_run_config()
+    blob = bytearray(_saved(build_model(rc), rc, tmp_path).read_bytes())
+    blob[14] = 0xFF
+    (tmp_path / "name.ckpt").write_bytes(bytes(blob))
+    _assert_rejected(tmp_path / "name.ckpt", match="not UTF-8")
+
+
+def test_checkpoint_non_finite_parameter_rejected(tmp_path):
+    rc = tiny_run_config()
+    model = build_model(rc)
+    model.parameters()["attn.memory0"].data[0, 0] = np.nan
+    _assert_rejected(_saved(model, rc, tmp_path), match="non-finite")
+
+
+def test_checkpoint_wrong_buffer_shape_rejected(tmp_path):
+    rc = tiny_run_config()
+    model = build_model(rc)
+    model.norm_mean = np.zeros(5, dtype=np.float32)
+    _assert_rejected(_saved(model, rc, tmp_path), match="norm.mean")
+
+
+def test_checkpoint_bad_config_echo_rejected(tmp_path):
+    rc = tiny_run_config()
+    blob = _saved(build_model(rc), rc, tmp_path).read_bytes()
+    for good, bad, match in ((b"heads = 2\n", b"heads = 0\n", "bad config echo"),
+                             (b"flow_trained = false", b"flow_trained = yes!!", "malformed")):
+        assert blob.count(good) == 1
+        (tmp_path / "cfg.ckpt").write_bytes(blob.replace(good, bad))
+        _assert_rejected(tmp_path / "cfg.ckpt", match=match)
+
+
+def test_checkpoint_non_positive_std_rejected(tmp_path):
+    rc = tiny_run_config()
+    model = build_model(rc)
+    model.norm_std = np.zeros(3, dtype=np.float32)
+    _assert_rejected(_saved(model, rc, tmp_path), match="std must be positive")
