@@ -8,6 +8,9 @@ live on the memory stream, so the output can only be assembled from memory
 content. That asymmetry is what keeps anomalous evidence out of the memorial
 reconstruction.
 
+Both branches run one attention+MLP body, differing only in where queries
+and keys/values come from; the attention heads are a tensor axis.
+
 ``unproject`` maps either branch's tokens back to per-scale feature maps
 through per-scale affine heads.
 """
@@ -35,8 +38,10 @@ class DualAttnConfig:
     def __post_init__(self):
         if self.depth < 0:
             raise ContractError("depth must be >= 0")
-        if self.heads < 1 or self.token_dim % self.heads != 0:
+        if self.heads < 1 or self.token_dim < 1 or self.token_dim % self.heads != 0:
             raise ContractError(f"token_dim {self.token_dim} must divide over {self.heads} heads")
+        if self.mlp_ratio < 1:
+            raise ContractError("mlp_ratio must be >= 1")
         if self.memorial_query_source not in ("stream", "input"):
             raise ContractError("memorial_query_source must be 'stream' or 'input'")
 
@@ -54,30 +59,32 @@ def _ln_params(d, dt):
 
 
 def _multi_head(q, k, v, heads):
-    """Per-head scaled dot-product attention on (L, dim) tensors; returns the
-    concatenated head outputs."""
-    dim = q.shape[-1]
+    """Scaled dot-product attention on (L, dim) tensors with the heads as a
+    leading axis: (H, L, dh) queries and values, (H, dh, L) keys, one op each
+    for logits, softmax and weighted values; returns the heads side by side."""
+    length, dim = q.shape
     dh = dim // heads
-    scale = 1.0 / np.sqrt(dh)
-    outs = []
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = ad.take_last(q, lo, hi)
-        kh = ad.take_last(k, lo, hi)
-        vh = ad.take_last(v, lo, hi)
-        logits = ad.mul(ad.matmul(qh, ad.transpose(kh)), scale)
-        outs.append(ad.matmul(ad.softmax_rows(logits), vh))
-    return ad.concat_last(outs)
+
+    def split(t, axes):
+        return ad.permute(ad.reshape(t, (t.shape[0], heads, dh)), axes)
+
+    qh, kt, vh = split(q, (1, 0, 2)), split(k, (1, 2, 0)), split(v, (1, 0, 2))
+    logits = ad.mul(ad.matmul(qh, kt), 1.0 / np.sqrt(dh))
+    out = ad.matmul(ad.softmax_rows(logits), vh)
+    return ad.reshape(ad.permute(out, (1, 0, 2)), (length, dim))
 
 
-class SelfBlock:
-    """Pre-norm transformer block: x + Attn(LN(x)), then + MLP(LN(.))."""
+class _Block:
+    """Pre-norm multi-head attention plus MLP, the body both branches share:
+    queries come from the normed query source, keys and values from the
+    normed stream, and both residuals (attention output, then MLP) land on
+    the stream. ``norms`` names the input layer norms, in parameter order."""
 
-    def __init__(self, cfg: DualAttnConfig, rng):
+    def __init__(self, cfg: DualAttnConfig, rng, norms):
         d = cfg.token_dim
         dt = default_dtype()
         self.heads = cfg.heads
-        self.ln1 = _ln_params(d, dt)
+        self.norms = {name: _ln_params(d, dt) for name in norms}
         self.wq = _linear_params(rng, d, d, dt)
         self.wk = _linear_params(rng, d, d, dt)
         self.wv = _linear_params(rng, d, d, dt)
@@ -88,75 +95,50 @@ class SelfBlock:
         self.mlp2 = _linear_params(rng, hidden, d, dt)
 
     def params(self):
-        return {
-            "ln1.g": self.ln1[0], "ln1.b": self.ln1[1],
-            "wq.w": self.wq[0], "wq.b": self.wq[1],
-            "wk.w": self.wk[0], "wk.b": self.wk[1],
-            "wv.w": self.wv[0], "wv.b": self.wv[1],
-            "wo.w": self.wo[0], "wo.b": self.wo[1],
-            "ln2.g": self.ln2[0], "ln2.b": self.ln2[1],
-            "mlp1.w": self.mlp1[0], "mlp1.b": self.mlp1[1],
-            "mlp2.w": self.mlp2[0], "mlp2.b": self.mlp2[1],
-        }
+        named = [*self.norms.items(), ("wq", self.wq), ("wk", self.wk), ("wv", self.wv),
+                 ("wo", self.wo), ("ln2", self.ln2), ("mlp1", self.mlp1), ("mlp2", self.mlp2)]
+        out = {}
+        for name, (weight, bias) in named:
+            out[f"{name}.g" if name.startswith("ln") else f"{name}.w"] = weight
+            out[f"{name}.b"] = bias
+        return out
+
+    def _attend(self, qn: Tensor, kvn: Tensor, stream: Tensor) -> Tensor:
+        q = ad.add_bias(ad.matmul(qn, self.wq[0]), self.wq[1])
+        k = ad.add_bias(ad.matmul(kvn, self.wk[0]), self.wk[1])
+        v = ad.add_bias(ad.matmul(kvn, self.wv[0]), self.wv[1])
+        mixed = _multi_head(q, k, v, self.heads)
+        stream = ad.add(stream, ad.add_bias(ad.matmul(mixed, self.wo[0]), self.wo[1]))
+        sn = ad.layer_norm(stream, *self.ln2)
+        h = ad.gelu(ad.add_bias(ad.matmul(sn, self.mlp1[0]), self.mlp1[1]))
+        return ad.add(stream, ad.add_bias(ad.matmul(h, self.mlp2[0]), self.mlp2[1]))
+
+
+class SelfBlock(_Block):
+    """Plain ViT block: x + Attn(LN(x)), then + MLP(LN(.))."""
+
+    def __init__(self, cfg: DualAttnConfig, rng):
+        super().__init__(cfg, rng, ("ln1",))
 
     def __call__(self, x: Tensor) -> Tensor:
-        xn = ad.layer_norm(x, *self.ln1)
-        q = ad.add_bias(ad.matmul(xn, self.wq[0]), self.wq[1])
-        k = ad.add_bias(ad.matmul(xn, self.wk[0]), self.wk[1])
-        v = ad.add_bias(ad.matmul(xn, self.wv[0]), self.wv[1])
-        mixed = _multi_head(q, k, v, self.heads)
-        x = ad.add(x, ad.add_bias(ad.matmul(mixed, self.wo[0]), self.wo[1]))
-        xn2 = ad.layer_norm(x, *self.ln2)
-        h = ad.gelu(ad.add_bias(ad.matmul(xn2, self.mlp1[0]), self.mlp1[1]))
-        return ad.add(x, ad.add_bias(ad.matmul(h, self.mlp2[0]), self.mlp2[1]))
+        xn = ad.layer_norm(x, *self.norms["ln1"])
+        return self._attend(xn, xn, x)
 
 
-class MemorialBlock:
+class MemorialBlock(_Block):
     """Cross-attention block reading the memory stream. The query source
     contributes only attention logits; there is no residual from it, so
     values, residuals and the MLP involve memory content exclusively."""
 
     def __init__(self, cfg: DualAttnConfig, rng):
-        d = cfg.token_dim
-        dt = default_dtype()
-        self.heads = cfg.heads
-        self.ln_q = _ln_params(d, dt)
-        self.ln_kv = _ln_params(d, dt)
-        self.wq = _linear_params(rng, d, d, dt)
-        self.wk = _linear_params(rng, d, d, dt)
-        self.wv = _linear_params(rng, d, d, dt)
-        self.wo = _linear_params(rng, d, d, dt)
-        self.ln2 = _ln_params(d, dt)
-        hidden = d * cfg.mlp_ratio
-        self.mlp1 = _linear_params(rng, d, hidden, dt)
-        self.mlp2 = _linear_params(rng, hidden, d, dt)
-
-    def params(self):
-        return {
-            "lnq.g": self.ln_q[0], "lnq.b": self.ln_q[1],
-            "lnkv.g": self.ln_kv[0], "lnkv.b": self.ln_kv[1],
-            "wq.w": self.wq[0], "wq.b": self.wq[1],
-            "wk.w": self.wk[0], "wk.b": self.wk[1],
-            "wv.w": self.wv[0], "wv.b": self.wv[1],
-            "wo.w": self.wo[0], "wo.b": self.wo[1],
-            "ln2.g": self.ln2[0], "ln2.b": self.ln2[1],
-            "mlp1.w": self.mlp1[0], "mlp1.b": self.mlp1[1],
-            "mlp2.w": self.mlp2[0], "mlp2.b": self.mlp2[1],
-        }
+        super().__init__(cfg, rng, ("lnq", "lnkv"))
 
     def __call__(self, q_src: Tensor, mem: Tensor) -> Tensor:
         if q_src.shape != mem.shape:
             raise ShapeError(f"query source {q_src.shape} and memory {mem.shape} differ")
-        qn = ad.layer_norm(q_src, *self.ln_q)
-        kn = ad.layer_norm(mem, *self.ln_kv)
-        q = ad.add_bias(ad.matmul(qn, self.wq[0]), self.wq[1])
-        k = ad.add_bias(ad.matmul(kn, self.wk[0]), self.wk[1])
-        v = ad.add_bias(ad.matmul(kn, self.wv[0]), self.wv[1])
-        mixed = _multi_head(q, k, v, self.heads)
-        mem = ad.add(mem, ad.add_bias(ad.matmul(mixed, self.wo[0]), self.wo[1]))
-        mn = ad.layer_norm(mem, *self.ln2)
-        h = ad.gelu(ad.add_bias(ad.matmul(mn, self.mlp1[0]), self.mlp1[1]))
-        return ad.add(mem, ad.add_bias(ad.matmul(h, self.mlp2[0]), self.mlp2[1]))
+        qn = ad.layer_norm(q_src, *self.norms["lnq"])
+        kn = ad.layer_norm(mem, *self.norms["lnkv"])
+        return self._attend(qn, kn, mem)
 
 
 class DualAttention:

@@ -107,27 +107,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Records operations for one backward pass.
@@ -288,16 +267,6 @@ def exp(x) -> Tensor:
     return _emit(out, (x,), make)
 
 
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    xd = x.data
-
-    def make():
-        return lambda g: (g / xd,)
-
-    return _emit(np.log(xd), (x,), make)
-
-
 def tanh(x) -> Tensor:
     x = _as_tensor(x)
     out = np.tanh(x.data)
@@ -361,16 +330,11 @@ def permute(x, axes) -> Tensor:
     inv = tuple(int(a) for a in np.argsort(axes))
 
     def make():
-        return lambda g: (g.transpose(inv),)
+        # a strided view here would reach later reductions (a bias gradient)
+        # in another memory order and change their float sums
+        return lambda g: (np.ascontiguousarray(g.transpose(inv)),)
 
     return _emit(x.data.transpose(axes), (x,), make)
-
-
-def transpose(x) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-d tensor, got shape {x.data.shape}")
-    return permute(x, (1, 0))
 
 
 def take_last(x, start: int, stop: int) -> Tensor:
@@ -468,31 +432,42 @@ def sum_batch(x) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """``(..., M, K) @ (K, N)`` is one (rows, K) @ (K, N) product over the
+    flattened leading axes (token rows, pixels of a channels-last map);
+    ``(..., M, K) @ (..., K, N)`` is one product per leading index (head)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions {a.data.shape} @ {b.data.shape} do not agree")
     ad, bd = a.data, b.data
+    if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
+            or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
+        raise ShapeError(f"matmul: operands {ad.shape} @ {bd.shape} do not agree")
+    if bd.ndim > 2:
+        def make_batched():
+            return lambda g: (g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g)
 
-    def make():
-        return lambda g: (g @ bd.T, ad.T @ g)
-
-    return _emit(ad @ bd, (a, b), make)
-
-
-def softmax_rows(x) -> Tensor:
-    """Row-wise softmax of a 2-d tensor, computed with a max shift."""
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a 2-d tensor, got shape {x.data.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+        return _emit(ad @ bd, (a, b), make_batched)
+    k, n = bd.shape
+    flat = ad.reshape(-1, k)
 
     def make():
         def vjp(g):
-            dot = (g * out).sum(axis=1, keepdims=True)
+            gf = g.reshape(-1, n)
+            return ((gf @ bd.T).reshape(ad.shape), flat.T @ gf)
+
+        return vjp
+
+    return _emit((flat @ bd).reshape(ad.shape[:-1] + (n,)), (a, b), make)
+
+
+def softmax_rows(x) -> Tensor:
+    """Softmax over the last axis, computed with a max shift."""
+    x = _as_tensor(x)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def make():
+        def vjp(g):
+            dot = (g * out).sum(axis=-1, keepdims=True)
             return (out * (g - dot),)
 
         return vjp
@@ -534,7 +509,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolutions (stride 1, zero padding, channels-last)
+# depthwise convolution (stride 1, zero padding, channels-last)
 
 
 def _dw3x3_forward(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
@@ -548,52 +523,33 @@ def _dw3x3_forward(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv2d(x, kernel, mode: str) -> Tensor:
-    """Stride-1 convolution on channels-last maps of shape (H, W, C) or
-    (B, H, W, C). ``depthwise3x3`` uses a (3, 3, C) kernel with zero 'same'
-    padding; ``pointwise1x1`` uses a (Cin, Cout) kernel."""
+def depthwise_conv3x3(x, kernel) -> Tensor:
+    """Stride-1 depthwise 3x3 convolution with zero 'same' padding on a
+    channels-last map of shape (H, W, C) or (B, H, W, C); ``kernel`` is
+    (3, 3, C)."""
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     xd, kd = x.data, kernel.data
     if xd.ndim not in (3, 4):
-        raise ShapeError(f"conv2d expects (H, W, C) or (B, H, W, C), got shape {xd.shape}")
-    if mode == "depthwise3x3":
-        c = xd.shape[-1]
-        if kd.shape != (3, 3, c):
-            raise ShapeError(f"depthwise3x3 kernel must be (3, 3, {c}), got {kd.shape}")
-        out = _dw3x3_forward(xd, kd)
-        h, w = xd.shape[-3], xd.shape[-2]
-        lead = tuple(range(xd.ndim - 3))
+        raise ShapeError(f"depthwise_conv3x3 expects (H, W, C) or (B, H, W, C), got {xd.shape}")
+    c = xd.shape[-1]
+    if kd.shape != (3, 3, c):
+        raise ShapeError(f"depthwise_conv3x3 kernel must be (3, 3, {c}), got {kd.shape}")
+    out = _dw3x3_forward(xd, kd)
+    h, w = xd.shape[-3], xd.shape[-2]
+    lead = tuple(range(xd.ndim - 3))
 
-        def make():
-            def vjp(g):
-                gx = _dw3x3_forward(g, kd[::-1, ::-1])
-                pad = [(0, 0)] * (xd.ndim - 3) + [(1, 1), (1, 1), (0, 0)]
-                xp = np.pad(xd, pad)
-                gk = np.empty_like(kd)
-                for dy in range(3):
-                    for dx in range(3):
-                        prod = g * xp[..., dy:dy + h, dx:dx + w, :]
-                        gk[dy, dx] = prod.sum(axis=lead + (-3, -2))
-                return (gx, gk)
+    def make():
+        def vjp(g):
+            gx = _dw3x3_forward(g, kd[::-1, ::-1])
+            pad = [(0, 0)] * (xd.ndim - 3) + [(1, 1), (1, 1), (0, 0)]
+            xp = np.pad(xd, pad)
+            gk = np.empty_like(kd)
+            for dy in range(3):
+                for dx in range(3):
+                    prod = g * xp[..., dy:dy + h, dx:dx + w, :]
+                    gk[dy, dx] = prod.sum(axis=lead + (-3, -2))
+            return (gx, gk)
 
-            return vjp
+        return vjp
 
-        return _emit(out, (x, kernel), make)
-    if mode == "pointwise1x1":
-        if kd.ndim != 2 or kd.shape[0] != xd.shape[-1]:
-            raise ShapeError(f"pointwise1x1 kernel must be ({xd.shape[-1]}, Cout), got {kd.shape}")
-        cin, cout = kd.shape
-        flat = xd.reshape(-1, cin)
-        out = (flat @ kd).reshape(xd.shape[:-1] + (cout,))
-
-        def make():
-            def vjp(g):
-                gf = g.reshape(-1, cout)
-                gx = (gf @ kd.T).reshape(xd.shape)
-                gk = flat.T @ gf
-                return (gx, gk)
-
-            return vjp
-
-        return _emit(out, (x, kernel), make)
-    raise ContractError(f"conv2d: unknown mode {mode!r}")
+    return _emit(out, (x, kernel), make)

@@ -334,12 +334,19 @@ def load(data_dir) -> list:
     if not os.path.exists(manifest):
         raise DataError(f"missing manifest: {manifest}")
     samples = []
-    with open(manifest, "r", encoding="ascii") as fh:
-        rows = [line.rstrip("\n") for line in fh if line.strip()]
+    try:
+        with open(manifest, "r", encoding="ascii") as fh:
+            rows = [line.rstrip("\n") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{manifest}: manifest is not ASCII text") from exc
+    except OSError as exc:
+        raise DataError(f"{manifest}: cannot read manifest ({exc.strerror})") from exc
     for lineno, row in enumerate(rows, start=1):
         parts = row.split("\t")
         if len(parts) != 4:
             raise DataError(f"{manifest}:{lineno}: expected 4 tab-separated fields")
+        if "\0" in row:
+            raise DataError(f"{manifest}:{lineno}: NUL byte in the row")
         rel, label_s, mask_rel, sat_s = parts
         try:
             label = int(label_s)
@@ -348,6 +355,8 @@ def load(data_dir) -> list:
             raise DataError(f"{manifest}:{lineno}: bad label or saturation") from exc
         if label not in (0, 1):
             raise DataError(f"{manifest}:{lineno}: label must be 0 or 1")
+        if not 0.0 < sat <= 1.0:
+            raise DataError(f"{manifest}:{lineno}: saturation must lie in (0, 1]")
         split = rel.split("/", 1)[0]
         if split not in ("train", "test"):
             raise DataError(f"{manifest}:{lineno}: path must start with train/ or test/")

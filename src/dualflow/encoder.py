@@ -35,6 +35,8 @@ class EncoderConfig:
             raise ContractError("stage strides are fixed at (4, 8, 16)")
         if self.in_size % 16 != 0 or self.in_size <= 0:
             raise ContractError(f"in_size must be a positive multiple of 16, got {self.in_size}")
+        if self.seed < 0:
+            raise ContractError("encoder seed must be non-negative")
 
 
 def _conv3x3_s2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,6 +95,8 @@ class PatchEmbedConfig:
     def __post_init__(self):
         if len(self.patch_sizes) == 0 or any(p <= 0 for p in self.patch_sizes):
             raise ContractError("patch_sizes must be positive")
+        if self.token_dim < 1:
+            raise ContractError("token_dim must be positive")
         n = len(self.patch_sizes)
         if self.token_dim % n != 0:
             raise ContractError(f"token_dim {self.token_dim} must divide evenly over {n} scales")

@@ -43,13 +43,16 @@ class FlowConfig:
     def __post_init__(self):
         if self.n_blocks < 1:
             raise ContractError("flow needs at least one coupling layer")
-        if self.clamp <= 0:
-            raise ContractError("clamp must be positive")
+        if not (np.isfinite(self.clamp) and self.clamp > 0):
+            raise ContractError("clamp must be finite and positive")
+        if not (np.isfinite(self.hidden_ratio) and self.hidden_ratio > 0):
+            raise ContractError("hidden_ratio must be finite and positive")
 
 
 class Subnet:
-    """dw3x3 -> pw1x1 -> LeakyReLU -> pw1x1(zero init): identity-at-init
-    predictor of a per-location field from the untouched channel half."""
+    """dw3x3 -> 1x1 -> LeakyReLU -> 1x1 (zero init): identity-at-init
+    predictor of a per-location field from the untouched channel half. A 1x1
+    layer is a ``matmul`` over the channel axis."""
 
     def __init__(self, c_in: int, c_out: int, rng, hidden: int | None = None):
         dt = default_dtype()
@@ -68,10 +71,10 @@ class Subnet:
                 "pw2.w": self.pw2_w, "pw2.b": self.pw2_b}
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = ad.add_bias(ad.conv2d(x, self.dw_k, mode="depthwise3x3"), self.dw_b)
-        h = ad.add_bias(ad.conv2d(h, self.pw1_w, mode="pointwise1x1"), self.pw1_b)
+        h = ad.add_bias(ad.depthwise_conv3x3(x, self.dw_k), self.dw_b)
+        h = ad.add_bias(ad.matmul(h, self.pw1_w), self.pw1_b)
         h = ad.leaky_relu(h)
-        return ad.add_bias(ad.conv2d(h, self.pw2_w, mode="pointwise1x1"), self.pw2_b)
+        return ad.add_bias(ad.matmul(h, self.pw2_w), self.pw2_b)
 
 
 class CouplingLayer:
@@ -226,17 +229,6 @@ class FlowStack:
                 raise NumericError(f"non-finite values after inverse flow stage {i} "
                                    f"({type(stage).__name__})")
         return x
-
-
-def log_likelihood(z: np.ndarray, logdet: np.ndarray) -> np.ndarray:
-    """Exact log p(u) per sample under a standard normal base. ``z`` is
-    (B, ...) latent, ``logdet`` is (B,)."""
-    z = np.asarray(z, dtype=np.float64)
-    logdet = np.asarray(logdet, dtype=np.float64)
-    b = z.shape[0]
-    d = z.reshape(b, -1).shape[1]
-    sq = (z.reshape(b, -1) ** 2).sum(axis=1)
-    return -0.5 * d * np.log(2.0 * np.pi) - 0.5 * sq + logdet
 
 
 def per_location_stats(stack: FlowStack, u: Tensor):

@@ -37,8 +37,12 @@ class TrainConfig:
         if self.flow_variant not in FLOW_VARIANTS:
             raise ContractError(f"flow_variant must be one of {sorted(FLOW_VARIANTS)}, "
                                 f"got {self.flow_variant!r}")
-        if self.batch_size < 1 or self.lr <= 0:
-            raise ContractError("batch_size must be >= 1 and lr positive")
+        if self.batch_size < 1 or not (math.isfinite(self.lr) and self.lr > 0):
+            raise ContractError("batch_size must be >= 1 and lr finite and positive")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ContractError("weight_decay must be finite and non-negative")
+        if min(self.stage1_epochs, self.stage2_epochs, self.seed) < 0:
+            raise ContractError("epoch counts and seed must be non-negative")
 
 
 class Model:

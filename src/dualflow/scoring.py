@@ -37,6 +37,8 @@ class ScoringConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ContractError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not (np.isfinite(self.smooth_sigma) and self.smooth_sigma >= 0):
+            raise ContractError("smooth_sigma must be finite and non-negative (0: no smoothing)")
         if not (0.0 <= self.fuse_weight <= 1.0):
             raise ContractError("fuse_weight must lie in [0, 1]")
         if not (0.0 < self.fpr_limit <= 1.0):

@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from . import autodiff as ad
+from .attention import _multi_head
 from .autodiff import Tensor, using_dtype
 from .flow import FlowConfig, FlowStack
 from .gradcheck import check_gradients
@@ -204,7 +205,8 @@ def check_flow_logdet() -> tuple[bool, str]:
 
 def check_gradcheck() -> tuple[bool, str]:
     """Finite-difference check of a composite touching every primitive family:
-    conv subnet, coupling layer, attention-style softmax/matmul, layer norm."""
+    conv subnet, coupling layer, two-head attention through the production
+    ``_multi_head``, layer norm."""
     with using_dtype(np.float64):
         rng = np.random.default_rng(3)
         stack = _perturbed_stack(6, rng)
@@ -219,16 +221,14 @@ def check_gradcheck() -> tuple[bool, str]:
         params = list(stack.params().values())
         worst = check_gradients(flow_loss, params)
 
-        w_q = Tensor(rng.normal(0, 0.3, size=(5, 5)), requires_grad=True)
-        gain = Tensor(np.ones(5), requires_grad=True)
-        bias = Tensor(np.zeros(5), requires_grad=True)
-        x = Tensor(rng.normal(size=(4, 5)))
+        w_q = Tensor(rng.normal(0, 0.3, size=(6, 6)), requires_grad=True)
+        gain = Tensor(np.ones(6), requires_grad=True)
+        bias = Tensor(np.zeros(6), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 6)))
 
         def attn_loss():
             h = ad.layer_norm(x, gain, bias)
-            q = ad.matmul(h, w_q)
-            a = ad.softmax_rows(ad.matmul(q, ad.transpose(h)))
-            out = ad.matmul(a, h)
+            out = _multi_head(ad.matmul(h, w_q), h, h, heads=2)
             return ad.sum_all(ad.mul(ad.gelu(out), ad.tanh(out)))
 
         worst = max(worst, check_gradients(attn_loss, [w_q, gain, bias]))

@@ -1,6 +1,6 @@
-"""Dual-attention behavior: stochastic attention rows, permutation
-equivariance, memory-stream isolation, and an independent pseudo-inverse
-oracle for the output heads."""
+"""Dual-attention behavior: the fused heads against a per-head loop,
+stochastic attention rows, permutation equivariance, memory-stream
+isolation, and an independent pseudo-inverse oracle for the output heads."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import pytest
 from dualflow import autodiff as ad
 from dualflow.autodiff import Tape, Tensor, using_dtype
 from dualflow.attention import (DualAttention, DualAttnConfig, MemorialBlock, OutputHeads,
-                                SelfBlock)
+                                SelfBlock, _multi_head)
 from dualflow.encoder import TokenSequence, patchify, position_encoding
 from dualflow.errors import ContractError
 
@@ -43,6 +43,39 @@ def make_seq(rng, length=16, dim=96, requires_grad=False):
     return TokenSequence(tokens=tokens, pos=position_encoding(length, dim))
 
 
+def multi_head_loop(q, k, v, heads):
+    """Scaled dot-product attention one head at a time on (L, dim) tensors:
+    slice each head's columns, attend, concatenate. The oracle of the fused
+    ``_multi_head``."""
+    dh = q.shape[-1] // heads
+    scale = 1.0 / np.sqrt(dh)
+    outs = []
+    for h in range(heads):
+        lo, hi = h * dh, (h + 1) * dh
+        qh, kh, vh = (ad.take_last(t, lo, hi) for t in (q, k, v))
+        logits = ad.mul(ad.matmul(qh, ad.permute(kh, (1, 0))), scale)
+        outs.append(ad.matmul(ad.softmax_rows(logits), vh))
+    return ad.concat_last(outs)
+
+
+def test_fused_heads_match_per_head_loop_bit_for_bit(rng):
+    """Output and q/k/v gradients of the fused heads equal the loop's exactly
+    in the default float32 build at the default width."""
+    length, dim, heads = 16, CFG.token_dim, CFG.heads
+    data = [rng.normal(size=(length, dim)).astype(np.float32) for _ in range(3)]
+    cotangent = Tensor(rng.normal(size=(length, dim)).astype(np.float32))
+    results = []
+    for attend in (_multi_head, multi_head_loop):
+        q, k, v = (Tensor(d, requires_grad=True) for d in data)
+        with Tape() as tape:
+            out = attend(q, k, v, heads)
+            tape.backward(ad.sum_all(ad.mul(out, cotangent)))
+        results.append([out.data, q.grad, k.grad, v.grad])
+    assert results[0][0].dtype == np.float32
+    for fused, looped, name in zip(*results, ("out", "dq", "dk", "dv")):
+        assert np.array_equal(fused, looped), name
+
+
 def test_config_validation():
     with pytest.raises(ContractError):
         DualAttnConfig(heads=5, token_dim=96)
@@ -50,6 +83,10 @@ def test_config_validation():
         DualAttnConfig(heads=0, token_dim=96)
     with pytest.raises(ContractError):
         DualAttnConfig(memorial_query_source="both")
+    with pytest.raises(ContractError):
+        DualAttnConfig(heads=4, token_dim=0)
+    with pytest.raises(ContractError):
+        DualAttnConfig(mlp_ratio=0)
 
 
 def test_attention_rows_stochastic_everywhere(rng, monkeypatch):
@@ -57,11 +94,12 @@ def test_attention_rows_stochastic_everywhere(rng, monkeypatch):
         model = DualAttention(CFG, 16, np.random.default_rng(0))
         weights = record_attention(monkeypatch)
         model(make_seq(rng))
-        # every head of every block of both branches
-        assert len(weights) == 2 * CFG.depth * CFG.heads
+        # one (heads, L, L) weight stack per block of both branches
+        assert len(weights) == 2 * CFG.depth
         for w in weights:
+            assert w.shape == (CFG.heads, 16, 16)
             assert (w >= 0).all()
-            np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
+            np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
 
 
 def test_self_block_permutation_equivariance(rng):
@@ -102,8 +140,9 @@ def test_memorial_output_in_convex_hull_of_normed_memory(rng, monkeypatch):
         mem = Tensor(rng.normal(size=(5, 8)))
         weights = record_attention(monkeypatch)
         out = blk(q_src, mem).data
-        mem_n = ad.layer_norm(mem, *blk.ln_kv).data
-        (attn,) = weights
+        mem_n = ad.layer_norm(mem, *blk.norms["lnkv"]).data
+        (stack,) = weights
+        (attn,) = stack  # the single head's weights
         np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-9)
         assert (attn >= 0).all()
         np.testing.assert_allclose(out - mem.data, attn @ mem_n, atol=1e-10)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, stdout formats, artifact round-trips."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -201,6 +202,34 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert main(["eval", "--data", str(tmp_path), "--ckpt",
                  str(tmp_path / "none.ckpt")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    "train.lr=nan", "train.lr=inf", "flow.clamp=nan", "flow.clamp=inf",
+    "flow.hidden_ratio=-1", "train.weight_decay=-1", "scoring.smooth_sigma=nan",
+    "scoring.smooth_sigma=-2", "patch_embed.token_dim=0", "train.stage1_epochs=-3"])
+def test_malformed_config_value_exits_1(workspace, tmp_path, capsys, override):
+    _, ds, cfg, _ = workspace
+    assert main(["train", "--data", str(ds), "--out", str(tmp_path / "m.ckpt"),
+                 "--config", str(cfg), "--set", override]) == 1
+    out, err = capsys.readouterr()
+    # rejected before any training step
+    assert out == "" and "error:" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("defect", [b"\xe9", b"\tnan", b"\t7", b"\t0"])
+def test_malformed_manifest_exits_1(workspace, tmp_path, capsys, defect):
+    _, ds, cfg, _ = workspace
+    copy = tmp_path / "ds"
+    shutil.copytree(ds, copy)
+    first, rest = (ds / "manifest.tsv").read_bytes().split(b"\n", 1)
+    if defect.startswith(b"\t"):  # replace the saturation field
+        first = first.rsplit(b"\t", 1)[0]
+    (copy / "manifest.tsv").write_bytes(first + defect + b"\n" + rest)
+    assert main(["train", "--data", str(copy), "--out", str(tmp_path / "m.ckpt"),
+                 "--config", str(cfg)]) == 1
+    assert "manifest.tsv" in capsys.readouterr().err
 
 
 def test_train_help_embeds_default_config(capsys):

@@ -1,6 +1,7 @@
 """Synthetic defect benchmark: determinism, defect structure, file formats."""
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -229,6 +230,9 @@ def test_load_matches_generated_arrays(dataset):
 def test_load_rejects_missing_manifest(tmp_path):
     with pytest.raises(DataError):
         load(tmp_path)
+    (tmp_path / "manifest.tsv").mkdir()
+    with pytest.raises(DataError, match="cannot read manifest"):
+        load(tmp_path)
 
 
 def _write_manifest(root, text):
@@ -245,6 +249,10 @@ def test_load_rejects_malformed_rows(dataset, tmp_path):
         "train/0000.ppm\t1\t-\t1.0",                  # anomalous in train
         "train/0000.ppm\t0\tmasks/zz.pgm\t1.0",       # normal with mask
         "elsewhere/0000.ppm\t0\t-\t1.0",              # bad split prefix
+        "train/0000.ppm\t0\t-\tnan",                 # saturation not finite
+        "train/0000.ppm\t0\t-\t7",                   # saturation above 1
+        "train/0000.ppm\t0\t-\t0",                   # saturation not positive
+        "train/0000.ppm\t0\t-\t1.0\0",               # NUL byte
     ]
     for i, row in enumerate(cases):
         ds = tmp_path / f"bad{i}"
@@ -256,6 +264,40 @@ def test_load_rejects_malformed_rows(dataset, tmp_path):
         with pytest.raises(DataError) as err:
             load(ds)
         assert "manifest.tsv:1" in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(dataset, tmp_path_factory):
+    """A copy of the small dataset whose manifest each example overwrites."""
+    root = tmp_path_factory.mktemp("fuzz") / "ds"
+    shutil.copytree(dataset[0], root)
+    return root
+
+
+# fields that reach every check of the loader, mixed with arbitrary short text
+_FIELD = (st.sampled_from(["train/0000.ppm", "test/0001.ppm", "test/0004.ppm",
+                           "masks/0004.pgm", "masks/0002.pgm", "train/", "-", "0", "1",
+                           "1.0", "0.25", "nan", "inf", "7", "-1", ""])
+          | st.text(max_size=6))
+_ROWS = st.lists(st.lists(_FIELD, min_size=1, max_size=5).map("\t".join),
+                 max_size=4).map(lambda rows: "\n".join(rows).encode("utf-8"))
+
+
+@given(manifest=st.binary(max_size=96) | _ROWS)
+@example(manifest=b"train/0000.ppm\t0\t-\t1.0\xe9\n")
+@example(manifest=b"test/0004.ppm\t1\tmasks/0004.pgm\tnan\n")
+@example(manifest=b"test/0004.ppm\t1\tmasks/0004.pgm\t7\n")
+@example(manifest=b"train/0000.ppm\t0\t-\t0\n")
+@settings(max_examples=300, deadline=None)
+def test_manifest_loader_fails_only_as_data_error(fuzz_root, manifest):
+    (fuzz_root / "manifest.tsv").write_bytes(manifest)
+    try:
+        samples = load(fuzz_root)
+    except DataError:
+        return
+    for s in samples:
+        assert s.label in (0, 1) and 0.0 < s.saturation <= 1.0
+        assert s.mask.shape == s.image.shape[:2] and s.mask.any() == bool(s.label)
 
 
 def test_load_rejects_corrupt_image(dataset, tmp_path):

@@ -27,6 +27,11 @@ def test_config_validation():
         EncoderConfig(stage_strides=(2, 4, 8))
     with pytest.raises(ContractError):
         EncoderConfig(stage_channels=(0, 32, 64))
+    with pytest.raises(ContractError):
+        EncoderConfig(seed=-1)
+    for token_dim in (0, -12):
+        with pytest.raises(ContractError):
+            PatchEmbedConfig(token_dim=token_dim)
 
 
 def test_pyramid_shapes_and_dtype():

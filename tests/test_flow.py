@@ -8,9 +8,28 @@ from hypothesis import given, settings, strategies as st
 
 from dualflow import autodiff as ad
 from dualflow.autodiff import Tensor, using_dtype
-from dualflow.errors import NumericError, ShapeError
+from dualflow.errors import ContractError, NumericError, ShapeError
 from dualflow.flow import (FLOW_VARIANTS, CouplingLayer, FlowConfig, FlowStack, PermuteStage,
-                           log_likelihood, per_location_stats)
+                           per_location_stats)
+
+
+def log_likelihood(z: np.ndarray, logdet: np.ndarray) -> np.ndarray:
+    """Exact log p(u) per sample under a standard normal base. ``z`` is
+    (B, ...) latent, ``logdet`` is (B,)."""
+    z = np.asarray(z, dtype=np.float64)
+    logdet = np.asarray(logdet, dtype=np.float64)
+    b = z.shape[0]
+    d = z.reshape(b, -1).shape[1]
+    sq = (z.reshape(b, -1) ** 2).sum(axis=1)
+    return -0.5 * d * np.log(2.0 * np.pi) - 0.5 * sq + logdet
+
+
+def test_config_validation():
+    for bad in (dict(n_blocks=0), dict(clamp=0.0), dict(clamp=float("nan")),
+                dict(clamp=float("inf")), dict(hidden_ratio=-1.0), dict(hidden_ratio=0.0),
+                dict(hidden_ratio=float("nan"))):
+        with pytest.raises(ContractError):
+            FlowConfig(**bad)
 
 
 def perturb(stack: FlowStack, rng, scale=0.1):

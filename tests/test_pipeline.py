@@ -14,7 +14,7 @@ from dualflow.cli import main
 from dualflow.errors import CheckpointError, ContractError
 from dualflow.flow import FlowConfig, FlowStack
 from dualflow.gradcheck import check_gradients
-from dualflow.pipeline import (build_model, loss_flow, recon_loss, train,
+from dualflow.pipeline import (TrainConfig, build_model, loss_flow, recon_loss, train,
                                train_flow, train_transformer)
 
 
@@ -129,6 +129,17 @@ def test_stage_parameter_sets_disjoint():
     assert t_keys and f_keys
     assert not (t_keys & f_keys)
     assert set(model.parameters()) == t_keys | f_keys
+
+
+def test_train_config_validation():
+    # zero epochs skip a stage (the benchmark's score set-up fits with (0, 0))
+    assert TrainConfig(stage1_epochs=0, stage2_epochs=0, weight_decay=0.0).stage1_epochs == 0
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(lr=nan), dict(lr=inf), dict(lr=0.0), dict(batch_size=0),
+                dict(weight_decay=-1.0), dict(weight_decay=nan), dict(stage1_epochs=-3),
+                dict(stage2_epochs=-1), dict(seed=-1), dict(flow_variant="Q")):
+        with pytest.raises(ContractError):
+            TrainConfig(**bad)
 
 
 def test_flow_stage_requires_trained_transformer():
@@ -337,9 +348,16 @@ def test_checkpoint_wrong_buffer_shape_rejected(tmp_path):
 def test_checkpoint_bad_config_echo_rejected(tmp_path):
     rc = tiny_run_config()
     blob = _saved(build_model(rc), rc, tmp_path).read_bytes()
+    # each replacement keeps the echo's length, which the file records
     for good, bad, match in ((b"heads = 2\n", b"heads = 0\n", "bad config echo"),
+                             (b"lr = 0.0001\n", b"lr =    nan\n", "bad config echo"),
+                             (b"clamp = 2.0\n", b"clamp = inf\n", "bad config echo"),
+                             (b"stage1_epochs = 2\n", b"stage1_epochs =-3\n",
+                              "bad config echo"),
+                             (b"smooth_sigma = 4.0\n", b"smooth_sigma = -2.\n",
+                              "bad config echo"),
                              (b"flow_trained = false", b"flow_trained = yes!!", "malformed")):
-        assert blob.count(good) == 1
+        assert blob.count(good) == 1 and len(good) == len(bad)
         (tmp_path / "cfg.ckpt").write_bytes(blob.replace(good, bad))
         _assert_rejected(tmp_path / "cfg.ckpt", match=match)
 

@@ -6,7 +6,7 @@ from helpers import tiny_images, tiny_run_config
 
 from dualflow import pipeline
 from dualflow.errors import ContractError, ShapeError
-from dualflow.scoring import (MODES, anomaly_map, bilinear_upsample,
+from dualflow.scoring import (MODES, ScoringConfig, anomaly_map, bilinear_upsample,
                               raw_scale_maps)
 
 
@@ -92,6 +92,15 @@ def test_upsample_rejects_non_2d():
 
 # ---------------------------------------------------------------------------
 # mode algebra
+
+
+def test_config_validation():
+    assert ScoringConfig(smooth_sigma=0.0).smooth_sigma == 0.0  # 0 turns smoothing off
+    for bad in (dict(smooth_sigma=float("nan")), dict(smooth_sigma=-2.0),
+                dict(smooth_sigma=float("inf")), dict(fuse_weight=float("nan")),
+                dict(fpr_limit=0.0), dict(mode="badmode")):
+        with pytest.raises(ContractError):
+            ScoringConfig(**bad)
 
 
 def test_unknown_mode_rejected(model, probe):
