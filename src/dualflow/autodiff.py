@@ -22,7 +22,17 @@ from scipy.special import erf
 from .errors import ContractError, ShapeError
 
 _DEFAULT_DTYPE = np.float32
-_tls = threading.local()
+
+
+class _TapeStack(threading.local):
+    """Per-thread stack of active tapes; every thread starts with an empty
+    one, so looking it up never misses."""
+
+    def __init__(self):
+        self.tapes = []
+
+
+_tls = _TapeStack()
 
 
 def set_default_dtype(dtype) -> None:
@@ -48,16 +58,8 @@ def using_dtype(dtype):
         set_default_dtype(prev)
 
 
-def _tape_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
 def active_tape():
-    stack = _tape_stack()
+    stack = _tls.tapes
     return stack[-1] if stack else None
 
 
@@ -121,11 +123,11 @@ class Tape:
         self._records = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tls.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
+        stack = _tls.tapes
         assert stack and stack[-1] is self
         stack.pop()
         return False
@@ -180,6 +182,21 @@ def _emit(out_data: np.ndarray, inputs: tuple, make_vjp) -> Tensor:
     return out
 
 
+def _constant(a: Tensor, b, opname: str):
+    """``b`` as a gradient-free operand of ``a``'s dtype when it is a Python
+    scalar or an array shaped like the trailing axes of ``a`` (a per-channel
+    buffer, a position table); None when ``b`` is a tensor."""
+    if isinstance(b, (int, float)):
+        return a.data.dtype.type(b)
+    if not isinstance(b, np.ndarray):
+        return None
+    shape = a.data.shape
+    if b.ndim > len(shape) or b.shape != shape[len(shape) - b.ndim:]:
+        raise ShapeError(f"{opname}: constant of shape {b.shape} does not match "
+                         f"the trailing axes of {shape}")
+    return b.astype(a.data.dtype, copy=False)
+
+
 def _check_same_shape(a: Tensor, b: Tensor, opname: str) -> None:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{opname}: shapes {a.data.shape} and {b.data.shape} differ "
@@ -192,13 +209,12 @@ def _check_same_shape(a: Tensor, b: Tensor, opname: str) -> None:
 
 def add(a, b) -> Tensor:
     a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        out = a.data + a.data.dtype.type(b)
-
-        def make():
+    c = _constant(a, b, "add")
+    if c is not None:
+        def make_c():
             return lambda g: (g,)
 
-        return _emit(out, (a,), make)
+        return _emit(a.data + c, (a,), make_c)
     b = _as_tensor(b)
     _check_same_shape(a, b, "add")
 
@@ -223,13 +239,12 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        c = a.data.dtype.type(b)
-
-        def make_s():
+    c = _constant(a, b, "mul")
+    if c is not None:
+        def make_c():
             return lambda g: (g * c,)
 
-        return _emit(a.data * c, (a,), make_s)
+        return _emit(a.data * c, (a,), make_c)
     b = _as_tensor(b)
     _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
@@ -245,9 +260,9 @@ def add_bias(x, b) -> Tensor:
     x, b = _as_tensor(x), _as_tensor(b)
     if b.data.ndim != 1 or x.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"add_bias: bias {b.data.shape} does not match last axis of {x.data.shape}")
-    lead = tuple(range(x.data.ndim - 1))
 
     def make():
+        lead = tuple(range(x.data.ndim - 1))
         return lambda g: (g, g.sum(axis=lead))
 
     return _emit(x.data + b.data, (x, b), make)
@@ -278,14 +293,23 @@ def tanh(x) -> Tensor:
 
 
 def leaky_relu(x, slope: float = 0.01) -> Tensor:
+    """``x`` where ``x >= 0``, else ``slope * x``, computed in one pass as
+    ``max(x, slope * x)``: for a slope in [0, 1] that picks the same bits,
+    -0.0 and NaN included. The derivative at exactly 0 is 1. Only a
+    recording tape keeps the boolean mask ``x >= 0``; backward expands it
+    to 1 or ``slope`` with ``max(mask, slope)``, branch-free like the
+    forward (a masked ``np.where`` or ``np.copyto`` is many times slower
+    on maps of mixed signs)."""
+    if not 0.0 <= slope <= 1.0:
+        raise ContractError(f"leaky_relu slope must lie in [0, 1], got {slope}")
     x = _as_tensor(x)
     xd = x.data
-    out = np.where(xd >= 0, xd, xd * xd.dtype.type(slope))
+    s = xd.dtype.type(slope)
+    out = np.maximum(xd, xd * s)
 
     def make():
-        # derivative at exactly 0 is defined as 1
-        mask = np.where(xd >= 0, xd.dtype.type(1), xd.dtype.type(slope))
-        return lambda g: (g * mask,)
+        keep = xd >= 0
+        return lambda g: (g * np.maximum(keep, s),)
 
     return _emit(out, (x,), make)
 
@@ -385,14 +409,14 @@ def index_last(x, idx) -> Tensor:
     x = _as_tensor(x)
     idx = np.asarray(idx, dtype=np.int64)
     d = x.data.shape[-1]
-    if idx.shape != (d,) or sorted(idx.tolist()) != list(range(d)):
+    if idx.shape != (d,) or not (np.sort(idx) == np.arange(d)).all():
         raise ShapeError(f"index_last: index must be a permutation of range({d})")
-    inv = np.argsort(idx)
 
     def make():
-        return lambda g: (np.ascontiguousarray(g[..., inv]),)
+        inv = np.argsort(idx)
+        return lambda g: (np.take(g, inv, axis=-1),)
 
-    return _emit(np.ascontiguousarray(x.data[..., idx]), (x,), make)
+    return _emit(np.take(x.data, idx, axis=-1), (x,), make)
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +536,25 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 # depthwise convolution (stride 1, zero padding, channels-last)
 
 
-def _dw3x3_forward(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
+def zero_pad_hw(xd: np.ndarray) -> np.ndarray:
+    """A one-pixel zero border around the (H, W) axes of a channels-last map
+    of shape (..., H, W, C): zeros with the interior assigned, the same
+    array ``np.pad`` gives at a fraction of its per-call overhead."""
     h, w = xd.shape[-3], xd.shape[-2]
-    pad = [(0, 0)] * (xd.ndim - 3) + [(1, 1), (1, 1), (0, 0)]
-    xp = np.pad(xd, pad)
+    xp = np.zeros(xd.shape[:-3] + (h + 2, w + 2, xd.shape[-1]), dtype=xd.dtype)
+    xp[..., 1:h + 1, 1:w + 1, :] = xd
+    return xp
+
+
+def _dw3x3_forward(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
+    """Sum of the nine shifted, kernel-weighted copies of the padded map.
+    The padding is ``zero_pad_hw``, not ``np.pad``, whose Python-level setup
+    cost more than the arithmetic on these small maps. The tap order, the
+    ``zeros_like`` start and the in-place ``+=`` fix the float summation
+    order, so outputs and checkpoints stay bit-for-bit reproducible: change
+    none of them without saying so."""
+    h, w = xd.shape[-3], xd.shape[-2]
+    xp = zero_pad_hw(xd)
     out = np.zeros_like(xd)
     for dy in range(3):
         for dx in range(3):
@@ -541,8 +580,7 @@ def depthwise_conv3x3(x, kernel) -> Tensor:
     def make():
         def vjp(g):
             gx = _dw3x3_forward(g, kd[::-1, ::-1])
-            pad = [(0, 0)] * (xd.ndim - 3) + [(1, 1), (1, 1), (0, 0)]
-            xp = np.pad(xd, pad)
+            xp = zero_pad_hw(xd)
             gk = np.empty_like(kd)
             for dy in range(3):
                 for dx in range(3):

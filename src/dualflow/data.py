@@ -325,10 +325,17 @@ def generate(spec: DatasetSpec, out_dir) -> str:
     return manifest
 
 
+def _inside_dataset(rel: str) -> bool:
+    """Whether a manifest path names a file below the dataset directory: relative,
+    '/'-separated, without an empty or '..' segment."""
+    return not (os.path.isabs(rel) or "\\" in rel
+                or any(seg in ("", "..") for seg in rel.split("/")))
+
+
 def load(data_dir) -> list:
-    """Samples in manifest order, with consistency checks: anomalous entries
-    need a non-empty mask, normal entries none, and the train split may only
-    contain normals."""
+    """Samples in manifest order, with consistency checks: every path stays
+    inside ``data_dir``, anomalous entries need a non-empty mask, normal
+    entries none, and the train split may only contain normals."""
     data_dir = os.fspath(data_dir)
     manifest = os.path.join(data_dir, "manifest.tsv")
     if not os.path.exists(manifest):
@@ -357,6 +364,9 @@ def load(data_dir) -> list:
             raise DataError(f"{manifest}:{lineno}: label must be 0 or 1")
         if not 0.0 < sat <= 1.0:
             raise DataError(f"{manifest}:{lineno}: saturation must lie in (0, 1]")
+        if not _inside_dataset(rel) or not (mask_rel == "-" or _inside_dataset(mask_rel)):
+            raise DataError(f"{manifest}:{lineno}: paths must be relative to the dataset, "
+                            "'/'-separated, without empty or '..' segments")
         split = rel.split("/", 1)[0]
         if split not in ("train", "test"):
             raise DataError(f"{manifest}:{lineno}: path must start with train/ or test/")

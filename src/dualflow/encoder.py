@@ -43,7 +43,7 @@ def _conv3x3_s2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """3x3 conv, stride 2, zero padding 1, channels last. H and W must be even."""
     h, wd, _ = x.shape
     ho, wo = h // 2, wd // 2
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    xp = ad.zero_pad_hw(x)
     out = np.broadcast_to(b, (ho, wo, w.shape[-1])).copy()
     for dy in range(3):
         for dx in range(3):
@@ -53,7 +53,8 @@ def _conv3x3_s2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _leaky(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
-    return np.where(x >= 0, x, x * slope)
+    """One pass; the same bits as ``np.where(x >= 0, x, x * slope)``."""
+    return np.maximum(x, x * slope)
 
 
 class FrozenEncoder:

@@ -146,7 +146,9 @@ class PermuteStage:
 class StandardizeStage:
     """Fixed per-channel affine (x - mean) / std. Identity until stats are
     fitted. Contributes -sum(log std) to the log-determinant at every
-    location."""
+    location. The (C,) buffers broadcast over the map as gradient-free
+    operands of ``add`` and ``mul``: the same floats as full-size constant
+    maps, without building them on every call, taped or not."""
 
     def __init__(self, channels: int):
         dt = default_dtype()
@@ -154,6 +156,8 @@ class StandardizeStage:
         self.std = np.ones(channels, dtype=dt)
 
     def set_stats(self, mean: np.ndarray, std: np.ndarray) -> None:
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise NumericError("standardization mean and std must be finite")
         if np.any(std <= 0):
             raise ContractError("standardization std must be positive")
         self.mean = mean.astype(self.mean.dtype)
@@ -163,12 +167,10 @@ class StandardizeStage:
         return float(-np.log(self.std.astype(np.float64)).sum())
 
     def forward(self, x: Tensor):
-        shifted = ad.add(x, Tensor(np.broadcast_to(-self.mean, x.shape).copy()))
-        return ad.mul(shifted, Tensor(np.broadcast_to(1.0 / self.std, x.shape).copy())), None
+        return ad.mul(ad.add(x, -self.mean), 1.0 / self.std), None
 
     def inverse(self, y: Tensor) -> Tensor:
-        scaled = ad.mul(y, Tensor(np.broadcast_to(self.std, y.shape).copy()))
-        return ad.add(scaled, Tensor(np.broadcast_to(self.mean, y.shape).copy()))
+        return ad.add(ad.mul(y, self.std), self.mean)
 
 
 class FlowStack:

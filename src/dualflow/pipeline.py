@@ -135,6 +135,8 @@ class Model:
     # -- forward pieces --------------------------------------------------------
 
     def set_image_norm(self, mean: np.ndarray, std: np.ndarray) -> None:
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise NumericError("image normalization mean and std must be finite")
         if np.any(std <= 0):
             raise ContractError("image normalization std must be positive")
         dt = default_dtype()

@@ -103,7 +103,9 @@ def raw_scale_maps(model, image: np.ndarray, mode: str, fuse_weight: float = 0.5
 
 def anomaly_map(model, image: np.ndarray, mode: str = "likelihood",
                 smooth_sigma: float = 4.0, fuse_weight: float = 0.5) -> AnomalyMap:
-    """Fused input-resolution anomaly map and image score for one image."""
+    """Fused input-resolution anomaly map and image score for one image. The
+    arguments are checked as ``ScoringConfig`` fields (``ContractError``)."""
+    ScoringConfig(mode=mode, smooth_sigma=smooth_sigma, fuse_weight=fuse_weight)
     size = model.enc_cfg.in_size
     per_scale = []
     for raw in raw_scale_maps(model, image, mode, fuse_weight):

@@ -1,4 +1,5 @@
-"""Small shared fixtures: a fast model configuration and toy image sets."""
+"""Small shared fixtures: a fast model configuration, toy image sets, and
+inputs and checks for bit-for-bit comparisons."""
 
 import numpy as np
 
@@ -30,3 +31,24 @@ def tiny_images(n, size=32, seed=0):
     base = 0.5 + 0.2 * np.sin(np.linspace(0, 4 * np.pi, size))[None, :, None]
     return [np.clip(base + rng.normal(0, 0.05, size=(size, size, 3)), 0, 1)
             for _ in range(n)]
+
+
+def assert_same_bits(got, want):
+    """Equal dtype, shape and bit patterns: tells -0.0 from 0.0 and compares
+    NaN payloads."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    uint = np.dtype(f"u{got.dtype.itemsize}")
+    np.testing.assert_array_equal(got.view(uint), want.view(uint))
+
+
+def with_specials(rng, shape, dtype, finite_only=False):
+    """Normal samples with exact zeros, -0.0 and denormals scattered in, and
+    +-inf and NaN unless ``finite_only``."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = [0.0, -0.0, tiny, -tiny, 3 * tiny, -0.0]
+    if not finite_only:
+        specials += [np.inf, -np.inf, np.nan]
+    x = rng.normal(size=shape).astype(dtype)
+    flat = x.reshape(-1)
+    flat[rng.choice(flat.size, size=len(specials), replace=False)] = specials
+    return x

@@ -4,6 +4,7 @@ every differentiable primitive, and determinism of backward."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from helpers import assert_same_bits, with_specials
 
 from dualflow import autodiff as ad
 from dualflow.autodiff import Tape, Tensor
@@ -122,6 +123,18 @@ def test_shape_mismatch_raises():
         ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+    x6 = Tensor(np.ones((2, 6)))
+    for bad in ([0, 1, 2, 3, 4, 4],        # duplicate index
+                [0, 1, 2, 3, 4, 6],        # out of range
+                [-1, 0, 1, 2, 3, 4],       # negative
+                [0, 1, 2, 3, 4],           # wrong length
+                [[0, 1, 2], [3, 4, 5]]):   # wrong rank
+        with pytest.raises(ShapeError):
+            ad.index_last(x6, bad)
+    with pytest.raises(ShapeError):  # a constant operand may not widen the tensor
+        ad.add(Tensor(np.ones(3)), np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        ad.mul(Tensor(np.ones((2, 3))), np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +187,26 @@ def test_conv2d_depthwise_delta_kernel_is_identity(f64, rng):
     np.testing.assert_array_equal(out, x)
 
 
-def test_conv2d_depthwise_matches_direct_sum(f64, rng):
-    x = rng.normal(size=(5, 5, 2))
-    k = rng.normal(size=(3, 3, 2))
-    out = ad.depthwise_conv3x3(Tensor(x), Tensor(k)).data
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    want = np.zeros_like(x)
-    for h in range(5):
-        for w in range(5):
-            for c in range(2):
-                for dy in range(3):
-                    for dx in range(3):
-                        want[h, w, c] += k[dy, dx, c] * xp[h + dy, w + dx, c]
-    np.testing.assert_allclose(out, want, atol=1e-12)
+def test_conv2d_depthwise_matches_direct_sum(rng):
+    # the loop adds the taps in the kernel's order, starting from zero, so
+    # the sums agree exactly
+    for shape, dtype in (((5, 5, 2), np.float64), ((2, 4, 5, 3), np.float32)):
+        x = rng.normal(size=shape).astype(dtype)
+        k = rng.normal(size=(3, 3, shape[-1])).astype(dtype)
+        with ad.using_dtype(dtype):
+            out = ad.depthwise_conv3x3(Tensor(x), Tensor(k)).data
+        xb, ob = x.reshape((-1,) + x.shape[-3:]), out.reshape((-1,) + x.shape[-3:])
+        n, hh, ww, cc = xb.shape
+        for b in range(n):
+            xp = np.pad(xb[b], ((1, 1), (1, 1), (0, 0)))
+            want = np.zeros_like(xb[b])
+            for h in range(hh):
+                for w in range(ww):
+                    for c in range(cc):
+                        for dy in range(3):
+                            for dx in range(3):
+                                want[h, w, c] += k[dy, dx, c] * xp[h + dy, w + dx, c]
+            np.testing.assert_array_equal(ob[b], want)
 
 
 def test_conv2d_batched_matches_loop(f64, rng):
@@ -203,6 +223,91 @@ def test_conv2d_channel_mismatch_raises():
         ad.depthwise_conv3x3(Tensor(np.ones((4, 4, 3))), Tensor(np.ones((3, 3, 2))))
     with pytest.raises(ShapeError):  # a 1x1 layer is a matmul over the channel axis
         ad.matmul(Tensor(np.ones((4, 4, 3))), Tensor(np.ones((4, 2))))
+
+
+# ---------------------------------------------------------------------------
+# the flow kernels against the numpy forms they replaced, bit for bit
+
+
+def dw3x3_np_pad(xd, kd):
+    """The depthwise forward as it was written with ``np.pad``."""
+    h, w = xd.shape[-3], xd.shape[-2]
+    xp = np.pad(xd, [(0, 0)] * (xd.ndim - 3) + [(1, 1), (1, 1), (0, 0)])
+    out = np.zeros_like(xd)
+    for dy in range(3):
+        for dx in range(3):
+            out += kd[dy, dx] * xp[..., dy:dy + h, dx:dx + w, :]
+    return out
+
+
+def dw3x3_kernel_grad_np_pad(xd, kd, g):
+    """The kernel gradient as it was written with ``np.pad``."""
+    h, w = xd.shape[-3], xd.shape[-2]
+    xp = np.pad(xd, [(0, 0)] * (xd.ndim - 3) + [(1, 1), (1, 1), (0, 0)])
+    lead = tuple(range(xd.ndim - 3))
+    gk = np.empty_like(kd)
+    for dy in range(3):
+        for dx in range(3):
+            gk[dy, dx] = (g * xp[..., dy:dy + h, dx:dx + w, :]).sum(axis=lead + (-3, -2))
+    return gk
+
+
+def leaky_relu_two_where(xd, slope=0.01):
+    """The leaky ReLU forward and derivative as they were written with two
+    ``np.where`` passes."""
+    s = xd.dtype.type(slope)
+    return np.where(xd >= 0, xd, xd * s), np.where(xd >= 0, xd.dtype.type(1), s)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7, 9, 4), (3, 6, 5, 8)])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_depthwise_conv3x3_matches_np_pad_form_bit_for_bit(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    xd = with_specials(rng, shape, dtype)
+    kd = with_specials(rng, (3, 3, shape[-1]), dtype, finite_only=True)
+    gd = with_specials(rng, shape, dtype)
+    # a channel whose every product is -0.0: only the +0.0 start of the sum
+    # turns it into +0.0
+    xd[..., 0] = -0.0
+    kd[..., 0] = np.abs(kd[..., 0])
+    with ad.using_dtype(dtype):
+        x, k = Tensor(xd, requires_grad=True), Tensor(kd, requires_grad=True)
+        with Tape() as tape:
+            out = ad.depthwise_conv3x3(x, k)
+            tape.backward(ad.sum_all(ad.mul(out, gd)))
+    assert_same_bits(out.data, dw3x3_np_pad(xd, kd))
+    assert_same_bits(x.grad, dw3x3_np_pad(gd, kd[::-1, ::-1]))
+    assert_same_bits(k.grad, dw3x3_kernel_grad_np_pad(xd, kd, gd))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_leaky_relu_matches_two_where_form_bit_for_bit(dtype):
+    rng = np.random.default_rng(5)
+    xd = with_specials(rng, (6, 7, 5), dtype)
+    gd = with_specials(rng, (6, 7, 5), dtype)
+    with ad.using_dtype(dtype):
+        out = ad.leaky_relu(Tensor(xd))  # no tape
+        x = Tensor(xd, requires_grad=True)
+        with Tape() as tape:
+            taped = ad.leaky_relu(x)
+            tape.backward(ad.sum_all(ad.mul(taped, gd)))
+        want, deriv = leaky_relu_two_where(xd)
+        assert_same_bits(out.data, want)
+        assert_same_bits(taped.data, want)
+        assert_same_bits(x.grad, gd * deriv)
+        # the derivative at exactly 0, of either sign, is 1
+        z = Tensor(np.array([0.0, -0.0, -2.0], dtype=dtype), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(ad.sum_all(ad.leaky_relu(z)))
+        assert_same_bits(z.grad, np.array([1.0, 1.0, 0.01], dtype=dtype))
+
+
+def test_leaky_relu_slope_outside_unit_interval_rejected():
+    for slope in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ContractError):
+            ad.leaky_relu(Tensor(np.ones(3)), slope=slope)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +374,9 @@ def _primitive_cases(seed):
                   lambda: ad.sum_all(ad.mul(ad.permute(ad.reshape(rs, (2, 12)), (1, 0)),
                                             ad.permute(ad.reshape(rs, (2, 12)), (1, 0)))),
                   [rs]))
+    cx, c1, c2 = p((2, 3, 5)), rng.normal(size=5), rng.normal(size=(3, 5))
+    cases.append(("constant_operands",
+                  lambda: ad.sum_all(ad.mul(ad.mul(ad.add(ad.add(cx, c1), c2), c1), cx)), [cx]))
     sb = p((3, 2, 2))
     cases.append(("sum_batch", lambda: ad.sum_all(ad.mul(ad.sum_batch(sb), ad.sum_batch(sb))), [sb]))
     return cases

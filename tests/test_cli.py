@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, stdout formats, artifact round-trips."""
 
 import json
+import os
 import shutil
 
 import numpy as np
@@ -218,13 +219,20 @@ def test_malformed_config_value_exits_1(workspace, tmp_path, capsys, override):
     assert not (tmp_path / "m.ckpt").exists()
 
 
-@pytest.mark.parametrize("defect", [b"\xe9", b"\tnan", b"\t7", b"\t0"])
+@pytest.mark.parametrize("defect", [
+    b"\xe9", b"\tnan", b"\t7", b"\t0",
+    # whole rows that name files through paths leaving the dataset
+    b"train/../../ds/train/0000.ppm\t0\t-\t1.0", b"train//0000.ppm\t0\t-\t1.0",
+    b"train\\0000.ppm\t0\t-\t1.0", b"test/0003.ppm\t1\t{ds}/masks/0003.pgm\t1.0",
+    b"{ds}/train/0000.ppm\t0\t-\t1.0"])
 def test_malformed_manifest_exits_1(workspace, tmp_path, capsys, defect):
     _, ds, cfg, _ = workspace
     copy = tmp_path / "ds"
     shutil.copytree(ds, copy)
     first, rest = (ds / "manifest.tsv").read_bytes().split(b"\n", 1)
-    if defect.startswith(b"\t"):  # replace the saturation field
+    if defect.count(b"\t") == 3:  # replace the row
+        first, defect = b"", defect.replace(b"{ds}", os.fsencode(copy))
+    elif defect.startswith(b"\t"):  # replace the saturation field
         first = first.rsplit(b"\t", 1)[0]
     (copy / "manifest.tsv").write_bytes(first + defect + b"\n" + rest)
     assert main(["train", "--data", str(copy), "--out", str(tmp_path / "m.ckpt"),

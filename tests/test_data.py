@@ -1,6 +1,7 @@
 """Synthetic defect benchmark: determinism, defect structure, file formats."""
 
 import dataclasses
+import os
 import shutil
 
 import numpy as np
@@ -241,7 +242,10 @@ def _write_manifest(root, text):
 
 def test_load_rejects_malformed_rows(dataset, tmp_path):
     root, _ = dataset
-    img_rel = "train/0000.ppm"
+    copied = ("train/0000.ppm", "test/0002.ppm")
+    # from a dataset directory below tmp_path, through a test/ prefix, to a
+    # file of another dataset
+    outside = "test/../" + os.path.relpath(root / "test" / "0002.ppm", tmp_path / "bad0")
     cases = [
         "train/0000.ppm\t0\t-",                       # missing field
         "train/0000.ppm\tx\t-\t1.0",                  # bad label
@@ -253,13 +257,20 @@ def test_load_rejects_malformed_rows(dataset, tmp_path):
         "train/0000.ppm\t0\t-\t7",                   # saturation above 1
         "train/0000.ppm\t0\t-\t0",                   # saturation not positive
         "train/0000.ppm\t0\t-\t1.0\0",               # NUL byte
+        "train/../train/0000.ppm\t0\t-\t1.0",         # '..' segment
+        "train//0000.ppm\t0\t-\t1.0",                 # empty segment
+        "train/0000.ppm/\t0\t-\t1.0",                 # trailing '/'
+        "train\\0000.ppm\t0\t-\t1.0",                # backslash
+        f"{root}/train/0000.ppm\t0\t-\t1.0",          # absolute image path
+        f"{outside}\t0\t-\t1.0",                      # image outside the dataset
+        f"test/0002.ppm\t1\t{root}/masks/0002.pgm\t1.0",  # absolute mask path
+        "test/0002.ppm\t1\tmasks/../../x.pgm\t1.0",    # mask outside the dataset
     ]
     for i, row in enumerate(cases):
         ds = tmp_path / f"bad{i}"
-        ds.mkdir()
-        (ds / "train").mkdir()
-        (ds / "train" / "0000.ppm").write_bytes(
-            (root / img_rel).read_bytes())
+        for rel in copied:
+            (ds / rel).parent.mkdir(parents=True, exist_ok=True)
+            (ds / rel).write_bytes((root / rel).read_bytes())
         _write_manifest(ds, row + "\n")
         with pytest.raises(DataError) as err:
             load(ds)
@@ -277,6 +288,8 @@ def fuzz_root(dataset, tmp_path_factory):
 # fields that reach every check of the loader, mixed with arbitrary short text
 _FIELD = (st.sampled_from(["train/0000.ppm", "test/0001.ppm", "test/0004.ppm",
                            "masks/0004.pgm", "masks/0002.pgm", "train/", "-", "0", "1",
+                           "test/../test/0001.ppm", "/masks/0004.pgm", "masks//0004.pgm",
+                           "test\\0001.ppm",
                            "1.0", "0.25", "nan", "inf", "7", "-1", ""])
           | st.text(max_size=6))
 _ROWS = st.lists(st.lists(_FIELD, min_size=1, max_size=5).map("\t".join),
@@ -298,6 +311,7 @@ def test_manifest_loader_fails_only_as_data_error(fuzz_root, manifest):
     for s in samples:
         assert s.label in (0, 1) and 0.0 < s.saturation <= 1.0
         assert s.mask.shape == s.image.shape[:2] and s.mask.any() == bool(s.label)
+        assert ".." not in s.path.split("/") and "\\" not in s.path
 
 
 def test_load_rejects_corrupt_image(dataset, tmp_path):

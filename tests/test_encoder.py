@@ -3,11 +3,12 @@ oracle derived independently from the conv stack geometry."""
 
 import numpy as np
 import pytest
+from helpers import assert_same_bits, with_specials
 
 from dualflow import autodiff as ad
 from dualflow.autodiff import Tensor, using_dtype
 from dualflow.encoder import (EncoderConfig, FrozenEncoder, PatchEmbed, PatchEmbedConfig,
-                              patchify, position_encoding, unpatchify)
+                              _conv3x3_s2, _leaky, patchify, position_encoding, unpatchify)
 from dualflow.errors import ContractError, ShapeError
 
 
@@ -16,6 +17,28 @@ def unpatchify_np(rows: np.ndarray, p: int, h: int, w: int, c: int) -> np.ndarra
     gy, gx = h // p, w // p
     out = rows.reshape(gy, gx, p, p, c).transpose(0, 2, 1, 3, 4)
     return np.ascontiguousarray(out).reshape(h, w, c)
+
+
+def conv3x3_s2_np_pad(x, w, b):
+    """The stride-2 conv as it was written with ``np.pad``."""
+    ho, wo = x.shape[0] // 2, x.shape[1] // 2
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    out = np.broadcast_to(b, (ho, wo, w.shape[-1])).copy()
+    for dy in range(3):
+        for dx in range(3):
+            patch = xp[dy:dy + 2 * ho - 1:2, dx:dx + 2 * wo - 1:2, :]
+            out += np.tensordot(patch, w[dy, dx], axes=([-1], [0]))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_frozen_conv_and_leaky_match_np_pad_and_where_forms():
+    rng = np.random.default_rng(4)
+    x = with_specials(rng, (8, 10, 3), np.float32)
+    w = rng.normal(size=(3, 3, 3, 5)).astype(np.float32)
+    b = rng.normal(size=5).astype(np.float32)
+    assert_same_bits(_conv3x3_s2(x, w, b), conv3x3_s2_np_pad(x, w, b))
+    assert_same_bits(_leaky(x), np.where(x >= 0, x, x * 0.01))
 
 
 def test_config_validation():

@@ -5,12 +5,13 @@ normalization by quadrature, and per-location bookkeeping."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from helpers import assert_same_bits, with_specials
 
 from dualflow import autodiff as ad
 from dualflow.autodiff import Tensor, using_dtype
 from dualflow.errors import ContractError, NumericError, ShapeError
 from dualflow.flow import (FLOW_VARIANTS, CouplingLayer, FlowConfig, FlowStack, PermuteStage,
-                           per_location_stats)
+                           StandardizeStage, per_location_stats)
 
 
 def log_likelihood(z: np.ndarray, logdet: np.ndarray) -> np.ndarray:
@@ -228,3 +229,46 @@ def test_flow_gradients_flow_to_all_subnet_params(rng):
     assert all(g is not None for g in grads)
     # zero-init output convs still receive gradient through the chain
     assert any(np.abs(g).max() > 0 for g in grads)
+
+
+def standardize_broadcast_copy(stage, x):
+    """The standardization forward as it was written, with full-size
+    constant maps."""
+    shifted = ad.add(x, Tensor(np.broadcast_to(-stage.mean, x.shape).copy()))
+    return ad.mul(shifted, Tensor(np.broadcast_to(1.0 / stage.std, x.shape).copy()))
+
+
+def unstandardize_broadcast_copy(stage, y):
+    scaled = ad.mul(y, Tensor(np.broadcast_to(stage.std, y.shape).copy()))
+    return ad.add(scaled, Tensor(np.broadcast_to(stage.mean, y.shape).copy()))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_standardize_matches_broadcast_copy_form_bit_for_bit(dtype):
+    rng = np.random.default_rng(15)
+    c = 6
+    xd = with_specials(rng, (2, 3, 4, c), dtype)
+    gd = with_specials(rng, (2, 3, 4, c), dtype)
+    with using_dtype(dtype):
+        stage = StandardizeStage(c)
+        stage.set_stats(rng.normal(size=c) * 0.3, 0.2 + rng.random(c))
+        stage.mean[0] = -0.0
+
+        def run(fn, taped):
+            x = Tensor(xd, requires_grad=taped)
+            with ad.Tape() as tape:
+                out = fn(x)
+                if taped:
+                    tape.backward(ad.sum_all(ad.mul(out, gd)))
+            return out.data, x.grad, len(tape)
+
+        pairs = ((lambda x: stage.forward(x)[0], lambda x: standardize_broadcast_copy(stage, x)),
+                 (stage.inverse, lambda y: unstandardize_broadcast_copy(stage, y)))
+        for new, old in pairs:
+            for taped in (False, True):
+                got, want = run(new, taped), run(old, taped)
+                assert_same_bits(got[0], want[0])
+                assert got[2] == want[2]  # same tape ops
+                if taped:
+                    assert_same_bits(got[1], want[1])

@@ -11,7 +11,7 @@ from dualflow import pipeline, scoring
 from dualflow.autodiff import Tensor
 from dualflow.checkpoint import load_checkpoint, save_checkpoint
 from dualflow.cli import main
-from dualflow.errors import CheckpointError, ContractError
+from dualflow.errors import CheckpointError, ContractError, NumericError
 from dualflow.flow import FlowConfig, FlowStack
 from dualflow.gradcheck import check_gradients
 from dualflow.pipeline import (TrainConfig, build_model, loss_flow, recon_loss, train,
@@ -367,3 +367,29 @@ def test_checkpoint_non_positive_std_rejected(tmp_path):
     model = build_model(rc)
     model.norm_std = np.zeros(3, dtype=np.float32)
     _assert_rejected(_saved(model, rc, tmp_path), match="std must be positive")
+
+
+def test_fit_rejects_non_finite_statistics(tmp_path):
+    # one NaN image used to give NaN norm and flow statistics, and a
+    # checkpoint that load_checkpoint refuses
+    rc = tiny_run_config(stage1_epochs=0, stage2_epochs=0)
+    images = tiny_images(3)
+    images[1] = images[1].copy()
+    images[1][0, 0, 0] = np.nan
+    with pytest.raises(NumericError):
+        train(images, rc)
+    model = build_model(rc)
+    stack = model.flows[0]
+    ones = np.ones(stack.channels)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError):
+            model.set_image_norm(np.array([0.5, bad, 0.5]), np.ones(3))
+        with pytest.raises(NumericError):
+            model.set_image_norm(np.full(3, 0.5), np.array([1.0, 1.0, bad]))
+        with pytest.raises(NumericError):
+            stack.standardize.set_stats(ones * bad, ones)
+        with pytest.raises(NumericError):
+            stack.standardize.set_stats(ones, ones * bad)
+    # a finite 0-epoch fit still writes a checkpoint that loads
+    save_checkpoint(train(tiny_images(2), rc), rc, tmp_path / "m.ckpt")
+    load_checkpoint(tmp_path / "m.ckpt")

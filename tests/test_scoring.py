@@ -1,11 +1,14 @@
 """Anomaly maps: bilinear upsampling, mode algebra, fusion invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from helpers import tiny_images, tiny_run_config
 
 from dualflow import pipeline
 from dualflow.errors import ContractError, ShapeError
+from dualflow.metrics import evaluate
 from dualflow.scoring import (MODES, ScoringConfig, anomaly_map, bilinear_upsample,
                               raw_scale_maps)
 
@@ -108,6 +111,20 @@ def test_unknown_mode_rejected(model, probe):
         raw_scale_maps(model, probe, "badmode")
     with pytest.raises(ContractError):
         anomaly_map(model, probe, "badmode")
+
+
+@pytest.mark.parametrize("bad", [dict(smooth_sigma=-1.0), dict(smooth_sigma=float("nan")),
+                                 dict(smooth_sigma=float("inf")), dict(fuse_weight=7.0),
+                                 dict(fuse_weight=-0.5), dict(fuse_weight=float("nan"))])
+def test_anomaly_map_and_evaluate_check_scoring_arguments(model, probe, bad):
+    with pytest.raises(ContractError):
+        anomaly_map(model, probe, **bad)
+    mask = np.zeros(probe.shape[:2], dtype=bool)
+    mask[8:16, 8:16] = True
+    samples = [SimpleNamespace(image=probe, mask=mask & bool(label), label=label,
+                               saturation=1.0) for label in (0, 1)]
+    with pytest.raises(ContractError):
+        evaluate(model, samples, **bad)
 
 
 def test_likelihood_requires_trained_flows(probe):
