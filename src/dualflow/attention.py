@@ -9,7 +9,8 @@ content. That asymmetry is what keeps anomalous evidence out of the memorial
 reconstruction.
 
 Both branches run one attention+MLP body, differing only in where queries
-and keys/values come from; the attention heads are a tensor axis.
+and keys/values come from; the attention heads are a tensor axis. Tokens
+are (..., L, D): any leading axes are a batch, run as one forward pass.
 
 ``unproject`` maps either branch's tokens back to per-scale feature maps
 through per-scale affine heads.
@@ -59,19 +60,23 @@ def _ln_params(d, dt):
 
 
 def _multi_head(q, k, v, heads):
-    """Scaled dot-product attention on (L, dim) tensors with the heads as a
-    leading axis: (H, L, dh) queries and values, (H, dh, L) keys, one op each
-    for logits, softmax and weighted values; returns the heads side by side."""
-    length, dim = q.shape
+    """Scaled dot-product attention on (..., L, dim) tensors with the heads
+    as an axis after the leading (batch) axes: (..., H, L, dh) queries and
+    values, (..., H, dh, L) keys, one op each for logits, softmax and
+    weighted values; returns the heads side by side. Samples of a batch never
+    mix: every product runs per leading index."""
+    *lead, length, dim = q.shape
+    n = len(lead)
     dh = dim // heads
 
     def split(t, axes):
-        return ad.permute(ad.reshape(t, (t.shape[0], heads, dh)), axes)
+        return ad.permute(ad.reshape(t, (*lead, t.shape[-2], heads, dh)),
+                          (*range(n), *(n + a for a in axes)))
 
     qh, kt, vh = split(q, (1, 0, 2)), split(k, (1, 2, 0)), split(v, (1, 0, 2))
     logits = ad.mul(ad.matmul(qh, kt), 1.0 / np.sqrt(dh))
     out = ad.matmul(ad.softmax_rows(logits), vh)
-    return ad.reshape(ad.permute(out, (1, 0, 2)), (length, dim))
+    return ad.reshape(ad.permute(out, (*range(n), n + 1, n, n + 2)), (*lead, length, dim))
 
 
 class _Block:
@@ -143,7 +148,9 @@ class MemorialBlock(_Block):
 
 class DualAttention:
     """Runs the two streams in lockstep over ``depth`` levels and returns the
-    final (self tokens, memorial tokens) pair."""
+    final (self tokens, memorial tokens) pair, both shaped like the input
+    tokens (..., L, D). The per-level memory tokens are (L, D) parameters,
+    broadcast over the leading (batch) axes of the input."""
 
     def __init__(self, cfg: DualAttnConfig, length: int, rng):
         self.cfg = cfg
@@ -171,18 +178,22 @@ class DualAttention:
     def __call__(self, seq: TokenSequence):
         if seq.length != self.length:
             raise ShapeError(f"expected {self.length} tokens, got {seq.length}")
-        pos = Tensor(seq.pos)
-        feat = ad.add(seq.tokens, pos)
-        mem = ad.add(self.memory[0], pos)
+        shape = seq.tokens.shape
+
+        def memory(level):
+            return ad.broadcast_lead(ad.add(self.memory[level], seq.pos), shape)
+
+        feat = ad.add(seq.tokens, seq.pos)
+        mem = memory(0)
         if self.cfg.depth == 0:
             return feat, mem
         for level in range(self.cfg.depth):
             if level > 0:
-                mem = ad.add(mem, ad.add(self.memory[level], pos))
+                mem = ad.add(mem, memory(level))
             if self.cfg.memorial_query_source == "stream":
                 q_src = feat
             else:
-                q_src = ad.add(seq.tokens, pos)
+                q_src = ad.add(seq.tokens, seq.pos)
             new_feat = self.self_blocks[level](feat)
             mem = self.mem_blocks[level](q_src, mem)
             feat = new_feat
@@ -190,7 +201,8 @@ class DualAttention:
 
 
 class OutputHeads:
-    """Affine heads mapping each scale's token slice back to its feature map."""
+    """Affine heads mapping each scale's token slice of (..., L, D) tokens
+    back to its (..., H, W, C) feature map."""
 
     def __init__(self, stage_channels, patch_sizes, map_sizes, token_dim: int, rng):
         n = len(stage_channels)

@@ -361,6 +361,24 @@ def permute(x, axes) -> Tensor:
     return _emit(x.data.transpose(axes), (x,), make)
 
 
+def broadcast_lead(x, shape) -> Tensor:
+    """``x`` repeated over new leading axes: ``shape`` must be ``x.shape``
+    with zero or more axes put in front (a batch of copies of one memory
+    table). The gradient sums over the new axes."""
+    x = _as_tensor(x)
+    shape = tuple(int(s) for s in shape)
+    n_new = len(shape) - x.data.ndim
+    if n_new < 0 or shape[n_new:] != x.data.shape or min(shape[:n_new], default=1) < 0:
+        raise ShapeError(f"broadcast_lead: {shape} is not {x.data.shape} "
+                         "with leading axes put in front")
+    new_axes = tuple(range(n_new))
+
+    def make():
+        return lambda g: (g.sum(axis=new_axes),)
+
+    return _emit(np.ascontiguousarray(np.broadcast_to(x.data, shape)), (x,), make)
+
+
 def take_last(x, start: int, stop: int) -> Tensor:
     """Contiguous slice along the last axis."""
     x = _as_tensor(x)
@@ -457,8 +475,9 @@ def sum_batch(x) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """``(..., M, K) @ (K, N)`` is one (rows, K) @ (K, N) product over the
-    flattened leading axes (token rows, pixels of a channels-last map);
-    ``(..., M, K) @ (..., K, N)`` is one product per leading index (head)."""
+    flattened leading axes (token rows of a batch, pixels of a channels-last
+    map); ``(..., M, K) @ (..., K, N)`` is one product per leading index
+    (sample and head)."""
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
     if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]

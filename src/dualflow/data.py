@@ -334,13 +334,23 @@ def _inside_dataset(rel: str) -> bool:
 
 def load(data_dir) -> list:
     """Samples in manifest order, with consistency checks: every path stays
-    inside ``data_dir``, anomalous entries need a non-empty mask, normal
-    entries none, and the train split may only contain normals."""
+    inside ``data_dir``, also with its symlinks resolved, anomalous entries
+    need a non-empty mask, normal entries none, and the train split may only
+    contain normals."""
     data_dir = os.fspath(data_dir)
+    real_root = os.path.realpath(data_dir)
     manifest = os.path.join(data_dir, "manifest.tsv")
     if not os.path.exists(manifest):
         raise DataError(f"missing manifest: {manifest}")
     samples = []
+
+    def resolve(lineno, rel):
+        path = os.path.join(data_dir, rel)
+        if os.path.commonpath([real_root, os.path.realpath(path)]) != real_root:
+            raise DataError(f"{manifest}:{lineno}: {rel} leads outside the dataset "
+                            "through a symlink")
+        return path
+
     try:
         with open(manifest, "r", encoding="ascii") as fh:
             rows = [line.rstrip("\n") for line in fh if line.strip()]
@@ -370,13 +380,13 @@ def load(data_dir) -> list:
         split = rel.split("/", 1)[0]
         if split not in ("train", "test"):
             raise DataError(f"{manifest}:{lineno}: path must start with train/ or test/")
-        image = read_ppm(os.path.join(data_dir, rel))
+        image = read_ppm(resolve(lineno, rel))
         if label == 1:
             if split == "train":
                 raise DataError(f"{manifest}:{lineno}: anomalous sample in train split")
             if mask_rel == "-":
                 raise DataError(f"{manifest}:{lineno}: anomalous sample without mask")
-            mask = read_pgm(os.path.join(data_dir, mask_rel))
+            mask = read_pgm(resolve(lineno, mask_rel))
             if not mask.any():
                 raise DataError(f"{manifest}:{lineno}: anomalous mask is empty")
             if mask.shape != image.shape[:2]:

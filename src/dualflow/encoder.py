@@ -107,22 +107,26 @@ class PatchEmbedConfig:
 
 
 def patchify(fmap: np.ndarray, p: int) -> np.ndarray:
-    """(H, W, C) -> (L, p*p*C) rows of non-overlapping p x p patches in
-    row-major grid order; each row flattens as (py, px, c)."""
-    h, w, c = fmap.shape
+    """(..., H, W, C) -> (..., L, p*p*C) rows of non-overlapping p x p
+    patches in row-major grid order; each row flattens as (py, px, c)."""
+    *lead, h, w, c = fmap.shape
     if h % p or w % p:
         raise ShapeError(f"map {fmap.shape} not divisible into {p}x{p} patches")
     gy, gx = h // p, w // p
-    out = fmap.reshape(gy, p, gx, p, c).transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(out).reshape(gy * gx, p * p * c)
+    n = len(lead)
+    out = fmap.reshape(*lead, gy, p, gx, p, c)
+    out = out.transpose(*range(n), n, n + 2, n + 1, n + 3, n + 4)
+    return np.ascontiguousarray(out).reshape(*lead, gy * gx, p * p * c)
 
 
 def unpatchify(rows: Tensor, p: int, h: int, w: int, c: int) -> Tensor:
-    """Tape-op inverse of ``patchify`` for (L, p*p*C) tensors."""
+    """Tape-op inverse of ``patchify``: (..., L, p*p*C) -> (..., H, W, C)."""
+    lead = rows.shape[:-2]
+    n = len(lead)
     gy, gx = h // p, w // p
-    x = ad.reshape(rows, (gy, gx, p, p, c))
-    x = ad.permute(x, (0, 2, 1, 3, 4))
-    return ad.reshape(x, (h, w, c))
+    x = ad.reshape(rows, lead + (gy, gx, p, p, c))
+    x = ad.permute(x, (*range(n), n, n + 2, n + 1, n + 3, n + 4))
+    return ad.reshape(x, lead + (h, w, c))
 
 
 def position_encoding(length: int, dim: int) -> np.ndarray:
@@ -151,16 +155,19 @@ def position_encoding(length: int, dim: int) -> np.ndarray:
 
 @dataclass
 class TokenSequence:
-    tokens: Tensor  # (L, token_dim)
-    pos: np.ndarray  # (L, token_dim), fixed
+    """Tokens of shape (..., L, token_dim), any leading (batch) axes, and
+    the fixed (L, token_dim) position table they share."""
+
+    tokens: Tensor
+    pos: np.ndarray
 
     @property
     def length(self) -> int:
-        return self.tokens.shape[0]
+        return self.tokens.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.tokens.shape[1]
+        return self.tokens.shape[-1]
 
 
 class PatchEmbed:
@@ -182,13 +189,15 @@ class PatchEmbed:
             self.heads.append((w, b))
 
     def __call__(self, pyramid) -> TokenSequence:
+        """Tokens of a pyramid of (..., H, W, C) maps whose leading axes agree
+        across scales."""
         if len(pyramid) != self.n_scales:
             raise ShapeError(f"expected {self.n_scales} feature maps, got {len(pyramid)}")
         lengths = []
         parts = []
         for fmap, p, (w, b) in zip(pyramid, self.cfg.patch_sizes, self.heads):
             rows = patchify(np.asarray(fmap), p)
-            lengths.append(rows.shape[0])
+            lengths.append(rows.shape[-2])
             parts.append(ad.add_bias(ad.matmul(Tensor(rows), w), b))
         if len(set(lengths)) != 1:
             raise ShapeError(f"token counts differ across scales: {lengths}")

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ContractError, NumericError, ShapeError
-from .scoring import anomaly_map
+from .scoring import ScoringConfig, anomaly_map
 
 
 def auroc(scores, labels) -> float:
@@ -173,14 +173,18 @@ class EvalReport:
 def evaluate(model, samples, mode: str = "likelihood", smooth_sigma: float = 4.0,
              fuse_weight: float = 0.5, fpr_limit: float = 0.3) -> EvalReport:
     """Full test-set evaluation. ``samples`` need ``image``, ``mask``,
-    ``label`` and ``saturation`` attributes; both classes must be present."""
+    ``label`` and ``saturation`` attributes; both classes must be present.
+    The arguments are checked as ``ScoringConfig`` fields (``ContractError``)
+    before any image is scored."""
+    cfg = ScoringConfig(mode=mode, smooth_sigma=smooth_sigma, fuse_weight=fuse_weight,
+                        fpr_limit=fpr_limit)
     if not samples:
         raise ContractError("evaluation needs at least one sample")
     labels = np.array([s.label for s in samples])
     if labels.min() == labels.max():
         raise ContractError("evaluation needs both normal and anomalous samples")
-    results = [anomaly_map(model, s.image, mode=mode, smooth_sigma=smooth_sigma,
-                           fuse_weight=fuse_weight) for s in samples]
+    results = [anomaly_map(model, s.image, mode=cfg.mode, smooth_sigma=cfg.smooth_sigma,
+                           fuse_weight=cfg.fuse_weight) for s in samples]
     image_scores = [r.image_score for r in results]
     maps = [r.scores for r in results]
     masks = [np.asarray(s.mask, dtype=bool) for s in samples]
@@ -190,8 +194,8 @@ def evaluate(model, samples, mode: str = "likelihood", smooth_sigma: float = 4.0
     report = EvalReport(
         image_auroc=float(auroc(image_scores, labels)),
         pixel_auroc=float(auroc(pixel_scores, pixel_labels)),
-        au_pro=float(au_pro(maps, masks, fpr_limit)),
-        spro=float(spro(maps, masks, sats, fpr_limit)),
+        au_pro=float(au_pro(maps, masks, cfg.fpr_limit)),
+        spro=float(spro(maps, masks, sats, cfg.fpr_limit)),
     )
     n_scales = len(results[0].per_scale)
     for k in range(n_scales):

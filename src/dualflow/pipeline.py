@@ -152,14 +152,17 @@ class Model:
         return self.encoder(x)
 
     def reconstruct(self, pyramid):
-        """Both branch reconstructions of a prior pyramid, as tape tensors."""
+        """Both branch reconstructions of a prior pyramid of (..., H, W, C)
+        maps, as tape tensors of the same shapes: one image's pyramid, or a
+        batch stacked along a leading axis."""
         seq = self.embed(pyramid)
         t_s, t_m = self.attn(seq)
         return self.heads_self(t_s), self.heads_mem(t_m)
 
     def joint_arrays(self, pyramid, recon_self, recon_mem, variant: str | None = None):
-        """Per-scale flow inputs as plain arrays (everything upstream of the
-        flows is detached by construction in stage 2 and scoring)."""
+        """Per-scale flow inputs as plain (..., H, W, C) arrays (everything
+        upstream of the flows is detached by construction in stage 2 and
+        scoring)."""
         variant = self.variant if variant is None else variant
         branch_maps = {"prior": pyramid,
                        "self": [m.data for m in recon_self],
@@ -176,8 +179,8 @@ class Model:
 
 
 def recon_loss(prior_pyramid, recon) -> Tensor:
-    """Summed squared reconstruction error over all scales; both branches
-    are fitted with it."""
+    """Summed squared reconstruction error over all scales (and over the
+    samples of a stacked batch); both branches are fitted with it."""
     if len(prior_pyramid) != len(recon):
         raise ShapeError("pyramid and reconstruction scale counts differ")
     total = None
@@ -222,13 +225,21 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[lo:lo + batch_size]
 
 
+def _stacked_pyramids(model: Model, images) -> list:
+    """The frozen pyramids of ``images``, one image at a time, stacked per
+    scale into (N, H, W, C) arrays."""
+    return [np.stack(maps) for maps in zip(*(model.prior_features(im) for im in images))]
+
+
 def train_transformer(model: Model, images, cfg: TrainConfig, log=None) -> None:
-    """Stage 1. Caches the frozen pyramids once, then fits both branches."""
+    """Stage 1. Caches the frozen pyramids once, stacked per scale as
+    (N, H, W, C) arrays, then fits both branches with one taped forward of
+    each (B, H, W, C) batch."""
     if len(images) == 0:
         raise ContractError("training needs at least one image")
     mean, std = image_norm_stats(images)
     model.set_image_norm(mean, std)
-    pyramids = [model.prior_features(im) for im in images]
+    stacked = _stacked_pyramids(model, images)
     opt = AdamW(list(model.transformer_parameters().values()), lr=cfg.lr,
                 weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(100,)))
@@ -236,21 +247,18 @@ def train_transformer(model: Model, images, cfg: TrainConfig, log=None) -> None:
         sums = np.zeros(2)
         count = 0
         for batch in _batches(len(images), cfg.batch_size, rng):
+            targets = [s[batch] for s in stacked]
             opt.zero_grad()
             with Tape() as tape:
-                ls_total, lm_total = None, None
-                for idx in batch:
-                    recon_s, recon_m = model.reconstruct(pyramids[idx])
-                    ls = recon_loss(pyramids[idx], recon_s)
-                    lm = recon_loss(pyramids[idx], recon_m)
-                    ls_total = ls if ls_total is None else ad.add(ls_total, ls)
-                    lm_total = lm if lm_total is None else ad.add(lm_total, lm)
-                loss = ad.mul(ad.add(ls_total, lm_total), 1.0 / len(batch))
+                recon_s, recon_m = model.reconstruct(targets)
+                ls = recon_loss(targets, recon_s)
+                lm = recon_loss(targets, recon_m)
+                loss = ad.mul(ad.add(ls, lm), 1.0 / len(batch))
                 if not np.isfinite(loss.data):
                     raise NumericError("non-finite loss in transformer training")
                 tape.backward(loss)
             opt.step()
-            sums += [ls_total.item() / len(batch), lm_total.item() / len(batch)]
+            sums += [ls.item() / len(batch), lm.item() / len(batch)]
             count += 1
         if log is not None:
             log("stage1", epoch, float(sums[0] / count), float(sums[1] / count))
@@ -269,17 +277,12 @@ def flow_input_stats(joints_per_scale) -> list:
 
 
 def collect_joints(model: Model, images, variant: str | None = None) -> list:
-    """Stacked per-scale joint features for a list of images, no gradients."""
-    per_scale = None
-    for im in images:
-        pyr = model.prior_features(im)
-        recon_s, recon_m = model.reconstruct(pyr)
-        joints = model.joint_arrays(pyr, recon_s, recon_m, variant)
-        if per_scale is None:
-            per_scale = [[] for _ in joints]
-        for i, j in enumerate(joints):
-            per_scale[i].append(j)
-    return [np.stack(maps) for maps in per_scale]
+    """Per-scale joint features of a list of images as (N, H, W, C) arrays,
+    no gradients: the frozen pyramids one image at a time, then one
+    reconstruction of the stacked batch."""
+    pyramids = _stacked_pyramids(model, images)
+    recon_s, recon_m = model.reconstruct(pyramids)
+    return model.joint_arrays(pyramids, recon_s, recon_m, variant)
 
 
 def train_flow(model: Model, images, cfg: TrainConfig, log=None) -> None:

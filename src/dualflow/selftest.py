@@ -206,7 +206,7 @@ def check_flow_logdet() -> tuple[bool, str]:
 def check_gradcheck() -> tuple[bool, str]:
     """Finite-difference check of a composite touching every primitive family:
     conv subnet, coupling layer, two-head attention through the production
-    ``_multi_head``, layer norm."""
+    ``_multi_head`` (one sequence, and a batch of two), layer norm."""
     with using_dtype(np.float64):
         rng = np.random.default_rng(3)
         stack = _perturbed_stack(6, rng)
@@ -232,6 +232,15 @@ def check_gradcheck() -> tuple[bool, str]:
             return ad.sum_all(ad.mul(ad.gelu(out), ad.tanh(out)))
 
         worst = max(worst, check_gradients(attn_loss, [w_q, gain, bias]))
+
+        xb = Tensor(rng.normal(size=(2, 4, 6)))
+
+        def batched_attn_loss():
+            h = ad.layer_norm(xb, gain, bias)
+            out = _multi_head(ad.matmul(h, w_q), h, h, heads=2)
+            return ad.sum_all(ad.mul(ad.gelu(out), ad.tanh(out)))
+
+        worst = max(worst, check_gradients(batched_attn_loss, [w_q, gain, bias]))
         if worst >= 1e-4:
             return False, f"worst rel err {worst:.3e} >= 1e-4"
     return True, f"worst rel err {worst:.1e}"

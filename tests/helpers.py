@@ -1,5 +1,7 @@
-"""Small shared fixtures: a fast model configuration, toy image sets, and
-inputs and checks for bit-for-bit comparisons."""
+"""Small shared fixtures: a fast model configuration, toy image sets,
+inputs and checks for bit-for-bit comparisons, and dataset symlinks."""
+
+import shutil
 
 import numpy as np
 
@@ -52,3 +54,12 @@ def with_specials(rng, shape, dtype, finite_only=False):
     flat = x.reshape(-1)
     flat[rng.choice(flat.size, size=len(specials), replace=False)] = specials
     return x
+
+
+def replace_with_symlink(path, target):
+    """Put a symlink to ``target`` where the file or directory ``path`` was."""
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
+    path.symlink_to(target)

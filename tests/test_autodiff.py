@@ -135,6 +135,12 @@ def test_shape_mismatch_raises():
         ad.add(Tensor(np.ones(3)), np.ones((2, 3)))
     with pytest.raises(ShapeError):
         ad.mul(Tensor(np.ones((2, 3))), np.ones(4))
+    for bad in ((2, 3, 2),      # trailing axes differ
+                (3,),           # fewer axes than the tensor
+                (4, 1, 3),      # a size-1 axis is not expanded
+                (-1, 2, 3)):    # negative new axis
+        with pytest.raises(ShapeError):
+            ad.broadcast_lead(Tensor(np.ones((2, 3))), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +385,10 @@ def _primitive_cases(seed):
                   lambda: ad.sum_all(ad.mul(ad.mul(ad.add(ad.add(cx, c1), c2), c1), cx)), [cx]))
     sb = p((3, 2, 2))
     cases.append(("sum_batch", lambda: ad.sum_all(ad.mul(ad.sum_batch(sb), ad.sum_batch(sb))), [sb]))
+    bl, bl_w = p((3, 4)), rng.normal(size=(2, 5, 3, 4))
+    cases.append(("broadcast_lead",
+                  lambda: ad.sum_all(ad.tanh(ad.mul(ad.broadcast_lead(bl, (2, 5, 3, 4)), bl_w))),
+                  [bl]))
     return cases
 
 

@@ -6,6 +6,7 @@ import shutil
 
 import numpy as np
 import pytest
+from helpers import replace_with_symlink
 
 from dualflow import data
 from dualflow.cli import main
@@ -238,6 +239,21 @@ def test_malformed_manifest_exits_1(workspace, tmp_path, capsys, defect):
     assert main(["train", "--data", str(copy), "--out", str(tmp_path / "m.ckpt"),
                  "--config", str(cfg)]) == 1
     assert "manifest.tsv" in capsys.readouterr().err
+
+
+def test_symlink_leaving_the_dataset_exits_1(workspace, tmp_path, capsys):
+    _, ds, cfg, _ = workspace
+    outside = tmp_path / "outside"
+    shutil.copytree(ds, outside)
+    for link, target in (("train/0000.ppm", outside / "train" / "0000.ppm"),
+                         ("test", outside / "test")):
+        copy = tmp_path / link.replace("/", "_")
+        shutil.copytree(ds, copy)
+        replace_with_symlink(copy / link, target)
+        assert main(["train", "--data", str(copy), "--out", str(tmp_path / "m.ckpt"),
+                     "--config", str(cfg)]) == 1
+        assert "outside the dataset" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_train_help_embeds_default_config(capsys):

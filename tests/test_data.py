@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import replace_with_symlink
 
 from dualflow import data
 from dualflow.data import (ANOMALY_KINDS, SWAP_SATURATION, TEXTURES,
@@ -275,6 +276,31 @@ def test_load_rejects_malformed_rows(dataset, tmp_path):
         with pytest.raises(DataError) as err:
             load(ds)
         assert "manifest.tsv:1" in str(err.value)
+
+
+def test_load_rejects_symlinks_leaving_the_dataset(dataset, tmp_path):
+    root, _ = dataset
+    outside = tmp_path / "outside"
+    shutil.copytree(root, outside)
+    cases = {"file": [("train/0000.ppm", outside / "train" / "0000.ppm")],
+             "dir": [("test", outside / "test")],
+             "mask": [("masks/0004.pgm", outside / "masks" / "0004.pgm")],
+             # train/0000.ppm -> 0001.ppm -> outside
+             "chain": [("train/0000.ppm", "0001.ppm"),
+                       ("train/0001.ppm", outside / "train" / "0001.ppm")]}
+    for name, links in cases.items():
+        ds = tmp_path / name
+        shutil.copytree(root, ds)
+        for rel, target in links:
+            replace_with_symlink(ds / rel, target)
+        with pytest.raises(DataError, match="outside the dataset"):
+            load(ds)
+    # a link that stays inside the dataset still loads
+    inside = tmp_path / "inside"
+    shutil.copytree(root, inside)
+    replace_with_symlink(inside / "train" / "0001.ppm", "0000.ppm")
+    samples = load(inside)
+    assert np.array_equal(samples[1].image, samples[0].image)
 
 
 @pytest.fixture(scope="module")

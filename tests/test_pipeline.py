@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 from helpers import tiny_images, tiny_run_config
 
+from dualflow import autodiff as ad
 from dualflow import pipeline, scoring
-from dualflow.autodiff import Tensor
+from dualflow.attention import DualAttnConfig
+from dualflow.autodiff import Tape, Tensor, reset_grads, using_dtype
 from dualflow.checkpoint import load_checkpoint, save_checkpoint
 from dualflow.cli import main
+from dualflow.encoder import EncoderConfig, PatchEmbedConfig
 from dualflow.errors import CheckpointError, ContractError, NumericError
 from dualflow.flow import FlowConfig, FlowStack
-from dualflow.gradcheck import check_gradients
-from dualflow.pipeline import (TrainConfig, build_model, loss_flow, recon_loss, train,
-                               train_flow, train_transformer)
+from dualflow.gradcheck import check_gradients, max_rel_error
+from dualflow.pipeline import (TrainConfig, build_model, collect_joints, loss_flow, recon_loss,
+                               train, train_flow, train_transformer)
+from test_acceptance import GRAD_REL
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +151,113 @@ def test_flow_stage_requires_trained_transformer():
     model = build_model(rc)
     with pytest.raises(ContractError):
         train_flow(model, tiny_images(2), rc.train)
+
+
+# ---------------------------------------------------------------------------
+# batched stage 1: one forward over stacked pyramids
+
+
+def perturbed_default_model(seed=0):
+    """A default-config model whose transformer weights are moved off their
+    initial values, so that every branch and memory table carries signal."""
+    model = pipeline.Model()
+    rng = np.random.default_rng(seed)
+    for p in model.transformer_parameters().values():
+        p.data = p.data + rng.normal(0.0, 0.05, size=p.data.shape).astype(p.data.dtype)
+    return model
+
+
+def stacked(pyramids):
+    return [np.stack(maps) for maps in zip(*pyramids)]
+
+
+def test_batched_reconstruct_equals_per_image_bit_for_bit():
+    model = perturbed_default_model()
+    images = tiny_images(8, size=64, seed=4)
+    pyramids = [model.prior_features(im) for im in images]
+    batch_s, batch_m = model.reconstruct(stacked(pyramids))
+    assert batch_s[0].data.dtype == np.float32
+    for b, pyr in enumerate(pyramids):
+        single_s, single_m = model.reconstruct(pyr)
+        for scale in range(len(pyr)):
+            assert np.array_equal(batch_s[scale].data[b], single_s[scale].data), (b, scale)
+            assert np.array_equal(batch_m[scale].data[b], single_m[scale].data), (b, scale)
+    # joint collection runs the same batched forward
+    per_image = stacked([model.joint_arrays(pyr, *model.reconstruct(pyr)) for pyr in pyramids])
+    for got, want in zip(collect_joints(model, images), per_image):
+        assert np.array_equal(got, want)
+
+
+def test_batched_reconstruct_keeps_samples_apart():
+    """Changing one sample's pyramid changes its own reconstructions and
+    leaves every other sample's bit-identical."""
+    model = perturbed_default_model(1)
+    batch = stacked([model.prior_features(im) for im in tiny_images(6, size=64, seed=5)])
+    base_s, base_m = model.reconstruct(batch)
+    j = 2
+    moved = [maps.copy() for maps in batch]
+    for maps in moved:
+        maps[j] += np.random.default_rng(6).normal(size=maps[j].shape).astype(maps.dtype)
+    new_s, new_m = model.reconstruct(moved)
+    others = [b for b in range(6) if b != j]
+    for base, new in zip(base_s + base_m, new_s + new_m):
+        assert np.array_equal(base.data[others], new.data[others])
+    for base, new in zip(base_s, new_s):
+        assert not np.array_equal(base.data[j], new.data[j])
+
+
+def stage1_loss(model, pyramid):
+    recon_s, recon_m = model.reconstruct(pyramid)
+    return ad.add(recon_loss(pyramid, recon_s), recon_loss(pyramid, recon_m))
+
+
+def stage1_grads(model, pyramid):
+    params = list(model.transformer_parameters().values())
+    reset_grads(params)
+    with Tape() as tape:
+        tape.backward(stage1_loss(model, pyramid))
+    grads = [p.grad.copy() for p in params]
+    reset_grads(params)
+    return grads
+
+
+def test_batched_stage1_gradients_equal_sum_of_per_sample_gradients():
+    """Only the order of the batch sums differs (one GEMM over B*L rows
+    instead of per-sample terms added on the tape), so float32 gradients
+    agree to a few ulps of their scale."""
+    model = perturbed_default_model(2)
+    pyramids = [model.prior_features(im) for im in tiny_images(4, size=64, seed=8)]
+    batched = stage1_grads(model, stacked(pyramids))
+    summed = None
+    for pyr in pyramids:
+        grads = stage1_grads(model, pyr)
+        summed = grads if summed is None else [a + g for a, g in zip(summed, grads)]
+    grads = dict(zip(model.transformer_parameters(), zip(batched, summed)))
+    for name, (got, want) in grads.items():
+        if name.endswith("wk.b"):
+            # a key bias shifts all logits of a query row alike, so softmax
+            # cancels it: its exact gradient is zero and both sides hold
+            # roundoff only, far below the key weights' gradient
+            scale = np.abs(grads[name[:-1] + "w"][1]).max()
+            assert max(np.abs(got).max(), np.abs(want).max()) < 1e-5 * scale, name
+        else:
+            assert max_rel_error(got, want) < 1e-5, name
+
+
+def test_batched_stage1_gradcheck():
+    """Finite differences confirm the tape gradients of the stage-1 loss of
+    a stacked batch of two pyramids, for every transformer parameter."""
+    with using_dtype(np.float64):
+        model = pipeline.Model(
+            enc_cfg=EncoderConfig(in_size=16, stage_channels=(2, 2, 4)),
+            emb_cfg=PatchEmbedConfig(token_dim=12),
+            attn_cfg=DualAttnConfig(depth=1, heads=2, token_dim=12, mlp_ratio=1), seed=0)
+        model.set_image_norm(np.zeros(3), np.ones(3))
+        rng = np.random.default_rng(1)
+        batch = stacked([model.prior_features(rng.random((16, 16, 3))) for _ in range(2)])
+        worst = check_gradients(lambda: stage1_loss(model, batch),
+                                list(model.transformer_parameters().values()), eps=1e-5)
+    assert worst < GRAD_REL, worst
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from helpers import tiny_images, tiny_run_config
 
-from dualflow import pipeline
+from dualflow import metrics, pipeline
 from dualflow.errors import ContractError, ShapeError
 from dualflow.metrics import evaluate
 from dualflow.scoring import (MODES, ScoringConfig, anomaly_map, bilinear_upsample,
@@ -113,18 +113,41 @@ def test_unknown_mode_rejected(model, probe):
         anomaly_map(model, probe, "badmode")
 
 
+def normal_and_anomalous(image):
+    """Two evaluation samples of one image: a normal one and an anomalous one
+    with a square mask."""
+    mask = np.zeros(image.shape[:2], dtype=bool)
+    mask[8:16, 8:16] = True
+    return [SimpleNamespace(image=image, mask=mask & bool(label), label=label,
+                            saturation=1.0) for label in (0, 1)]
+
+
 @pytest.mark.parametrize("bad", [dict(smooth_sigma=-1.0), dict(smooth_sigma=float("nan")),
                                  dict(smooth_sigma=float("inf")), dict(fuse_weight=7.0),
                                  dict(fuse_weight=-0.5), dict(fuse_weight=float("nan"))])
 def test_anomaly_map_and_evaluate_check_scoring_arguments(model, probe, bad):
     with pytest.raises(ContractError):
         anomaly_map(model, probe, **bad)
-    mask = np.zeros(probe.shape[:2], dtype=bool)
-    mask[8:16, 8:16] = True
-    samples = [SimpleNamespace(image=probe, mask=mask & bool(label), label=label,
-                               saturation=1.0) for label in (0, 1)]
+    samples = normal_and_anomalous(probe)
     with pytest.raises(ContractError):
         evaluate(model, samples, **bad)
+
+
+@pytest.mark.parametrize("fpr_limit", [7.0, 0.0, -0.3, float("nan")])
+def test_evaluate_checks_fpr_limit_before_scoring(model, probe, monkeypatch, fpr_limit):
+    scored = []
+
+    def counting(model, image, **kwargs):
+        scored.append(image)
+        return anomaly_map(model, image, **kwargs)
+
+    monkeypatch.setattr(metrics, "anomaly_map", counting)
+    samples = normal_and_anomalous(probe)
+    with pytest.raises(ContractError):
+        evaluate(model, samples, fpr_limit=fpr_limit)
+    assert scored == []
+    evaluate(model, samples)  # the wrapper counts every scored image
+    assert len(scored) == 2
 
 
 def test_likelihood_requires_trained_flows(probe):
