@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, default_dtype
-from .encoder import TokenSequence, unpatchify
+from .encoder import position_encoding, unpatchify
 from .errors import ContractError, ShapeError
 
 
@@ -149,12 +149,15 @@ class MemorialBlock(_Block):
 class DualAttention:
     """Runs the two streams in lockstep over ``depth`` levels and returns the
     final (self tokens, memorial tokens) pair, both shaped like the input
-    tokens (..., L, D). The per-level memory tokens are (L, D) parameters,
+    tokens (..., L, D). It owns the fixed (L, D) position table ``pos``,
+    built once here and added to the input tokens and to every level's
+    memory tokens. The per-level memory tokens are (L, D) parameters,
     broadcast over the leading (batch) axes of the input."""
 
     def __init__(self, cfg: DualAttnConfig, length: int, rng):
         self.cfg = cfg
         self.length = length
+        self.pos = position_encoding(length, cfg.token_dim)
         dt = default_dtype()
         self.self_blocks = [SelfBlock(cfg, rng) for _ in range(cfg.depth)]
         self.mem_blocks = [MemorialBlock(cfg, rng) for _ in range(cfg.depth)]
@@ -175,25 +178,22 @@ class DualAttention:
             out[f"memory{i}"] = m
         return out
 
-    def __call__(self, seq: TokenSequence):
-        if seq.length != self.length:
-            raise ShapeError(f"expected {self.length} tokens, got {seq.length}")
-        shape = seq.tokens.shape
+    def __call__(self, tokens: Tensor):
+        if tokens.shape[-2] != self.length:
+            raise ShapeError(f"expected {self.length} tokens, got {tokens.shape[-2]}")
 
         def memory(level):
-            return ad.broadcast_lead(ad.add(self.memory[level], seq.pos), shape)
+            return ad.broadcast_lead(ad.add(self.memory[level], self.pos), tokens.shape)
 
-        feat = ad.add(seq.tokens, seq.pos)
+        feat = ad.add(tokens, self.pos)
         mem = memory(0)
-        if self.cfg.depth == 0:
-            return feat, mem
         for level in range(self.cfg.depth):
             if level > 0:
                 mem = ad.add(mem, memory(level))
             if self.cfg.memorial_query_source == "stream":
                 q_src = feat
             else:
-                q_src = ad.add(seq.tokens, seq.pos)
+                q_src = ad.add(tokens, self.pos)
             new_feat = self.self_blocks[level](feat)
             mem = self.mem_blocks[level](q_src, mem)
             feat = new_feat

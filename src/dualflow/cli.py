@@ -60,9 +60,7 @@ def cmd_train(args) -> int:
         model = pipeline.build_model(rc)
         pipeline.train_transformer(model, images, rc.train, log=log)
     else:
-        model = pipeline.build_model(rc)
-        pipeline.train_transformer(model, images, rc.train, log=log)
-        pipeline.train_flow(model, images, rc.train, log=log)
+        model = pipeline.train(images, rc, log=log)
     save_checkpoint(model, rc, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

@@ -5,6 +5,9 @@ graph: its outputs play the role of a pretrained backbone's feature pyramid
 and never receive gradients. Per-scale feature maps are cut into
 non-overlapping patches sized so every scale yields the same token count L,
 projected to a shared width, and concatenated along the channel axis.
+
+The feature taps sit at the fixed strides ``STAGE_STRIDES``, a constant
+rather than a config field, because no other strides are supported.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ from .autodiff import Tensor, default_dtype
 from .errors import ContractError, ShapeError
 
 
+STAGE_STRIDES = (4, 8, 16)
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     in_size: int = 64
     stage_channels: tuple = (16, 32, 64)
-    stage_strides: tuple = (4, 8, 16)
     seed: int = 0
 
     def __post_init__(self):
@@ -31,8 +36,6 @@ class EncoderConfig:
             raise ContractError("encoder uses exactly 3 stages")
         if min(self.stage_channels) < 1:
             raise ContractError("stage channel counts must be positive")
-        if tuple(self.stage_strides) != (4, 8, 16):
-            raise ContractError("stage strides are fixed at (4, 8, 16)")
         if self.in_size % 16 != 0 or self.in_size <= 0:
             raise ContractError(f"in_size must be a positive multiple of 16, got {self.in_size}")
         if self.seed < 0:
@@ -50,11 +53,6 @@ def _conv3x3_s2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
             patch = xp[dy:dy + 2 * ho - 1:2, dx:dx + 2 * wo - 1:2, :]
             out += np.tensordot(patch, w[dy, dx], axes=([-1], [0]))
     return out
-
-
-def _leaky(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
-    """One pass; the same bits as ``np.where(x >= 0, x, x * slope)``."""
-    return np.maximum(x, x * slope)
 
 
 class FrozenEncoder:
@@ -81,10 +79,10 @@ class FrozenEncoder:
             raise ShapeError(f"encoder expects image of shape ({s}, {s}, 3), got {image.shape}")
         x = np.asarray(image, dtype=default_dtype())
         (w0, b0), (w1, b1), (w2, b2), (w3, b3) = self.weights
-        x = _leaky(_conv3x3_s2(x, w0, b0))
-        f1 = _leaky(_conv3x3_s2(x, w1, b1))
-        f2 = _leaky(_conv3x3_s2(f1, w2, b2))
-        f3 = _leaky(_conv3x3_s2(f2, w3, b3))
+        x = ad.leaky_relu(_conv3x3_s2(x, w0, b0)).data
+        f1 = ad.leaky_relu(_conv3x3_s2(x, w1, b1)).data
+        f2 = ad.leaky_relu(_conv3x3_s2(f1, w2, b2)).data
+        f3 = ad.leaky_relu(_conv3x3_s2(f2, w3, b3)).data
         return [f1, f2, f3]
 
 
@@ -153,26 +151,11 @@ def position_encoding(length: int, dim: int) -> np.ndarray:
     return pe.astype(default_dtype())
 
 
-@dataclass
-class TokenSequence:
-    """Tokens of shape (..., L, token_dim), any leading (batch) axes, and
-    the fixed (L, token_dim) position table they share."""
-
-    tokens: Tensor
-    pos: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return self.tokens.shape[-2]
-
-    @property
-    def dim(self) -> int:
-        return self.tokens.shape[-1]
-
-
 class PatchEmbed:
-    """Learnable per-scale projection heads. Biases start at zero, so the
-    freshly built embedding is exactly linear in the feature maps."""
+    """Learnable per-scale projection heads from a pyramid to (..., L, D)
+    tokens, without positions (``DualAttention`` adds its own table). Biases
+    start at zero, so the freshly built embedding is exactly linear in the
+    feature maps."""
 
     def __init__(self, stage_channels, cfg: PatchEmbedConfig, rng: np.random.Generator):
         if len(stage_channels) != len(cfg.patch_sizes):
@@ -188,7 +171,7 @@ class PatchEmbed:
             b = Tensor(np.zeros(self.width, dtype=dt), requires_grad=True)
             self.heads.append((w, b))
 
-    def __call__(self, pyramid) -> TokenSequence:
+    def __call__(self, pyramid) -> Tensor:
         """Tokens of a pyramid of (..., H, W, C) maps whose leading axes agree
         across scales."""
         if len(pyramid) != self.n_scales:
@@ -201,6 +184,4 @@ class PatchEmbed:
             parts.append(ad.add_bias(ad.matmul(Tensor(rows), w), b))
         if len(set(lengths)) != 1:
             raise ShapeError(f"token counts differ across scales: {lengths}")
-        tokens = ad.concat_last(parts)
-        pos = position_encoding(lengths[0], self.cfg.token_dim)
-        return TokenSequence(tokens=tokens, pos=pos)
+        return ad.concat_last(parts)

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import DualAttention, DualAttnConfig, OutputHeads
 from .autodiff import Tape, Tensor, default_dtype
-from .encoder import EncoderConfig, FrozenEncoder, PatchEmbed, PatchEmbedConfig
+from .encoder import STAGE_STRIDES, EncoderConfig, FrozenEncoder, PatchEmbed, PatchEmbedConfig
 from .errors import ContractError, NumericError, ShapeError
 from .flow import FLOW_VARIANTS, FlowConfig, FlowStack
 from .optim import AdamW
@@ -68,7 +68,7 @@ class Model:
 
         self.encoder = FrozenEncoder(enc_cfg)
         channels = enc_cfg.stage_channels
-        map_sizes = [enc_cfg.in_size // s for s in enc_cfg.stage_strides]
+        map_sizes = [enc_cfg.in_size // s for s in STAGE_STRIDES]
         grids = []
         for m, p in zip(map_sizes, emb_cfg.patch_sizes):
             if m % p:
@@ -155,21 +155,19 @@ class Model:
         """Both branch reconstructions of a prior pyramid of (..., H, W, C)
         maps, as tape tensors of the same shapes: one image's pyramid, or a
         batch stacked along a leading axis."""
-        seq = self.embed(pyramid)
-        t_s, t_m = self.attn(seq)
+        t_s, t_m = self.attn(self.embed(pyramid))
         return self.heads_self(t_s), self.heads_mem(t_m)
 
-    def joint_arrays(self, pyramid, recon_self, recon_mem, variant: str | None = None):
-        """Per-scale flow inputs as plain (..., H, W, C) arrays (everything
-        upstream of the flows is detached by construction in stage 2 and
-        scoring)."""
-        variant = self.variant if variant is None else variant
+    def joint_arrays(self, pyramid, recon_self, recon_mem):
+        """Per-scale flow inputs of the model's variant as plain (..., H, W, C)
+        arrays (everything upstream of the flows is detached by construction
+        in stage 2 and scoring)."""
         branch_maps = {"prior": pyramid,
                        "self": [m.data for m in recon_self],
                        "memorial": [m.data for m in recon_mem]}
         joints = []
         for i in range(len(pyramid)):
-            parts = [np.asarray(branch_maps[b][i]) for b in FLOW_VARIANTS[variant]]
+            parts = [np.asarray(branch_maps[b][i]) for b in FLOW_VARIANTS[self.variant]]
             joints.append(np.concatenate(parts, axis=-1))
         return joints
 
@@ -212,13 +210,6 @@ def loss_flow(stacks, joints) -> Tensor:
 # training
 
 
-def image_norm_stats(images) -> tuple:
-    pixels = np.stack([np.asarray(im, dtype=np.float64) for im in images])
-    mean = pixels.reshape(-1, 3).mean(axis=0)
-    std = pixels.reshape(-1, 3).std(axis=0)
-    return mean, np.maximum(std, 1e-6)
-
-
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for lo in range(0, n, batch_size):
@@ -237,8 +228,7 @@ def train_transformer(model: Model, images, cfg: TrainConfig, log=None) -> None:
     each (B, H, W, C) batch."""
     if len(images) == 0:
         raise ContractError("training needs at least one image")
-    mean, std = image_norm_stats(images)
-    model.set_image_norm(mean, std)
+    model.set_image_norm(*flow_input_stats([np.stack(images)])[0])
     stacked = _stacked_pyramids(model, images)
     opt = AdamW(list(model.transformer_parameters().values()), lr=cfg.lr,
                 weight_decay=cfg.weight_decay)
@@ -265,24 +255,26 @@ def train_transformer(model: Model, images, cfg: TrainConfig, log=None) -> None:
     model.transformer_trained = True
 
 
-def flow_input_stats(joints_per_scale) -> list:
-    """Per-channel mean/std of stacked joint features, one pair per scale."""
+def flow_input_stats(stacks) -> list:
+    """Per-channel float64 (mean, std) of each (..., C) array, the std
+    floored at 1e-6: the image statistics of stage 1 (one (N, H, W, 3)
+    stack) and the flow input statistics of stage 2 (one joint stack per
+    scale). Both reduce in float64 without a float64 copy of the stack."""
     stats = []
-    for stacked in joints_per_scale:
-        flat = stacked.reshape(-1, stacked.shape[-1]).astype(np.float64)
-        mean = flat.mean(axis=0)
-        std = np.maximum(flat.std(axis=0), 1e-6)
-        stats.append((mean, std))
+    for stacked in stacks:
+        flat = stacked.reshape(-1, stacked.shape[-1])
+        stats.append((flat.mean(axis=0, dtype=np.float64),
+                      np.maximum(flat.std(axis=0, dtype=np.float64), 1e-6)))
     return stats
 
 
-def collect_joints(model: Model, images, variant: str | None = None) -> list:
+def collect_joints(model: Model, images) -> list:
     """Per-scale joint features of a list of images as (N, H, W, C) arrays,
     no gradients: the frozen pyramids one image at a time, then one
     reconstruction of the stacked batch."""
     pyramids = _stacked_pyramids(model, images)
     recon_s, recon_m = model.reconstruct(pyramids)
-    return model.joint_arrays(pyramids, recon_s, recon_m, variant)
+    return model.joint_arrays(pyramids, recon_s, recon_m)
 
 
 def train_flow(model: Model, images, cfg: TrainConfig, log=None) -> None:
@@ -333,22 +325,17 @@ def train(images, rc, log=None) -> Model:
     return model
 
 
-def copy_transformer_state(src: Model, dst: Model) -> None:
-    """Copy stage-1 parameters and image statistics between models (used to
-    retrain flows under a different variant)."""
-    s, d = src.transformer_parameters(), dst.transformer_parameters()
-    if s.keys() != d.keys():
-        raise ContractError("transformer parameter sets differ between models")
-    for k in s:
-        d[k].data = s[k].data.copy()
-    dst.norm_mean = src.norm_mean.copy()
-    dst.norm_std = src.norm_std.copy()
-    dst.transformer_trained = src.transformer_trained
-
-
 def switch_variant(model: Model, rc, variant: str) -> Model:
-    """New model sharing the trained transformer but with fresh flows sized
-    for ``variant``."""
+    """New model with a copy of ``model``'s stage-1 parameters and image
+    statistics but fresh flows sized for ``variant`` (to retrain the flows
+    under a different variant)."""
     out = build_model(rc, variant=variant)
-    copy_transformer_state(model, out)
+    src, dst = model.transformer_parameters(), out.transformer_parameters()
+    if src.keys() != dst.keys():
+        raise ContractError("transformer parameter sets differ between models")
+    for k in src:
+        dst[k].data = src[k].data.copy()
+    out.norm_mean = model.norm_mean.copy()
+    out.norm_std = model.norm_std.copy()
+    out.transformer_trained = model.transformer_trained
     return out

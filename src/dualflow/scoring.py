@@ -81,12 +81,9 @@ def raw_scale_maps(model, image: np.ndarray, mode: str, fuse_weight: float = 0.5
         raise ContractError(f"unknown scoring mode {mode!r}")
     pyramid = model.prior_features(image)
     recon_s, recon_m = model.reconstruct(pyramid)
-    if mode == "recon_self":
-        return [_sq_error(r.data, p) for r, p in zip(recon_s, pyramid)]
-    if mode == "recon_mem":
-        return [_sq_error(r.data, p) for r, p in zip(recon_m, pyramid)]
-    if mode == "recon_fused":
-        return [(1 - fuse_weight) * _sq_error(rs.data, p) + fuse_weight * _sq_error(rm.data, p)
+    if mode.startswith("recon_"):
+        w = {"recon_self": 0.0, "recon_mem": 1.0}.get(mode, fuse_weight)
+        return [(1 - w) * _sq_error(rs.data, p) + w * _sq_error(rm.data, p)
                 for rs, rm, p in zip(recon_s, recon_m, pyramid)]
     if mode == "likelihood" and not model.flow_trained:
         raise ContractError("likelihood scoring requires trained flows")

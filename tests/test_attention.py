@@ -9,7 +9,7 @@ from dualflow import autodiff as ad
 from dualflow.autodiff import Tape, Tensor, using_dtype
 from dualflow.attention import (DualAttention, DualAttnConfig, MemorialBlock, OutputHeads,
                                 SelfBlock, _multi_head)
-from dualflow.encoder import TokenSequence, patchify, position_encoding
+from dualflow.encoder import patchify, position_encoding
 from dualflow.errors import ContractError
 
 
@@ -38,9 +38,8 @@ def freeze_attention(monkeypatch) -> None:
                         lambda logits: softmax(Tensor(np.zeros_like(logits.data))))
 
 
-def make_seq(rng, length=16, dim=96, requires_grad=False):
-    tokens = Tensor(rng.normal(size=(length, dim)).astype(np.float64), requires_grad=requires_grad)
-    return TokenSequence(tokens=tokens, pos=position_encoding(length, dim))
+def make_tokens(rng, length=16, dim=96):
+    return Tensor(rng.normal(size=(length, dim)).astype(np.float64))
 
 
 def multi_head_loop(q, k, v, heads):
@@ -115,7 +114,7 @@ def test_attention_rows_stochastic_everywhere(rng, monkeypatch):
     with using_dtype(np.float64):
         model = DualAttention(CFG, 16, np.random.default_rng(0))
         weights = record_attention(monkeypatch)
-        model(make_seq(rng))
+        model(make_tokens(rng))
         # one (heads, L, L) weight stack per block of both branches
         assert len(weights) == 2 * CFG.depth
         for w in weights:
@@ -189,8 +188,8 @@ def test_memorial_independent_of_input_with_frozen_attention(rng, monkeypatch):
     with using_dtype(np.float64):
         model = DualAttention(CFG, 16, np.random.default_rng(4))
         freeze_attention(monkeypatch)
-        _, mem_a = model(make_seq(np.random.default_rng(10)))
-        _, mem_b = model(make_seq(np.random.default_rng(11)))
+        _, mem_a = model(make_tokens(np.random.default_rng(10)))
+        _, mem_b = model(make_tokens(np.random.default_rng(11)))
         np.testing.assert_array_equal(mem_a.data, mem_b.data)
 
 
@@ -234,19 +233,20 @@ def test_depth_zero_degenerates_to_inputs(rng):
     with using_dtype(np.float64):
         cfg = DualAttnConfig(depth=0, heads=4, token_dim=96)
         model = DualAttention(cfg, 16, np.random.default_rng(7))
-        seq = make_seq(rng)
-        t_s, t_m = model(seq)
-        np.testing.assert_array_equal(t_s.data, seq.tokens.data + seq.pos)
-        np.testing.assert_array_equal(t_m.data, model.memory[0].data + seq.pos)
+        tokens = make_tokens(rng)
+        t_s, t_m = model(tokens)
+        np.testing.assert_array_equal(model.pos, position_encoding(16, 96))
+        np.testing.assert_array_equal(t_s.data, tokens.data + model.pos)
+        np.testing.assert_array_equal(t_m.data, model.memory[0].data + model.pos)
 
 
 def test_forward_deterministic_and_branches_differ(rng):
     with using_dtype(np.float64):
-        seq = make_seq(rng)
+        tokens = make_tokens(rng)
         outs = []
         for _ in range(2):
             model = DualAttention(CFG, 16, np.random.default_rng(8))
-            outs.append(model(seq))
+            outs.append(model(tokens))
         np.testing.assert_array_equal(outs[0][0].data, outs[1][0].data)
         np.testing.assert_array_equal(outs[0][1].data, outs[1][1].data)
         assert np.abs(outs[0][0].data - outs[0][1].data).max() > 1e-6
@@ -254,10 +254,10 @@ def test_forward_deterministic_and_branches_differ(rng):
 
 def test_query_source_config_changes_queries(rng):
     with using_dtype(np.float64):
-        seq = make_seq(rng)
-        a = DualAttention(CFG, 16, np.random.default_rng(9))(seq)[1].data
+        tokens = make_tokens(rng)
+        a = DualAttention(CFG, 16, np.random.default_rng(9))(tokens)[1].data
         cfg_inp = DualAttnConfig(depth=2, heads=4, token_dim=96, memorial_query_source="input")
-        b = DualAttention(cfg_inp, 16, np.random.default_rng(9))(seq)[1].data
+        b = DualAttention(cfg_inp, 16, np.random.default_rng(9))(tokens)[1].data
         assert np.abs(a - b).max() > 1e-9
 
 

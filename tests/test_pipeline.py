@@ -298,13 +298,24 @@ def test_epoch_column_monotone():
         assert epochs == sorted(epochs)
 
 
-def test_image_norm_stats_floor_and_values():
+def test_flow_input_stats_floor_and_values():
     images = [np.full((4, 4, 3), 0.25), np.full((4, 4, 3), 0.75)]
-    mean, std = pipeline.image_norm_stats(images)
+    (mean, std), = pipeline.flow_input_stats([np.stack(images)])
     np.testing.assert_allclose(mean, [0.5, 0.5, 0.5])
     np.testing.assert_allclose(std, [0.25, 0.25, 0.25])
-    mean, std = pipeline.image_norm_stats([np.zeros((2, 2, 3))])
+    (mean, std), = pipeline.flow_input_stats([np.zeros((1, 2, 2, 3))])
     assert (std == 1e-6).all()
+
+
+def test_flow_input_stats_match_a_float64_copy_bit_for_bit(rng):
+    """Reducing a float32 stack with a float64 accumulator gives the bits of
+    reducing its float64 copy."""
+    stack = rng.normal(1.0, 2.0, size=(16, 16, 16, 48)).astype(np.float32)
+    (mean, std), = pipeline.flow_input_stats([stack])
+    flat = stack.reshape(-1, 48).astype(np.float64)
+    assert mean.dtype == std.dtype == np.float64
+    assert np.array_equal(mean, flat.mean(axis=0))
+    assert np.array_equal(std, np.maximum(flat.std(axis=0), 1e-6))
 
 
 def test_batches_cover_every_index_once():
@@ -333,13 +344,12 @@ def test_switch_variant_shares_transformer():
 
 def test_joint_arrays_variant_selection():
     rc = tiny_run_config()
-    model = build_model(rc)
-    model.set_image_norm(np.zeros(3), np.ones(3))
+    model_p, model_d = build_model(rc, variant="P"), build_model(rc, variant="D")
     image = tiny_images(1)[0]
-    pyr = model.prior_features(image)
-    rs, rm = model.reconstruct(pyr)
-    joints_p = model.joint_arrays(pyr, rs, rm, variant="P")
-    joints_d = model.joint_arrays(pyr, rs, rm, variant="D")
+    pyr = model_d.prior_features(image)
+    rs, rm = model_d.reconstruct(pyr)
+    joints_p = model_p.joint_arrays(pyr, rs, rm)
+    joints_d = model_d.joint_arrays(pyr, rs, rm)
     for jp, jd, base in zip(joints_p, joints_d, pyr):
         c = base.shape[-1]
         np.testing.assert_array_equal(jp, np.asarray(base))
@@ -504,3 +514,22 @@ def test_fit_rejects_non_finite_statistics(tmp_path):
     # a finite 0-epoch fit still writes a checkpoint that loads
     save_checkpoint(train(tiny_images(2), rc), rc, tmp_path / "m.ckpt")
     load_checkpoint(tmp_path / "m.ckpt")
+
+
+def test_fit_rejects_non_finite_loss():
+    """A NaN weight makes the first batch's loss non-finite: stage 1 stops
+    at its per-batch loss check, stage 2 at the flow's per-stage check,
+    which fires before the loss is formed."""
+    rc = tiny_run_config(stage1_epochs=1, stage2_epochs=1)
+    images = tiny_images(4)
+    model = build_model(rc)
+    model.transformer_parameters()["attn.memory0"].data[0, 0] = np.nan
+    with pytest.raises(NumericError, match="non-finite loss"):
+        train_transformer(model, images, rc.train)
+
+    model = build_model(rc)
+    train_transformer(model, images, rc.train)
+    weight = next(iter(model.flow_parameters().values()))
+    weight.data.flat[0] = np.nan
+    with pytest.raises(NumericError, match="non-finite values after flow stage"):
+        train_flow(model, images, rc.train)
