@@ -151,8 +151,11 @@ class DualAttention:
     final (self tokens, memorial tokens) pair, both shaped like the input
     tokens (..., L, D). It owns the fixed (L, D) position table ``pos``,
     built once here and added to the input tokens and to every level's
-    memory tokens. The per-level memory tokens are (L, D) parameters,
-    broadcast over the leading (batch) axes of the input."""
+    memory tokens. The memorial queries read the feature stream
+    (``memorial_query_source = "stream"``) or, at every level, the
+    positioned input tokens (``"input"``). The per-level memory tokens are
+    (L, D) parameters, broadcast over the leading (batch) axes of the
+    input."""
 
     def __init__(self, cfg: DualAttnConfig, length: int, rng):
         self.cfg = cfg
@@ -186,14 +189,13 @@ class DualAttention:
             return ad.broadcast_lead(ad.add(self.memory[level], self.pos), tokens.shape)
 
         feat = ad.add(tokens, self.pos)
+        q_src = feat  # "input" keeps the level-0 (positioned input) tokens
         mem = memory(0)
         for level in range(self.cfg.depth):
             if level > 0:
                 mem = ad.add(mem, memory(level))
             if self.cfg.memorial_query_source == "stream":
                 q_src = feat
-            else:
-                q_src = ad.add(tokens, self.pos)
             new_feat = self.self_blocks[level](feat)
             mem = self.mem_blocks[level](q_src, mem)
             feat = new_feat

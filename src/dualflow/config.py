@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import typing
 from dataclasses import dataclass
 
 from .attention import DualAttnConfig
@@ -45,19 +46,14 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-# section (a RunConfig field name) -> key -> parser
-_SCHEMA = {
-    "encoder": {"in_size": int, "stage_channels": _int_tuple, "seed": int},
-    "patch_embed": {"patch_sizes": _int_tuple, "token_dim": int},
-    "attention": {"depth": int, "heads": int, "mlp_ratio": int,
-                  "memorial_query_source": str},
-    "flow": {"n_blocks": int, "clamp": float, "hidden_ratio": float},
-    "train": {"lr": float, "batch_size": int, "stage1_epochs": int,
-              "stage2_epochs": int, "seed": int, "flow_variant": str,
-              "weight_decay": float},
-    "scoring": {"mode": str, "smooth_sigma": float, "fuse_weight": float,
-                "fpr_limit": float},
-}
+# section (a RunConfig field name) -> key -> parser, read from the section's
+# dataclass: its fields in order, parsed by their annotated type.
+# attention.token_dim is no key: it always mirrors patch_embed.token_dim.
+_PARSERS = {int: int, float: float, str: str, tuple: _int_tuple}
+_SCHEMA = {section: {f.name: _PARSERS[typing.get_type_hints(cls)[f.name]]
+                     for f in dataclasses.fields(cls)
+                     if (section, f.name) != ("attention", "token_dim")}
+           for section, cls in typing.get_type_hints(RunConfig).items()}
 
 
 def _section_values(rc: RunConfig, section: str) -> dict:

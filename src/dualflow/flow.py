@@ -6,10 +6,13 @@ from the other half through a small conv subnet (3x3 depthwise, 1x1, leaky
 ReLU, then a zero-initialized 1x1, so every stack starts as the identity).
 The log scale is soft-clamped, ``alpha * tanh(s / alpha)``, which keeps the
 Jacobian bounded while leaving the log-determinant exact: a sum of the
-clamped scales. Fixed seeded channel permutations sit between couplings, and
-a fixed affine standardization layer (fitted once on training features) runs
-first. The flow maps data to latent; log-likelihoods come from the change of
-variables against a standard normal base.
+clamped scales. A flow step is "permute, then couple": every coupling after
+the first starts with its own fixed seeded channel permutation, and a fixed
+affine standardization layer (fitted once on training features) runs first.
+The flow maps data to latent and returns the couplings' scale fields;
+``FlowStack.log_det`` builds the log-determinant from them, so scoring, which
+needs only per-location terms, never builds it. Log-likelihoods come from
+the change of variables against a standard normal base.
 
 The flow input is the channel concatenation of the frozen prior features
 with reconstruction branches, selected by variant: P, P-S, P-M, or D
@@ -54,9 +57,8 @@ class Subnet:
     predictor of a per-location field from the untouched channel half. A 1x1
     layer is a ``matmul`` over the channel axis."""
 
-    def __init__(self, c_in: int, c_out: int, rng, hidden: int | None = None):
+    def __init__(self, c_in: int, c_out: int, rng, hidden: int):
         dt = default_dtype()
-        hidden = c_in if hidden is None else hidden
         self.dw_k = Tensor(rng.normal(0.0, 0.1, size=(3, 3, c_in)).astype(dt), requires_grad=True)
         self.dw_b = Tensor(np.zeros(c_in, dtype=dt), requires_grad=True)
         self.pw1_w = Tensor((rng.normal(0.0, 1.0, size=(c_in, hidden))
@@ -78,17 +80,22 @@ class Subnet:
 
 
 class CouplingLayer:
-    """Affine coupling over a channel split. ``flip`` alternates which half
-    is transformed. forward returns the output and the clamped log-scale
-    field; its per-location channel sum is the exact local Jacobian term."""
+    """One flow step: an optional fixed channel permutation (volume
+    preserving), then an affine coupling over a channel split. ``flip``
+    alternates which half is transformed. forward returns the output and the
+    clamped log-scale field; its per-location channel sum is the exact local
+    Jacobian term, and the permutation adds nothing to it."""
 
-    def __init__(self, channels: int, clamp: float, flip: bool, rng, hidden_ratio: float = 1.0):
+    def __init__(self, channels: int, clamp: float, flip: bool, rng, hidden_ratio: float = 1.0,
+                 perm=None):
         if channels < 2:
             raise ContractError("coupling needs at least 2 channels")
         self.channels = channels
         self.n_a = channels // 2
         self.clamp = clamp
         self.flip = flip
+        self.perm = perm
+        self.inv = None if perm is None else np.argsort(perm)
         n_a, n_b = self.n_a, channels - self.n_a
         hidden = max(1, int(round(n_a * hidden_ratio)))
         self.s_net = Subnet(n_a, n_b, rng, hidden)
@@ -115,6 +122,8 @@ class CouplingLayer:
         return ad.mul(ad.tanh(ad.mul(raw, 1.0 / self.clamp)), self.clamp)
 
     def forward(self, x: Tensor):
+        if self.perm is not None:
+            x = ad.index_last(x, self.perm)
         a, b = self._halves(x)
         s = self._clamped_scale(a)
         t = self.t_net(a)
@@ -126,21 +135,8 @@ class CouplingLayer:
         s = self._clamped_scale(a)
         t = self.t_net(a)
         b = ad.mul(ad.sub(y_b, t), ad.exp(ad.mul(s, -1.0)))
-        return self._join(a, b)
-
-
-class PermuteStage:
-    """Fixed channel permutation; volume preserving."""
-
-    def __init__(self, perm: np.ndarray):
-        self.perm = np.asarray(perm, dtype=np.int64)
-        self.inv = np.argsort(self.perm)
-
-    def forward(self, x: Tensor):
-        return ad.index_last(x, self.perm), None
-
-    def inverse(self, y: Tensor) -> Tensor:
-        return ad.index_last(y, self.inv)
+        x = self._join(a, b)
+        return x if self.inv is None else ad.index_last(x, self.inv)
 
 
 class StandardizeStage:
@@ -166,70 +162,74 @@ class StandardizeStage:
     def local_logdet(self) -> float:
         return float(-np.log(self.std.astype(np.float64)).sum())
 
-    def forward(self, x: Tensor):
-        return ad.mul(ad.add(x, -self.mean), 1.0 / self.std), None
+    def forward(self, x: Tensor) -> Tensor:
+        return ad.mul(ad.add(x, -self.mean), 1.0 / self.std)
 
     def inverse(self, y: Tensor) -> Tensor:
         return ad.add(ad.mul(y, self.std), self.mean)
 
 
+def _check_finite(x: Tensor, stage, i: int, direction: str = "") -> None:
+    if not np.isfinite(x.data).all():
+        raise NumericError(f"non-finite values after {direction}flow stage {i} "
+                           f"({type(stage).__name__})")
+
+
 class FlowStack:
-    """Standardization, then alternating couplings with seeded permutations
-    in between. Operates on (B, H, W, C) tensors."""
+    """Standardization (stage 0), then ``n_blocks`` alternating couplings
+    (stages 1 to n_blocks), each after the first with its own seeded
+    permutation. Operates on (B, H, W, C) tensors."""
 
     def __init__(self, channels: int, cfg: FlowConfig, rng):
         self.channels = channels
-        self.cfg = cfg
         self.standardize = StandardizeStage(channels)
-        self.stages = [self.standardize]
-        for i in range(cfg.n_blocks):
-            if i > 0:
-                self.stages.append(PermuteStage(rng.permutation(channels)))
-            self.stages.append(CouplingLayer(channels, cfg.clamp, flip=bool(i % 2),
-                                             rng=rng, hidden_ratio=cfg.hidden_ratio))
+        # each permutation is drawn before its coupling's subnets
+        self.couplings = [CouplingLayer(channels, cfg.clamp, flip=bool(i % 2), rng=rng,
+                                        hidden_ratio=cfg.hidden_ratio,
+                                        perm=rng.permutation(channels) if i else None)
+                          for i in range(cfg.n_blocks)]
 
     def params(self):
-        out = {}
-        layer = 0
-        for stage in self.stages:
-            if isinstance(stage, CouplingLayer):
-                for k, v in stage.params().items():
-                    out[f"layer{layer}.{k}"] = v
-                layer += 1
-        return out
+        return {f"layer{k}.{name}": p for k, layer in enumerate(self.couplings)
+                for name, p in layer.params().items()}
 
     def _check_input(self, u: Tensor) -> None:
         if u.ndim != 4 or u.shape[-1] != self.channels:
             raise ShapeError(f"flow expects (B, H, W, {self.channels}), got {u.shape}")
 
     def forward(self, u: Tensor):
-        """Data to latent. Returns (z, logdet, scale_fields) where logdet has
-        shape (B,) and scale_fields are the per-coupling clamped log scales."""
+        """Data to latent. Returns (z, fields): z is shaped like ``u`` and
+        ``fields`` are the per-coupling clamped log-scale fields, the whole
+        Jacobian term besides the standardization (see ``log_det``)."""
         self._check_input(u)
-        b, h, w, _ = u.shape
-        dt = default_dtype()
-        base = h * w * self.standardize.local_logdet()
-        logdet = Tensor(np.full(b, base, dtype=dt))
+        x = self.standardize.forward(u)
+        _check_finite(x, self.standardize, 0)
         fields = []
-        x = u
-        for i, stage in enumerate(self.stages):
-            x, s = stage.forward(x)
-            if not np.isfinite(x.data).all():
-                raise NumericError(f"non-finite values after flow stage {i} "
-                                   f"({type(stage).__name__})")
-            if s is not None:
-                fields.append(s)
-                logdet = ad.add(logdet, ad.sum_batch(s))
-        return x, logdet, fields
+        for i, layer in enumerate(self.couplings, 1):
+            x, s = layer.forward(x)
+            _check_finite(x, layer, i)
+            fields.append(s)
+        return x, fields
+
+    def log_det(self, fields) -> Tensor:
+        """Per-sample log-determinant, shape (B,), of the forward that gave
+        ``fields``: the standardization's constant at every location, then
+        one ``sum_batch`` and one ``add`` per coupling field."""
+        b, h, w, _ = fields[0].shape
+        base = h * w * self.standardize.local_logdet()
+        logdet = Tensor(np.full(b, base, dtype=default_dtype()))
+        for s in fields:
+            logdet = ad.add(logdet, ad.sum_batch(s))
+        return logdet
 
     def inverse(self, z: Tensor) -> Tensor:
         self._check_input(z)
         x = z
-        for i, stage in enumerate(reversed(self.stages)):
-            x = stage.inverse(x)
-            if not np.isfinite(x.data).all():
-                raise NumericError(f"non-finite values after inverse flow stage {i} "
-                                   f"({type(stage).__name__})")
+        for i, layer in reversed(list(enumerate(self.couplings, 1))):
+            x = layer.inverse(x)
+            _check_finite(x, layer, i, "inverse ")
+        x = self.standardize.inverse(x)
+        _check_finite(x, self.standardize, 0, "inverse ")
         return x
 
 
@@ -237,8 +237,9 @@ def per_location_stats(stack: FlowStack, u: Tensor):
     """Per-location latent energy and Jacobian terms: ``z_norm_sq[b, h, w]``
     is the channel sum of z^2, ``local_logdet[b, h, w]`` collects every
     coupling's clamped scales plus the standardization constant at that
-    location. Their (h, w) sums recover the global quantities."""
-    z, _, fields = stack.forward(u)
+    location. Their (h, w) sums recover ``z`` squared and
+    ``stack.log_det``, which is not built here."""
+    z, fields = stack.forward(u)
     z_norm_sq = (np.asarray(z.data, dtype=np.float64) ** 2).sum(axis=-1)
     b, h, w, _ = u.shape
     local = np.full((b, h, w), stack.standardize.local_logdet(), dtype=np.float64)

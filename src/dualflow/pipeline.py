@@ -196,7 +196,8 @@ def loss_flow(stacks, joints) -> Tensor:
         raise ShapeError("one joint feature batch per flow stack is required")
     total = None
     for stack, u in zip(stacks, joints):
-        z, logdet, _ = stack.forward(u)
+        z, fields = stack.forward(u)
+        logdet = stack.log_det(fields)
         b = u.shape[0]
         d = u.data[0].size
         sq = ad.mul(ad.sum_batch(ad.mul(z, z)), 0.5)

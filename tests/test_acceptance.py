@@ -119,7 +119,7 @@ def test_criterion_01_flow_bijectivity(trained):
         mean = np.asarray(stack.standardize.mean, dtype=np.float64)
         std = np.asarray(stack.standardize.std, dtype=np.float64)
         u = Tensor(mean + std * rng.normal(size=(n, 3, 3, stack.channels)))
-        z, _, _ = stack.forward(u)
+        z, _ = stack.forward(u)
         return float(np.abs(stack.inverse(z).data - u.data).max())
 
     worst32 = 0.0
@@ -159,10 +159,11 @@ def test_criterion_02_logdet_exactness():
             u0 = rng.normal(size=32)
 
             def fn(flat):
-                z, _, _ = stack.forward(Tensor(flat.reshape(1, 2, 2, 8)))
+                z, _ = stack.forward(Tensor(flat.reshape(1, 2, 2, 8)))
                 return z.data.reshape(-1)
 
-            z, logdet, _ = stack.forward(Tensor(u0.reshape(1, 2, 2, 8)))
+            z, fields = stack.forward(Tensor(u0.reshape(1, 2, 2, 8)))
+            logdet = stack.log_det(fields)
             analytic = float(np.asarray(logdet.data).reshape(-1)[0])
             sign, ln = np.linalg.slogdet(numeric_jacobian(fn, u0))
             rel = abs(ln - analytic) / max(abs(ln), 1e-12)
@@ -203,7 +204,8 @@ def test_criterion_03_density_normalization():
         ys = np.linspace(mu[1] - 6 * sg[1], mu[1] + 6 * sg[1], n_grid)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         pts = np.stack([gx.ravel(), gy.ravel()], axis=-1).reshape(-1, 1, 1, 2)
-        z, logdet, _ = stack.forward(Tensor(pts))
+        z, fields = stack.forward(Tensor(pts))
+        logdet = stack.log_det(fields)
         zz = z.data.reshape(-1, 2)
         logp = -(0.5 * (zz ** 2).sum(axis=-1)
                  - np.asarray(logdet.data).reshape(-1) + math.log(2 * math.pi))

@@ -200,7 +200,7 @@ def test_memorial_value_path_carries_no_input_gradient(rng, monkeypatch):
         blk = MemorialBlock(DualAttnConfig(depth=1, heads=2, token_dim=8),
                             np.random.default_rng(5))
         softmax = ad.softmax_rows
-        monkeypatch.setattr(ad, "softmax_rows", lambda logits: softmax(logits.detach()))
+        monkeypatch.setattr(ad, "softmax_rows", lambda logits: softmax(Tensor(logits.data)))
         q = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         mem = Tensor(rng.normal(size=(4, 8)))
         with Tape() as tape:
@@ -259,6 +259,19 @@ def test_query_source_config_changes_queries(rng):
         cfg_inp = DualAttnConfig(depth=2, heads=4, token_dim=96, memorial_query_source="input")
         b = DualAttention(cfg_inp, 16, np.random.default_rng(9))(tokens)[1].data
         assert np.abs(a - b).max() > 1e-9
+
+
+@pytest.mark.parametrize("source", ["stream", "input"])
+def test_query_source_records_the_same_tape_ops(source):
+    """Either query source adds the position table to the input tokens
+    once: a taped batch forward at depth 2 records 124 ops in both modes."""
+    cfg = DualAttnConfig(depth=2, heads=4, token_dim=96, memorial_query_source=source)
+    model = DualAttention(cfg, 16, np.random.default_rng(0))
+    tokens = Tensor(np.random.default_rng(1).normal(size=(8, 16, 96)).astype(np.float32),
+                    requires_grad=True)
+    with Tape() as tape:
+        model(tokens)
+    assert len(tape) == 124
 
 
 def test_memory_tokens_are_learnable_and_per_level():

@@ -10,8 +10,8 @@ from helpers import assert_same_bits, with_specials
 from dualflow import autodiff as ad
 from dualflow.autodiff import Tensor, using_dtype
 from dualflow.errors import ContractError, NumericError, ShapeError
-from dualflow.flow import (FLOW_VARIANTS, CouplingLayer, FlowConfig, FlowStack, PermuteStage,
-                           StandardizeStage, per_location_stats)
+from dualflow.flow import (FLOW_VARIANTS, CouplingLayer, FlowConfig, FlowStack, StandardizeStage,
+                           per_location_stats)
 
 
 def log_likelihood(z: np.ndarray, logdet: np.ndarray) -> np.ndarray:
@@ -59,13 +59,14 @@ def test_identity_at_init(rng):
     with using_dtype(np.float64):
         stack = FlowStack(8, FlowConfig(n_blocks=4), np.random.default_rng(0))
         u = rng.normal(size=(2, 3, 3, 8))
-        z, logdet, _ = stack.forward(Tensor(u))
-        # at init the stack is the composition of its seeded permutations
+        z, fields = stack.forward(Tensor(u))
+        # at init the stack is the composition of its couplings' seeded
+        # permutations; the first coupling has none
+        assert stack.couplings[0].perm is None
         perm = np.arange(8)
-        for stage in stack.stages:
-            if isinstance(stage, PermuteStage):
-                perm = perm[stage.perm]
-        np.testing.assert_allclose(logdet.data, 0.0, atol=1e-12)
+        for layer in stack.couplings[1:]:
+            perm = perm[layer.perm]
+        np.testing.assert_allclose(stack.log_det(fields).data, 0.0, atol=1e-12)
         np.testing.assert_array_equal(z.data, u[..., perm])
 
 
@@ -84,7 +85,7 @@ def test_roundtrip_f64(seed):
         rng = np.random.default_rng(seed)
         stack = perturb(FlowStack(12, FlowConfig(n_blocks=8), np.random.default_rng(seed)), rng)
         u = rng.normal(size=(20, 4, 4, 12))
-        z, _, _ = stack.forward(Tensor(u))
+        z, _ = stack.forward(Tensor(u))
         back = stack.inverse(z)
         assert np.abs(back.data - u).max() < 1e-10
 
@@ -93,7 +94,7 @@ def test_roundtrip_f32(rng):
     stack = perturb(FlowStack(12, FlowConfig(n_blocks=8), np.random.default_rng(2)),
                     np.random.default_rng(3))
     u = rng.normal(size=(20, 4, 4, 12)).astype(np.float32)
-    z, _, _ = stack.forward(Tensor(u))
+    z, _ = stack.forward(Tensor(u))
     back = stack.inverse(z)
     assert np.abs(back.data - u).max() < 1e-5
 
@@ -111,10 +112,11 @@ def test_logdet_matches_numeric_jacobian(seed):
         u0 = rng.normal(size=shape)
 
         def flat_forward(flat):
-            z, _, _ = stack.forward(Tensor(flat.reshape(shape)))
+            z, _ = stack.forward(Tensor(flat.reshape(shape)))
             return z.data.reshape(-1)
 
-        _, logdet, _ = stack.forward(Tensor(u0))
+        _, fields = stack.forward(Tensor(u0))
+        logdet = stack.log_det(fields)
         jac = numeric_jacobian(flat_forward, u0.reshape(-1))
         _, ref = np.linalg.slogdet(jac)
         rel = abs(logdet.data[0] - ref) / max(abs(ref), 1.0)
@@ -131,8 +133,8 @@ def test_density_normalizes_by_quadrature(rng):
         axis = np.linspace(-lim, lim, n)
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         pts = np.stack([xx.reshape(-1), yy.reshape(-1)], axis=1).reshape(-1, 1, 1, 2)
-        z, logdet, _ = stack.forward(Tensor(pts))
-        logp = log_likelihood(z.data, logdet.data)
+        z, fields = stack.forward(Tensor(pts))
+        logp = log_likelihood(z.data, stack.log_det(fields).data)
         mass = np.trapezoid(np.trapezoid(np.exp(logp).reshape(n, n), axis, axis=1), axis)
         assert abs(mass - 1.0) < 0.01, f"mass {mass:.5f}"
 
@@ -150,14 +152,22 @@ def test_clamped_log_scale_is_bounded(seed):
 
 
 def test_extra_permutation_leaves_likelihood_unchanged(rng):
+    """An appended step that is a pure permutation (its coupling still at
+    the identity) permutes z and adds exactly nothing to the log-det."""
     with using_dtype(np.float64):
         stack = perturb(FlowStack(8, FlowConfig(n_blocks=4), np.random.default_rng(6)),
                         np.random.default_rng(7))
         u = Tensor(rng.normal(size=(4, 3, 3, 8)))
-        z, logdet, _ = stack.forward(u)
+        z, fields = stack.forward(u)
+        logdet = stack.log_det(fields)
         before = log_likelihood(z.data, logdet.data)
-        stack.stages.append(PermuteStage(np.random.default_rng(8).permutation(8)))
-        z2, logdet2, _ = stack.forward(u)
+        perm = np.random.default_rng(8).permutation(8)
+        stack.couplings.append(CouplingLayer(8, 2.0, flip=False, rng=np.random.default_rng(9),
+                                             perm=perm))
+        z2, fields2 = stack.forward(u)
+        logdet2 = stack.log_det(fields2)
+        np.testing.assert_array_equal(z2.data, z.data[..., perm])
+        np.testing.assert_array_equal(logdet2.data, logdet.data)
         after = log_likelihood(z2.data, logdet2.data)
         np.testing.assert_allclose(after, before, rtol=1e-12)
 
@@ -168,9 +178,10 @@ def test_per_location_sums_match_global(rng):
                         np.random.default_rng(10))
         stack.standardize.set_stats(rng.normal(size=10) * 0.3, 0.5 + rng.random(10))
         u = Tensor(rng.normal(size=(3, 4, 4, 10)))
-        z, logdet, _ = stack.forward(u)
+        z, fields = stack.forward(u)
         z_norm_sq, local_logdet = per_location_stats(stack, u)
-        np.testing.assert_allclose(local_logdet.sum(axis=(1, 2)), logdet.data, atol=1e-4)
+        np.testing.assert_allclose(local_logdet.sum(axis=(1, 2)), stack.log_det(fields).data,
+                                   atol=1e-4)
         np.testing.assert_allclose(z_norm_sq.sum(axis=(1, 2)),
                                    (z.data ** 2).sum(axis=(1, 2, 3)), rtol=1e-10)
 
@@ -187,8 +198,8 @@ def test_standardization_logdet_enters_likelihood(rng):
         std = np.full(4, 2.0)
         stack.standardize.set_stats(np.zeros(4), std)
         u = Tensor(rng.normal(size=(1, 2, 2, 4)))
-        _, logdet, _ = stack.forward(u)
-        np.testing.assert_allclose(logdet.data, -4 * 4 * np.log(2.0), rtol=1e-12)
+        _, fields = stack.forward(u)
+        np.testing.assert_allclose(stack.log_det(fields).data, -4 * 4 * np.log(2.0), rtol=1e-12)
 
 
 def test_flow_variants_channel_counts():
@@ -222,8 +233,8 @@ def test_flow_gradients_flow_to_all_subnet_params(rng):
     stack = FlowStack(6, FlowConfig(n_blocks=2), np.random.default_rng(14))
     u = Tensor(rng.normal(size=(2, 3, 3, 6)).astype(np.float32))
     with ad.Tape() as tape:
-        z, logdet, _ = stack.forward(u)
-        nll = ad.sub(ad.mul(ad.sum_all(ad.mul(z, z)), 0.5), ad.sum_all(logdet))
+        z, fields = stack.forward(u)
+        nll = ad.sub(ad.mul(ad.sum_all(ad.mul(z, z)), 0.5), ad.sum_all(stack.log_det(fields)))
         tape.backward(nll)
     grads = [p.grad for p in stack.params().values()]
     assert all(g is not None for g in grads)
@@ -263,7 +274,7 @@ def test_standardize_matches_broadcast_copy_form_bit_for_bit(dtype):
                     tape.backward(ad.sum_all(ad.mul(out, gd)))
             return out.data, x.grad, len(tape)
 
-        pairs = ((lambda x: stage.forward(x)[0], lambda x: standardize_broadcast_copy(stage, x)),
+        pairs = ((stage.forward, lambda x: standardize_broadcast_copy(stage, x)),
                  (stage.inverse, lambda y: unstandardize_broadcast_copy(stage, y)))
         for new, old in pairs:
             for taped in (False, True):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from helpers import tiny_images, tiny_run_config
 
-from dualflow import metrics, pipeline
+from dualflow import autodiff as ad, metrics, pipeline
 from dualflow.errors import ContractError, ShapeError
 from dualflow.metrics import evaluate
 from dualflow.scoring import (MODES, ScoringConfig, anomaly_map, bilinear_upsample,
@@ -155,6 +155,16 @@ def test_likelihood_requires_trained_flows(probe):
     pipeline.train_transformer(fresh, tiny_images(3), tiny_run_config().train)
     with pytest.raises(ContractError):
         raw_scale_maps(fresh, probe, "likelihood")
+
+
+def test_likelihood_map_builds_no_log_det(model, probe, monkeypatch):
+    """Scoring needs only per-location terms, so a likelihood map never
+    reduces a coupling's scale field to the per-sample log-det."""
+    sum_batch = ad.sum_batch
+    calls = []
+    monkeypatch.setattr(ad, "sum_batch", lambda x: calls.append(x.shape) or sum_batch(x))
+    anomaly_map(model, probe, mode="likelihood")
+    assert calls == []
 
 
 def test_fused_is_convex_combination(model, probe):
