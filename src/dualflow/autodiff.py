@@ -1,10 +1,13 @@
 """Dense tensors with reverse-mode autodiff on a define-by-run tape.
 
-A ``Tensor`` wraps a numpy array. While a ``Tape`` is active, every operation
-whose inputs require gradients appends one record (output, inputs, vjp) to the
-tape; ``Tape.backward`` replays the records in reverse and accumulates
-gradients into the ``.grad`` field of leaf tensors. Without an active tape the
-same functions are plain numpy math, which is how inference runs.
+A ``Tensor`` wraps a numpy array. Each op computes its forward and hands
+``_emit`` one vjp closure (output gradient to input gradients). While a
+``Tape`` is active, every op whose inputs require gradients appends one record
+(output, inputs, vjp) to the tape; ``Tape.backward`` replays the records in
+reverse, is the only caller of the closures, and accumulates gradients into
+the ``.grad`` field of leaf tensors. Work only the gradient needs therefore
+runs inside the closure. Without an active tape the same functions are plain
+numpy math and the closures are dropped unrun, which is how inference runs.
 
 The float width is a build-wide switch: ``set_default_dtype(np.float64)``
 before constructing a model gives a float64 build for verification, the
@@ -165,13 +168,16 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _emit(out_data: np.ndarray, inputs: tuple, make_vjp) -> Tensor:
-    """Wrap an op result, recording a vjp closure when grads are needed."""
+def _emit(out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
+    """Wrap an op result; when grads are needed, record ``vjp`` (the output
+    gradient to one gradient per input, None for none) on the active tape.
+    ``Tape.backward`` is its only caller, so whatever an op needs only for
+    its gradient is computed inside ``vjp``, not in the forward."""
     tape = active_tape()
     needs = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor._wrap(out_data, requires_grad=needs, from_op=needs)
     if needs:
-        tape.record(out, inputs, make_vjp())
+        tape.record(out, inputs, vjp)
     return out
 
 
@@ -193,7 +199,7 @@ def _constant(a: Tensor, b, opname: str):
 def _check_same_shape(a: Tensor, b: Tensor, opname: str) -> None:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{opname}: shapes {a.data.shape} and {b.data.shape} differ "
-                         "(only same-shape or scalar operands are supported)")
+                         "(tensor operands must have the same shape)")
 
 
 # ---------------------------------------------------------------------------
@@ -204,48 +210,27 @@ def add(a, b) -> Tensor:
     a = _as_tensor(a)
     c = _constant(a, b, "add")
     if c is not None:
-        def make_c():
-            return lambda g: (g,)
-
-        return _emit(a.data + c, (a,), make_c)
+        return _emit(a.data + c, (a,), lambda g: (g,))
     b = _as_tensor(b)
     _check_same_shape(a, b, "add")
-
-    def make():
-        return lambda g: (g, g)
-
-    return _emit(a.data + b.data, (a, b), make)
+    return _emit(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        return add(a, -b)
-    b = _as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     _check_same_shape(a, b, "sub")
-
-    def make():
-        return lambda g: (g, -g)
-
-    return _emit(a.data - b.data, (a, b), make)
+    return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b) -> Tensor:
     a = _as_tensor(a)
     c = _constant(a, b, "mul")
     if c is not None:
-        def make_c():
-            return lambda g: (g * c,)
-
-        return _emit(a.data * c, (a,), make_c)
+        return _emit(a.data * c, (a,), lambda g: (g * c,))
     b = _as_tensor(b)
     _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
-
-    def make():
-        return lambda g: (g * bd, g * ad)
-
-    return _emit(ad * bd, (a, b), make)
+    return _emit(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def add_bias(x, b) -> Tensor:
@@ -253,12 +238,8 @@ def add_bias(x, b) -> Tensor:
     x, b = _as_tensor(x), _as_tensor(b)
     if b.data.ndim != 1 or x.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"add_bias: bias {b.data.shape} does not match last axis of {x.data.shape}")
-
-    def make():
-        lead = tuple(range(x.data.ndim - 1))
-        return lambda g: (g, g.sum(axis=lead))
-
-    return _emit(x.data + b.data, (x, b), make)
+    return _emit(x.data + b.data, (x, b),
+                 lambda g: (g, g.sum(axis=tuple(range(g.ndim - 1)))))
 
 
 # ---------------------------------------------------------------------------
@@ -268,58 +249,46 @@ def add_bias(x, b) -> Tensor:
 def exp(x) -> Tensor:
     x = _as_tensor(x)
     out = np.exp(x.data)
-
-    def make():
-        return lambda g: (g * out,)
-
-    return _emit(out, (x,), make)
+    return _emit(out, (x,), lambda g: (g * out,))
 
 
 def tanh(x) -> Tensor:
     x = _as_tensor(x)
     out = np.tanh(x.data)
-
-    def make():
-        return lambda g: (g * (1.0 - out * out),)
-
-    return _emit(out, (x,), make)
+    return _emit(out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
 def leaky_relu(x, slope: float = 0.01) -> Tensor:
     """``x`` where ``x >= 0``, else ``slope * x``, computed in one pass as
     ``max(x, slope * x)``: for a slope in [0, 1] that picks the same bits,
-    -0.0 and NaN included. The derivative at exactly 0 is 1. Only a
-    recording tape keeps the boolean mask ``x >= 0``; backward expands it
-    to 1 or ``slope`` with ``max(mask, slope)``, branch-free like the
-    forward (a masked ``np.where`` or ``np.copyto`` is many times slower
-    on maps of mixed signs)."""
+    -0.0 and NaN included. The derivative at exactly 0 is 1. The tape keeps
+    no mask: backward builds ``x >= 0`` from the input and expands it to 1
+    or ``slope`` with ``max(mask, slope)``, branch-free like the forward (a
+    masked ``np.where`` or ``np.copyto`` is many times slower on maps of
+    mixed signs)."""
     if not 0.0 <= slope <= 1.0:
         raise ContractError(f"leaky_relu slope must lie in [0, 1], got {slope}")
     x = _as_tensor(x)
     xd = x.data
     s = xd.dtype.type(slope)
     out = np.maximum(xd, xd * s)
-
-    def make():
-        keep = xd >= 0
-        return lambda g: (g * np.maximum(keep, s),)
-
-    return _emit(out, (x,), make)
+    return _emit(out, (x,), lambda g: (g * np.maximum(xd >= 0, s),))
 
 
 def gelu(x) -> Tensor:
-    """Exact erf-based GELU."""
+    """Exact erf-based GELU. The tape keeps the input and the normal ``cdf``;
+    backward computes the normal ``pdf`` from the input."""
     x = _as_tensor(x)
     xd = x.data
     dt = xd.dtype.type
     cdf = dt(0.5) * (dt(1) + erf(xd * dt(1 / np.sqrt(2)))).astype(xd.dtype)
     out = xd * cdf
 
-    def make():
+    def vjp(g):
         pdf = np.exp(dt(-0.5) * xd * xd) * dt(1 / np.sqrt(2 * np.pi))
-        return lambda g: (g * (cdf + xd * pdf),)
+        return (g * (cdf + xd * pdf),)
 
-    return _emit(out, (x,), make)
+    return _emit(out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +301,7 @@ def reshape(x, shape) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != x.data.size:
         raise ShapeError(f"reshape: cannot view {x.data.shape} as {shape}")
     in_shape = x.data.shape
-
-    def make():
-        return lambda g: (g.reshape(in_shape),)
-
-    return _emit(x.data.reshape(shape), (x,), make)
+    return _emit(x.data.reshape(shape), (x,), lambda g: (g.reshape(in_shape),))
 
 
 def permute(x, axes) -> Tensor:
@@ -344,14 +309,10 @@ def permute(x, axes) -> Tensor:
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(x.data.ndim)):
         raise ShapeError(f"permute: {axes} is not a permutation of axes of rank {x.data.ndim}")
-    inv = tuple(int(a) for a in np.argsort(axes))
-
-    def make():
-        # a strided view here would reach later reductions (a bias gradient)
-        # in another memory order and change their float sums
-        return lambda g: (np.ascontiguousarray(g.transpose(inv)),)
-
-    return _emit(x.data.transpose(axes), (x,), make)
+    # a strided view here would reach later reductions (a bias gradient)
+    # in another memory order and change their float sums
+    return _emit(x.data.transpose(axes), (x,),
+                 lambda g: (np.ascontiguousarray(g.transpose(np.argsort(axes))),))
 
 
 def broadcast_lead(x, shape) -> Tensor:
@@ -364,12 +325,8 @@ def broadcast_lead(x, shape) -> Tensor:
     if n_new < 0 or shape[n_new:] != x.data.shape or min(shape[:n_new], default=1) < 0:
         raise ShapeError(f"broadcast_lead: {shape} is not {x.data.shape} "
                          "with leading axes put in front")
-    new_axes = tuple(range(n_new))
-
-    def make():
-        return lambda g: (g.sum(axis=new_axes),)
-
-    return _emit(np.ascontiguousarray(np.broadcast_to(x.data, shape)), (x,), make)
+    return _emit(np.ascontiguousarray(np.broadcast_to(x.data, shape)), (x,),
+                 lambda g: (g.sum(axis=tuple(range(n_new))),))
 
 
 def take_last(x, start: int, stop: int) -> Tensor:
@@ -380,15 +337,12 @@ def take_last(x, start: int, stop: int) -> Tensor:
         raise ShapeError(f"take_last: slice [{start}:{stop}] out of range for axis size {d}")
     in_shape = x.data.shape
 
-    def make():
-        def vjp(g):
-            gx = np.zeros(in_shape, dtype=g.dtype)
-            gx[..., start:stop] = g
-            return (gx,)
+    def vjp(g):
+        gx = np.zeros(in_shape, dtype=g.dtype)
+        gx[..., start:stop] = g
+        return (gx,)
 
-        return vjp
-
-    return _emit(np.ascontiguousarray(x.data[..., start:stop]), (x,), make)
+    return _emit(np.ascontiguousarray(x.data[..., start:stop]), (x,), vjp)
 
 
 def concat_last(parts) -> Tensor:
@@ -402,17 +356,14 @@ def concat_last(parts) -> Tensor:
             raise ShapeError("concat_last: leading shapes differ")
     widths = [p.data.shape[-1] for p in parts]
 
-    def make():
-        def vjp(g):
-            outs, off = [], 0
-            for w in widths:
-                outs.append(g[..., off:off + w])
-                off += w
-            return tuple(outs)
+    def vjp(g):
+        outs, off = [], 0
+        for w in widths:
+            outs.append(g[..., off:off + w])
+            off += w
+        return tuple(outs)
 
-        return vjp
-
-    return _emit(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), make)
+    return _emit(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), vjp)
 
 
 def index_last(x, idx) -> Tensor:
@@ -422,12 +373,8 @@ def index_last(x, idx) -> Tensor:
     d = x.data.shape[-1]
     if idx.shape != (d,) or not (np.sort(idx) == np.arange(d)).all():
         raise ShapeError(f"index_last: index must be a permutation of range({d})")
-
-    def make():
-        inv = np.argsort(idx)
-        return lambda g: (np.take(g, inv, axis=-1),)
-
-    return _emit(np.take(x.data, idx, axis=-1), (x,), make)
+    return _emit(np.take(x.data, idx, axis=-1), (x,),
+                 lambda g: (np.take(g, np.argsort(idx), axis=-1),))
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +384,8 @@ def index_last(x, idx) -> Tensor:
 def sum_all(x) -> Tensor:
     x = _as_tensor(x)
     in_shape = x.data.shape
-
-    def make():
-        return lambda g: (np.broadcast_to(g, in_shape).astype(g.dtype, copy=True),)
-
-    return _emit(x.data.sum(), (x,), make)
+    return _emit(x.data.sum(), (x,),
+                 lambda g: (np.broadcast_to(g, in_shape).astype(g.dtype, copy=True),))
 
 
 def sum_batch(x) -> Tensor:
@@ -452,14 +396,11 @@ def sum_batch(x) -> Tensor:
     in_shape = x.data.shape
     axes = tuple(range(1, x.data.ndim))
 
-    def make():
-        def vjp(g):
-            expand = g.reshape((in_shape[0],) + (1,) * (len(in_shape) - 1))
-            return (np.broadcast_to(expand, in_shape).astype(g.dtype, copy=True),)
+    def vjp(g):
+        expand = g.reshape((in_shape[0],) + (1,) * (len(in_shape) - 1))
+        return (np.broadcast_to(expand, in_shape).astype(g.dtype, copy=True),)
 
-        return vjp
-
-    return _emit(x.data.sum(axis=axes), (x,), make)
+    return _emit(x.data.sum(axis=axes), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -477,21 +418,16 @@ def matmul(a, b) -> Tensor:
             or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
         raise ShapeError(f"matmul: operands {ad.shape} @ {bd.shape} do not agree")
     if bd.ndim > 2:
-        def make_batched():
-            return lambda g: (g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g)
-
-        return _emit(ad @ bd, (a, b), make_batched)
+        return _emit(ad @ bd, (a, b),
+                     lambda g: (g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g))
     k, n = bd.shape
     flat = ad.reshape(-1, k)
 
-    def make():
-        def vjp(g):
-            gf = g.reshape(-1, n)
-            return ((gf @ bd.T).reshape(ad.shape), flat.T @ gf)
+    def vjp(g):
+        gf = g.reshape(-1, n)
+        return ((gf @ bd.T).reshape(ad.shape), flat.T @ gf)
 
-        return vjp
-
-    return _emit((flat @ bd).reshape(ad.shape[:-1] + (n,)), (a, b), make)
+    return _emit((flat @ bd).reshape(ad.shape[:-1] + (n,)), (a, b), vjp)
 
 
 def softmax_rows(x) -> Tensor:
@@ -501,14 +437,11 @@ def softmax_rows(x) -> Tensor:
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
 
-    def make():
-        def vjp(g):
-            dot = (g * out).sum(axis=-1, keepdims=True)
-            return (out * (g - dot),)
+    def vjp(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return (out * (g - dot),)
 
-        return vjp
-
-    return _emit(out, (x,), make)
+    return _emit(out, (x,), vjp)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -529,19 +462,16 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     gd = gain.data
     lead = tuple(range(xd.ndim - 1))
 
-    def make():
-        def vjp(g):
-            dgain = (g * xh).sum(axis=lead)
-            dbias = g.sum(axis=lead)
-            dxh = g * gd
-            m1 = dxh.mean(axis=-1, keepdims=True)
-            m2 = (dxh * xh).mean(axis=-1, keepdims=True)
-            dx = inv * (dxh - m1 - xh * m2)
-            return (dx, dgain, dbias)
+    def vjp(g):
+        dgain = (g * xh).sum(axis=lead)
+        dbias = g.sum(axis=lead)
+        dxh = g * gd
+        m1 = dxh.mean(axis=-1, keepdims=True)
+        m2 = (dxh * xh).mean(axis=-1, keepdims=True)
+        dx = inv * (dxh - m1 - xh * m2)
+        return (dx, dgain, dbias)
 
-        return vjp
-
-    return _emit(out, (x, gain, bias), make)
+    return _emit(out, (x, gain, bias), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -589,17 +519,14 @@ def depthwise_conv3x3(x, kernel) -> Tensor:
     h, w = xd.shape[-3], xd.shape[-2]
     lead = tuple(range(xd.ndim - 3))
 
-    def make():
-        def vjp(g):
-            gx = _dw3x3_forward(g, kd[::-1, ::-1])
-            xp = zero_pad_hw(xd)
-            gk = np.empty_like(kd)
-            for dy in range(3):
-                for dx in range(3):
-                    prod = g * xp[..., dy:dy + h, dx:dx + w, :]
-                    gk[dy, dx] = prod.sum(axis=lead + (-3, -2))
-            return (gx, gk)
+    def vjp(g):
+        gx = _dw3x3_forward(g, kd[::-1, ::-1])
+        xp = zero_pad_hw(xd)
+        gk = np.empty_like(kd)
+        for dy in range(3):
+            for dx in range(3):
+                prod = g * xp[..., dy:dy + h, dx:dx + w, :]
+                gk[dy, dx] = prod.sum(axis=lead + (-3, -2))
+        return (gx, gk)
 
-        return vjp
-
-    return _emit(out, (x, kernel), make)
+    return _emit(out, (x, kernel), vjp)

@@ -18,7 +18,7 @@ Scores must be finite; a NaN or infinity has no rank and raises
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -141,13 +141,13 @@ def _area_to_limit(fprs: np.ndarray, vals: np.ndarray, limit: float) -> float:
     return area / limit
 
 
-def au_pro(maps, masks, fpr_limit: float = 0.3) -> float:
+def au_pro(maps, masks, fpr_limit: float = ScoringConfig.fpr_limit) -> float:
     """Area under the per-region-overlap curve up to ``fpr_limit``."""
     fprs, vals = region_overlap_curve(maps, masks)
     return _area_to_limit(fprs, vals, fpr_limit)
 
 
-def spro(maps, masks, saturations, fpr_limit: float = 0.3) -> float:
+def spro(maps, masks, saturations, fpr_limit: float = ScoringConfig.fpr_limit) -> float:
     """Saturated variant: each region only needs ``saturation`` of its area
     detected for full credit."""
     fprs, vals = region_overlap_curve(maps, masks, saturations)
@@ -163,15 +163,16 @@ class EvalReport:
     per_scale: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"image_auroc": self.image_auroc, "pixel_auroc": self.pixel_auroc,
-                "au_pro": self.au_pro, "spro": self.spro, "per_scale": self.per_scale}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def evaluate(model, samples, mode: str = "likelihood", smooth_sigma: float = 4.0,
-             fuse_weight: float = 0.5, fpr_limit: float = 0.3) -> EvalReport:
+def evaluate(model, samples, mode: str = ScoringConfig.mode,
+             smooth_sigma: float = ScoringConfig.smooth_sigma,
+             fuse_weight: float = ScoringConfig.fuse_weight,
+             fpr_limit: float = ScoringConfig.fpr_limit) -> EvalReport:
     """Full test-set evaluation. ``samples`` need ``image``, ``mask``,
     ``label`` and ``saturation`` attributes; both classes must be present.
     The arguments are checked as ``ScoringConfig`` fields (``ContractError``)

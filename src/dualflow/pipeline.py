@@ -60,11 +60,7 @@ class Model:
         if attn_cfg.token_dim != emb_cfg.token_dim:
             raise ContractError("attention and embedding token widths differ")
         self.enc_cfg = enc_cfg
-        self.emb_cfg = emb_cfg
-        self.attn_cfg = attn_cfg
-        self.flow_cfg = flow_cfg
         self.variant = variant
-        self.seed = seed
 
         self.encoder = FrozenEncoder(enc_cfg)
         channels = enc_cfg.stage_channels
@@ -77,13 +73,13 @@ class Model:
         if len(set(grids)) != 1:
             raise ContractError(f"patch sizes {emb_cfg.patch_sizes} give unequal "
                                 f"token grids {grids}")
-        self.length = grids[0] * grids[0]
+        length = grids[0] * grids[0]
 
         def rng(*key):
             return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
         self.embed = PatchEmbed(channels, emb_cfg, rng(0))
-        self.attn = DualAttention(attn_cfg, self.length, rng(1))
+        self.attn = DualAttention(attn_cfg, length, rng(1))
         self.heads_self = OutputHeads(channels, emb_cfg.patch_sizes, map_sizes,
                                       emb_cfg.token_dim, rng(2))
         self.heads_mem = OutputHeads(channels, emb_cfg.patch_sizes, map_sizes,

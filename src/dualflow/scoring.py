@@ -75,7 +75,8 @@ def _sq_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)) ** 2).sum(axis=-1)
 
 
-def raw_scale_maps(model, image: np.ndarray, mode: str, fuse_weight: float = 0.5) -> list:
+def raw_scale_maps(model, image: np.ndarray, mode: str,
+                   fuse_weight: float = ScoringConfig.fuse_weight) -> list:
     """Feature-resolution score map per scale for one image."""
     if mode not in MODES:
         raise ContractError(f"unknown scoring mode {mode!r}")
@@ -98,8 +99,9 @@ def raw_scale_maps(model, image: np.ndarray, mode: str, fuse_weight: float = 0.5
     return maps
 
 
-def anomaly_map(model, image: np.ndarray, mode: str = "likelihood",
-                smooth_sigma: float = 4.0, fuse_weight: float = 0.5) -> AnomalyMap:
+def anomaly_map(model, image: np.ndarray, mode: str = ScoringConfig.mode,
+                smooth_sigma: float = ScoringConfig.smooth_sigma,
+                fuse_weight: float = ScoringConfig.fuse_weight) -> AnomalyMap:
     """Fused input-resolution anomaly map and image score for one image. The
     arguments are checked as ``ScoringConfig`` fields (``ContractError``)."""
     ScoringConfig(mode=mode, smooth_sigma=smooth_sigma, fuse_weight=fuse_weight)

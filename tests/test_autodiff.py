@@ -1,6 +1,8 @@
 """Tape engine tests: hand-computed examples, finite-difference oracles for
 every differentiable primitive, and determinism of backward."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,8 @@ def test_backward_determinism(f64):
 def test_shape_mismatch_raises():
     with pytest.raises(ShapeError):
         ad.add(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0]]))
+    with pytest.raises(ShapeError):  # sub takes two tensors, no scalar
+        ad.sub(Tensor([1.0, 2.0]), 1.0)
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError):  # batched operands with different leading axes
@@ -308,6 +312,25 @@ def test_leaky_relu_matches_two_where_form_bit_for_bit(dtype):
         with Tape() as tape:
             tape.backward(ad.sum_all(ad.leaky_relu(z)))
         assert_same_bits(z.grad, np.array([1.0, 1.0, 0.01], dtype=dtype))
+
+
+def test_taped_ops_hold_no_backward_only_arrays():
+    """After its forward a taped op holds what its vjp reads and cannot
+    rebuild, nothing more: ``leaky_relu`` its output (backward rebuilds the
+    sign mask from the input), ``gelu`` its output and ``cdf`` (backward
+    computes ``pdf``)."""
+    x = Tensor(np.linspace(-3.0, 3.0, 2 ** 20, dtype=np.float32), requires_grad=True)
+    nbytes = x.data.nbytes
+    for op, n_arrays in ((ad.leaky_relu, 1), (ad.gelu, 2)):
+        tracemalloc.start()
+        try:
+            with Tape():
+                out = op(x)
+                held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == nbytes
+        assert held <= n_arrays * nbytes + 64 * 1024, (op.__name__, held)
 
 
 def test_leaky_relu_slope_outside_unit_interval_rejected():

@@ -101,10 +101,13 @@ def test_stage_flow_rejects_structural_overrides(workspace, tmp_path, capsys):
     root, ds, cfg, ckpt = workspace
     out = tmp_path / "o.ckpt"
     out.write_bytes(ckpt.read_bytes())
-    assert main(["train", "--data", str(ds), "--out", str(out),
-                 "--stage", "flow", "--set", "flow.n_blocks=4"]) == 1
-    err = capsys.readouterr().err
-    assert "flow.n_blocks" in err
+    # train.flow_variant sizes the flows, so it is structural too
+    for override in ("flow.n_blocks=4", "train.flow_variant=P"):
+        assert main(["train", "--data", str(ds), "--out", str(out),
+                     "--stage", "flow", "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert override.split("=")[0] in err
+        assert out.read_bytes() == ckpt.read_bytes()
 
 
 def test_set_override_changes_behavior(workspace, tmp_path, capsys):
@@ -254,6 +257,12 @@ def test_symlink_leaving_the_dataset_exits_1(workspace, tmp_path, capsys):
                      "--config", str(cfg)]) == 1
         assert "outside the dataset" in capsys.readouterr().err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_selftest_passes(capsys):
+    assert main(["selftest"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 4 and all(line.startswith("ok ") for line in lines), lines
 
 
 def test_train_help_embeds_default_config(capsys):

@@ -1,5 +1,6 @@
 """Anomaly maps: bilinear upsampling, mode algebra, fusion invariants."""
 
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
@@ -104,6 +105,18 @@ def test_config_validation():
                 dict(fpr_limit=0.0), dict(mode="badmode")):
         with pytest.raises(ContractError):
             ScoringConfig(**bad)
+
+
+def test_signature_defaults_are_the_scoring_config_defaults():
+    default = ScoringConfig()
+    checked = 0
+    for fn in (anomaly_map, raw_scale_maps, evaluate, metrics.au_pro, metrics.spro):
+        params = inspect.signature(fn).parameters
+        for name in ("mode", "smooth_sigma", "fuse_weight", "fpr_limit"):
+            if name in params and params[name].default is not inspect.Parameter.empty:
+                assert params[name].default == getattr(default, name), (fn.__name__, name)
+                checked += 1
+    assert checked == 10
 
 
 def test_unknown_mode_rejected(model, probe):
