@@ -1,9 +1,15 @@
 #!/usr/bin/env python3
-"""Run the full desk benchmark: generate data, train, evaluate, report.
+"""Run the desk experiment: scoring modes and flow input variants.
 
-Produces the dataset, a trained checkpoint, and one JSON evaluation report
-per scoring mode under --workdir. Prints a summary table to stderr and the
-final likelihood-mode report to stdout.
+Generates the dataset and fits the transformer once. Then fits the flows of
+the configured variant (``flow.variant``, D by default: prior plus both
+reconstruction branches), saves that model's checkpoint and evaluates it in
+every scoring mode. Each other variant (P: prior features only; P-S / P-M:
+prior plus one reconstruction branch) gets fresh flows on the same
+transformer and is evaluated in likelihood mode. Writes one JSON report per
+cell, ``report_<mode>.json`` and ``report_likelihood_<variant>.json``, prints
+a summary table to stderr and ``{"train_seconds", "cells"}`` as JSON to
+stdout.
 
 Usage:
     python3 scripts/run_desk_benchmark.py --workdir runs/desk [--seed 0]
@@ -16,8 +22,11 @@ import time
 from pathlib import Path
 
 from dualflow import (DatasetSpec, default_run_config, evaluate, generate,
-                      load, save_checkpoint, test_split, train, train_split)
+                      load, save_checkpoint, switch_variant, test_split, train,
+                      train_split)
 from dualflow.config import apply_overrides
+from dualflow.flow import FLOW_VARIANTS
+from dualflow.pipeline import train_flow
 from dualflow.scoring import MODES
 
 
@@ -53,25 +62,36 @@ def main() -> int:
     print(f"trained in {train_s:.0f}s; checkpoint at {ckpt}", file=sys.stderr)
 
     rows = []
-    for mode in MODES:
+
+    def record(cell, scored, mode):
         t0 = time.perf_counter()
-        report = evaluate(model, test_samples, mode=mode,
+        report = evaluate(scored, test_samples, mode=mode,
                           smooth_sigma=rc.scoring.smooth_sigma,
                           fuse_weight=rc.scoring.fuse_weight,
                           fpr_limit=rc.scoring.fpr_limit)
-        (workdir / f"report_{mode}.json").write_text(report.to_json())
-        rows.append((mode, report, time.perf_counter() - t0))
+        (workdir / f"report_{cell}.json").write_text(report.to_json())
+        rows.append((cell, report, time.perf_counter() - t0))
 
-    header = f"{'mode':<14} {'img AUROC':>9} {'pix AUROC':>9} {'AU-PRO':>7} {'sPRO':>7} {'sec':>5}"
+    for mode in MODES:
+        record(mode, model, mode)
+    for variant in FLOW_VARIANTS:
+        if variant == rc.flow.variant:
+            continue
+        print(f"stage 2: flows, variant {variant} ...", file=sys.stderr)
+        alt = switch_variant(model, rc, variant)
+        train_flow(alt, train_images, rc.train, log=log)
+        record(f"likelihood_{variant}", alt, "likelihood")
+
+    header = f"{'cell':<16} {'img AUROC':>9} {'pix AUROC':>9} {'AU-PRO':>7} {'sPRO':>7} {'sec':>5}"
     print(header, file=sys.stderr)
     print("-" * len(header), file=sys.stderr)
-    for mode, rep, sec in rows:
-        print(f"{mode:<14} {rep.image_auroc:>9.4f} {rep.pixel_auroc:>9.4f} "
+    for cell, rep, sec in rows:
+        print(f"{cell:<16} {rep.image_auroc:>9.4f} {rep.pixel_auroc:>9.4f} "
               f"{rep.au_pro:>7.4f} {rep.spro:>7.4f} {sec:>5.1f}", file=sys.stderr)
 
-    likelihood = next(rep for mode, rep, _ in rows if mode == "likelihood")
     print(json.dumps({"train_seconds": round(train_s, 1),
-                      **likelihood.to_dict()}, indent=2))
+                      "cells": {cell: rep.to_dict() for cell, rep, _ in rows}},
+                     indent=2))
     return 0
 
 

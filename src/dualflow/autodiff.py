@@ -397,8 +397,10 @@ def sum_batch(x) -> Tensor:
     axes = tuple(range(1, x.data.ndim))
 
     def vjp(g):
+        # a read-only view: whatever consumes it (a vjp or ``Tape.backward``'s
+        # accumulation) writes its result to a new array
         expand = g.reshape((in_shape[0],) + (1,) * (len(in_shape) - 1))
-        return (np.broadcast_to(expand, in_shape).astype(g.dtype, copy=True),)
+        return (np.broadcast_to(expand, in_shape),)
 
     return _emit(x.data.sum(axis=axes), (x,), vjp)
 

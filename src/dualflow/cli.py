@@ -46,14 +46,13 @@ def cmd_train(args) -> int:
     if args.stage == "flow":
         # Resume from the checkpoint written by the transformer stage; its
         # embedded config defines the architecture, so only non-structural
-        # overrides are permitted here. train.flow_variant sizes the flows.
+        # overrides are permitted here.
         for pair in args.set or []:
             key = pair.split("=", 1)[0].strip()
-            if not key.startswith(("train.", "scoring.")) or key == "train.flow_variant":
+            if not key.startswith(("train.", "scoring.")):
                 raise ContractError(
                     f"--stage flow resumes an existing checkpoint; only train.* "
-                    f"and scoring.* overrides other than train.flow_variant "
-                    f"apply, got {key!r}")
+                    f"and scoring.* overrides apply, got {key!r}")
         model, rc = load_checkpoint(args.out)
         rc = apply_overrides(rc, args.set or [])
         pipeline.train_flow(model, images, rc.train, log=log)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, ShapeError
 
 TEXTURES = ("stripes", "checker", "blobs")
 ANOMALY_KINDS = ("patch", "scratch", "swap")
@@ -194,32 +194,32 @@ def apply_anomaly(image: np.ndarray, kind: str, rng: np.random.Generator):
 # netpbm io
 
 
+def _write_netpbm(path, magic: str, raster: np.ndarray, maxval: int, comment: str = "") -> None:
+    """Binary netpbm: the header, then ``raster``'s bytes as they lie. A P6
+    raster is (H, W, 3), a P5 one (H, W)."""
+    if raster.ndim < 2 or raster.shape[2:] != ((3,) if magic == "P6" else ()):
+        raise ShapeError(f"{magic} raster cannot have shape {raster.shape}")
+    h, w = raster.shape[:2]
+    header = f"{magic}\n{'# ' + comment + chr(10) if comment else ''}{w} {h}\n{maxval}\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(raster.tobytes())
+
+
 def write_ppm(path, image: np.ndarray) -> None:
     """Binary P6 with maxval 255 from a [0, 1] float image."""
     arr = np.clip(np.asarray(image) * 255.0 + 0.5, 0, 255).astype(np.uint8)
-    h, w, _ = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())
+    _write_netpbm(path, "P6", arr, 255)
 
 
 def write_pgm(path, mask: np.ndarray) -> None:
     """Binary P5 with maxval 255; True maps to 255."""
-    arr = (np.asarray(mask, dtype=bool) * np.uint8(255))
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())
+    _write_netpbm(path, "P5", np.asarray(mask, dtype=bool) * np.uint8(255), 255)
 
 
 def write_pgm16(path, values: np.ndarray, comment: str = "") -> None:
     """16-bit P5 (big-endian samples per the format) for score heatmaps."""
-    arr = np.asarray(values, dtype=np.uint16)
-    h, w = arr.shape
-    header = f"P5\n{'# ' + comment + chr(10) if comment else ''}{w} {h}\n65535\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(arr.astype(">u2").tobytes())
+    _write_netpbm(path, "P5", np.asarray(values, dtype=np.uint16).astype(">u2"), 65535, comment)
 
 
 def _read_netpbm_header(fh, path):
@@ -254,39 +254,31 @@ def _read_netpbm_header(fh, path):
     return magic, w, h, maxval
 
 
-def _read_raster(fh, path, n: int) -> bytes:
-    """The next ``n`` bytes, checked against the file size first so that a
-    corrupt header cannot request a huge read."""
-    if n > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise DataError(f"{path}: truncated pixel data")
-    return fh.read(n)
+def _read_netpbm(path, what: str, magic: bytes, channels: int) -> np.ndarray:
+    """(H, W, channels) uint8 raster of a binary maxval-255 file. The raster
+    size is checked against the file size first, so that a corrupt header
+    cannot request a huge read."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open {what} ({exc.strerror})") from exc
+    with fh:
+        got, w, h, maxval = _read_netpbm_header(fh, path)
+        if got != magic or maxval != 255:
+            raise DataError(f"{path}: expected binary {magic.decode()} maxval 255")
+        n = w * h * channels
+        if n > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise DataError(f"{path}: truncated pixel data")
+        raw = fh.read(n)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, channels)
 
 
 def read_ppm(path) -> np.ndarray:
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot open image ({exc.strerror})") from exc
-    with fh:
-        magic, w, h, maxval = _read_netpbm_header(fh, path)
-        if magic != b"P6" or maxval != 255:
-            raise DataError(f"{path}: expected binary P6 maxval 255")
-        raw = _read_raster(fh, path, w * h * 3)
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-    return arr.astype(np.float64) / 255.0
+    return _read_netpbm(path, "image", b"P6", 3).astype(np.float64) / 255.0
 
 
 def read_pgm(path) -> np.ndarray:
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot open mask ({exc.strerror})") from exc
-    with fh:
-        magic, w, h, maxval = _read_netpbm_header(fh, path)
-        if magic != b"P5" or maxval != 255:
-            raise DataError(f"{path}: expected binary P5 maxval 255")
-        raw = _read_raster(fh, path, w * h)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w) > 127
+    return _read_netpbm(path, "mask", b"P5", 1)[..., 0] > 127
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,15 @@ FLOW_VARIANTS = {
 
 @dataclass(frozen=True)
 class FlowConfig:
+    variant: str = "D"
     n_blocks: int = 8
     clamp: float = 2.0
     hidden_ratio: float = 2.0
 
     def __post_init__(self):
+        if self.variant not in FLOW_VARIANTS:
+            raise ContractError(f"variant must be one of {sorted(FLOW_VARIANTS)}, "
+                                f"got {self.variant!r}")
         if self.n_blocks < 1:
             raise ContractError("flow needs at least one coupling layer")
         if not (np.isfinite(self.clamp) and self.clamp > 0):
@@ -82,7 +86,9 @@ class Subnet:
 class CouplingLayer:
     """One flow step: an optional fixed channel permutation (volume
     preserving), then an affine coupling over a channel split. ``flip``
-    alternates which half is transformed. forward returns the output and the
+    alternates which half is transformed; on an odd width the two halves
+    differ by one channel, and each subnet reads the conditioning half and
+    predicts the transformed one. forward returns the output and the
     clamped log-scale field; its per-location channel sum is the exact local
     Jacobian term, and the permutation adds nothing to it."""
 
@@ -96,10 +102,11 @@ class CouplingLayer:
         self.flip = flip
         self.perm = perm
         self.inv = None if perm is None else np.argsort(perm)
-        n_a, n_b = self.n_a, channels - self.n_a
-        hidden = max(1, int(round(n_a * hidden_ratio)))
-        self.s_net = Subnet(n_a, n_b, rng, hidden)
-        self.t_net = Subnet(n_a, n_b, rng, hidden)
+        n_rest = channels - self.n_a
+        n_in, n_out = (n_rest, self.n_a) if flip else (self.n_a, n_rest)
+        hidden = max(1, int(round(n_in * hidden_ratio)))
+        self.s_net = Subnet(n_in, n_out, rng, hidden)
+        self.t_net = Subnet(n_in, n_out, rng, hidden)
 
     def params(self):
         out = {}

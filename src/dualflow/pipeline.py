@@ -10,7 +10,7 @@ The parameter sets of the two stages are disjoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,13 +30,9 @@ class TrainConfig:
     stage1_epochs: int = 50
     stage2_epochs: int = 30
     seed: int = 0
-    flow_variant: str = "D"
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.flow_variant not in FLOW_VARIANTS:
-            raise ContractError(f"flow_variant must be one of {sorted(FLOW_VARIANTS)}, "
-                                f"got {self.flow_variant!r}")
         if self.batch_size < 1 or not (math.isfinite(self.lr) and self.lr > 0):
             raise ContractError("batch_size must be >= 1 and lr finite and positive")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
@@ -47,20 +43,18 @@ class TrainConfig:
 
 class Model:
     """Frozen extractor + tokenizer + dual-attention reconstructor + one
-    flow stack per scale. Learnable state is reachable through
+    flow stack per scale, sized for the flow input variant
+    ``flow_cfg.variant``. Learnable state is reachable through
     ``parameters()``; fitted statistics through ``buffers()``."""
 
     def __init__(self, enc_cfg: EncoderConfig = EncoderConfig(),
                  emb_cfg: PatchEmbedConfig = PatchEmbedConfig(),
                  attn_cfg: DualAttnConfig = DualAttnConfig(),
-                 flow_cfg: FlowConfig = FlowConfig(),
-                 variant: str = "D", seed: int = 0):
-        if variant not in FLOW_VARIANTS:
-            raise ContractError(f"unknown flow variant {variant!r}")
+                 flow_cfg: FlowConfig = FlowConfig(), seed: int = 0):
         if attn_cfg.token_dim != emb_cfg.token_dim:
             raise ContractError("attention and embedding token widths differ")
         self.enc_cfg = enc_cfg
-        self.variant = variant
+        self.variant = flow_cfg.variant
 
         self.encoder = FrozenEncoder(enc_cfg)
         channels = enc_cfg.stage_channels
@@ -84,7 +78,7 @@ class Model:
                                       emb_cfg.token_dim, rng(2))
         self.heads_mem = OutputHeads(channels, emb_cfg.patch_sizes, map_sizes,
                                      emb_cfg.token_dim, rng(3))
-        n_branch = len(FLOW_VARIANTS[variant])
+        n_branch = len(FLOW_VARIANTS[self.variant])
         self.flows = [FlowStack(c * n_branch, flow_cfg, rng(4, i))
                       for i, c in enumerate(channels)]
 
@@ -225,6 +219,11 @@ def train_transformer(model: Model, images, cfg: TrainConfig, log=None) -> None:
     each (B, H, W, C) batch."""
     if len(images) == 0:
         raise ContractError("training needs at least one image")
+    want = (model.enc_cfg.in_size, model.enc_cfg.in_size, 3)
+    for i, image in enumerate(images):
+        if np.shape(image) != want:  # before np.stack, which raises ValueError
+            raise ShapeError(f"training image {i} has shape {np.shape(image)}, "
+                             f"the model expects {want}")
     model.set_image_norm(*flow_input_stats([np.stack(images)])[0])
     stacked = _stacked_pyramids(model, images)
     opt = AdamW(list(model.transformer_parameters().values()), lr=cfg.lr,
@@ -306,12 +305,11 @@ def train_flow(model: Model, images, cfg: TrainConfig, log=None) -> None:
     model.flow_trained = True
 
 
-def build_model(rc, variant: str | None = None) -> Model:
+def build_model(rc) -> Model:
     """Model from a run config bundle (attributes: encoder, patch_embed,
     attention, flow, train)."""
     return Model(enc_cfg=rc.encoder, emb_cfg=rc.patch_embed, attn_cfg=rc.attention,
-                 flow_cfg=rc.flow, variant=variant or rc.train.flow_variant,
-                 seed=rc.train.seed)
+                 flow_cfg=rc.flow, seed=rc.train.seed)
 
 
 def train(images, rc, log=None) -> Model:
@@ -326,7 +324,7 @@ def switch_variant(model: Model, rc, variant: str) -> Model:
     """New model with a copy of ``model``'s stage-1 parameters and image
     statistics but fresh flows sized for ``variant`` (to retrain the flows
     under a different variant)."""
-    out = build_model(rc, variant=variant)
+    out = build_model(replace(rc, flow=replace(rc.flow, variant=variant)))
     src, dst = model.transformer_parameters(), out.transformer_parameters()
     if src.keys() != dst.keys():
         raise ContractError("transformer parameter sets differ between models")

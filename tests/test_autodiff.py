@@ -333,6 +333,23 @@ def test_taped_ops_hold_no_backward_only_arrays():
         assert held <= n_arrays * nbytes + 64 * 1024, (op.__name__, held)
 
 
+def test_sum_batch_backward_builds_no_full_size_gradient():
+    """``sum_batch``'s vjp hands on a broadcast view of the (B,) gradient;
+    the only full-size array its backward allocates is the leaf's own
+    ``.grad``."""
+    x = Tensor(np.ones((8, 64, 64, 16), dtype=np.float32), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.sum_batch(x))
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
+    assert peak <= x.data.nbytes + 64 * 1024, peak
+
+
 def test_leaky_relu_slope_outside_unit_interval_rejected():
     for slope in (-0.1, 1.5, float("nan")):
         with pytest.raises(ContractError):

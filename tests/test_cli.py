@@ -101,8 +101,8 @@ def test_stage_flow_rejects_structural_overrides(workspace, tmp_path, capsys):
     root, ds, cfg, ckpt = workspace
     out = tmp_path / "o.ckpt"
     out.write_bytes(ckpt.read_bytes())
-    # train.flow_variant sizes the flows, so it is structural too
-    for override in ("flow.n_blocks=4", "train.flow_variant=P"):
+    # flow.variant sizes the flows: the prefix rule covers it with the rest
+    for override in ("flow.n_blocks=4", "flow.variant=P"):
         assert main(["train", "--data", str(ds), "--out", str(out),
                      "--stage", "flow", "--set", override]) == 1
         err = capsys.readouterr().err
@@ -256,6 +256,18 @@ def test_symlink_leaving_the_dataset_exits_1(workspace, tmp_path, capsys):
         assert main(["train", "--data", str(copy), "--out", str(tmp_path / "m.ckpt"),
                      "--config", str(cfg)]) == 1
         assert "outside the dataset" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_mixed_size_training_images_exit_1(workspace, tmp_path, capsys):
+    _, ds, cfg, _ = workspace
+    copy = tmp_path / "ds"
+    shutil.copytree(ds, copy)
+    data.write_ppm(copy / "train" / "0001.ppm", np.zeros((16, 16, 3)))
+    assert main(["train", "--data", str(copy), "--out", str(tmp_path / "m.ckpt"),
+                 "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "training image 1 has shape (16, 16, 3)" in err
     assert not (tmp_path / "m.ckpt").exists()
 
 

@@ -28,7 +28,7 @@ def log_likelihood(z: np.ndarray, logdet: np.ndarray) -> np.ndarray:
 def test_config_validation():
     for bad in (dict(n_blocks=0), dict(clamp=0.0), dict(clamp=float("nan")),
                 dict(clamp=float("inf")), dict(hidden_ratio=-1.0), dict(hidden_ratio=0.0),
-                dict(hidden_ratio=float("nan"))):
+                dict(hidden_ratio=float("nan")), dict(variant="Q"), dict(variant="d")):
         with pytest.raises(ContractError):
             FlowConfig(**bad)
 
@@ -121,6 +121,29 @@ def test_logdet_matches_numeric_jacobian(seed):
         _, ref = np.linalg.slogdet(jac)
         rel = abs(logdet.data[0] - ref) / max(abs(ref), 1.0)
         assert rel < 1e-3, f"seed {seed}: analytic {logdet.data[0]:.6f} vs jacobian {ref:.6f}"
+
+
+def test_odd_width_forward_inverse_and_log_det():
+    """On 15 channels the halves are 7 and 8 wide; each subnet reads the
+    conditioning half, so a flipped coupling reads 8 channels and predicts
+    7."""
+    with using_dtype(np.float64):
+        rng = np.random.default_rng(7)
+        shape = (1, 2, 2, 15)  # 60 dims
+        stack = perturb(FlowStack(15, FlowConfig(n_blocks=3), np.random.default_rng(6)),
+                        rng, scale=0.4)
+        assert [c.s_net.dw_k.shape[-1] for c in stack.couplings] == [7, 8, 7]
+        assert [c.t_net.pw2_w.shape[-1] for c in stack.couplings] == [8, 7, 8]
+        u0 = rng.normal(size=shape)
+        z, fields = stack.forward(Tensor(u0))
+        assert np.abs(stack.inverse(z).data - u0).max() < 1e-10
+
+        def flat_forward(flat):
+            return stack.forward(Tensor(flat.reshape(shape)))[0].data.reshape(-1)
+
+        _, ref = np.linalg.slogdet(numeric_jacobian(flat_forward, u0.reshape(-1)))
+        got = stack.log_det(fields).data[0]
+        assert abs(got - ref) / max(abs(ref), 1.0) < 1e-3
 
 
 def test_density_normalizes_by_quadrature(rng):

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dualflow.autodiff import Tape, Tensor, reset_grads, using_dtype
 from dualflow.checkpoint import load_checkpoint, save_checkpoint
 from dualflow.cli import main
 from dualflow.encoder import EncoderConfig, PatchEmbedConfig
-from dualflow.errors import CheckpointError, ContractError, NumericError
+from dualflow.errors import CheckpointError, ContractError, NumericError, ShapeError
 from dualflow.flow import FlowConfig, FlowStack
 from dualflow.gradcheck import check_gradients, max_rel_error
 from dualflow.pipeline import (TrainConfig, build_model, collect_joints, loss_flow, recon_loss,
@@ -141,7 +142,7 @@ def test_train_config_validation():
     nan, inf = float("nan"), float("inf")
     for bad in (dict(lr=nan), dict(lr=inf), dict(lr=0.0), dict(batch_size=0),
                 dict(weight_decay=-1.0), dict(weight_decay=nan), dict(stage1_epochs=-3),
-                dict(stage2_epochs=-1), dict(seed=-1), dict(flow_variant="Q")):
+                dict(stage2_epochs=-1), dict(seed=-1)):
         with pytest.raises(ContractError):
             TrainConfig(**bad)
 
@@ -151,6 +152,18 @@ def test_flow_stage_requires_trained_transformer():
     model = build_model(rc)
     with pytest.raises(ContractError):
         train_flow(model, tiny_images(2), rc.train)
+
+
+def test_mixed_size_training_images_raise_shape_error():
+    # a ShapeError naming the image, not numpy's ValueError from np.stack
+    rc = tiny_run_config()
+    images = tiny_images(3) + tiny_images(1, size=16)
+    model = build_model(rc)
+    with pytest.raises(ShapeError, match=r"training image 3 has shape \(16, 16, 3\)"):
+        train_transformer(model, images, rc.train)
+    train_transformer(model, images[:3], rc.train)
+    with pytest.raises(ShapeError, match="encoder expects image of shape"):
+        train_flow(model, images, rc.train)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +357,8 @@ def test_switch_variant_shares_transformer():
 
 def test_joint_arrays_variant_selection():
     rc = tiny_run_config()
-    model_p, model_d = build_model(rc, variant="P"), build_model(rc, variant="D")
+    model_p = build_model(replace(rc, flow=replace(rc.flow, variant="P")))
+    model_d = build_model(rc)
     image = tiny_images(1)[0]
     pyr = model_d.prior_features(image)
     rs, rm = model_d.reconstruct(pyr)
@@ -481,6 +495,21 @@ def test_checkpoint_bad_config_echo_rejected(tmp_path):
         assert blob.count(good) == 1 and len(good) == len(bad)
         (tmp_path / "cfg.ckpt").write_bytes(blob.replace(good, bad))
         _assert_rejected(tmp_path / "cfg.ckpt", match=match)
+
+
+def test_checkpoint_with_train_flow_variant_rejected(tmp_path, capsys):
+    # an echo written while the variant was a [train] key
+    rc = tiny_run_config()
+    blob = _saved(build_model(rc), rc, tmp_path).read_bytes()
+    start = blob.index(b"[encoder]")
+    echo = blob[start:].replace(b"[flow]\nvariant = D\n", b"[flow]\n")
+    echo = echo.replace(b"[train]\n", b"[train]\nflow_variant = D\n")
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(blob[:start - 4] + struct.pack("<I", len(echo)) + echo)
+    _assert_rejected(path, match="unknown config key train.flow_variant")
+    capsys.readouterr()
+    assert main(["eval", "--data", str(tmp_path), "--ckpt", str(path)]) == 1
+    assert "train.flow_variant" in capsys.readouterr().err
 
 
 def test_checkpoint_non_positive_std_rejected(tmp_path):
