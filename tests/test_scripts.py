@@ -2,13 +2,15 @@
 a fresh work directory, with training cut to zero epochs so that only the
 wiring (data generation, fitting, evaluation, reports) is exercised. A
 rename in the package then fails here rather than in a long experiment
-run."""
+run. The script runs once per module; each test reads its own cells."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dualflow
 from dualflow.flow import FLOW_VARIANTS
@@ -18,22 +20,37 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 ZERO_EPOCHS = ["--set", "train.stage1_epochs=0", "--set", "train.stage2_epochs=0"]
 
 
-def test_desk_benchmark_script(tmp_path):
+@pytest.fixture(scope="module")
+def desk_run(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("desk")
     src = str(Path(dualflow.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(SCRIPTS / "run_desk_benchmark.py"),
-                           "--workdir", str(tmp_path), *ZERO_EPOCHS],
+                           "--workdir", str(workdir), *ZERO_EPOCHS],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    summary = json.loads(proc.stdout)
+    return workdir, json.loads(proc.stdout)
+
+
+def test_desk_benchmark_script(desk_run):
+    workdir, summary = desk_run
     assert set(summary) == {"train_seconds", "cells"}
     # every scoring mode of the default variant D, then likelihood for the others
     want = list(MODES) + [f"likelihood_{v}" for v in FLOW_VARIANTS if v != "D"]
     assert len(want) == 8 and list(summary["cells"]) == want
-    assert sorted(p.name for p in tmp_path.glob("report_*.json")) == \
+    assert sorted(p.name for p in workdir.glob("report_*.json")) == \
         sorted(f"report_{cell}.json" for cell in want)
+    assert (workdir / "model.ckpt").is_file()
+
+
+def test_ablations_script(desk_run):
+    # the ablation cells: three reconstruction modes and the likelihood of
+    # every flow variant (D's is the plain "likelihood" cell)
+    workdir, summary = desk_run
+    want = ["recon_self", "recon_mem", "recon_fused"]
+    want += ["likelihood" if v == "D" else f"likelihood_{v}" for v in FLOW_VARIANTS]
+    assert len(want) == 3 + len(FLOW_VARIANTS) and set(want) <= set(summary["cells"])
     for cell in want:
-        assert json.loads((tmp_path / f"report_{cell}.json").read_text()) == \
+        assert json.loads((workdir / f"report_{cell}.json").read_text()) == \
             summary["cells"][cell]
-    assert (tmp_path / "model.ckpt").is_file()
