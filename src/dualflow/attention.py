@@ -34,7 +34,6 @@ class DualAttnConfig:
     heads: int = 4
     token_dim: int = 96
     mlp_ratio: int = 4
-    memorial_query_source: str = "stream"
 
     def __post_init__(self):
         if self.depth < 0:
@@ -43,8 +42,6 @@ class DualAttnConfig:
             raise ContractError(f"token_dim {self.token_dim} must divide over {self.heads} heads")
         if self.mlp_ratio < 1:
             raise ContractError("mlp_ratio must be >= 1")
-        if self.memorial_query_source not in ("stream", "input"):
-            raise ContractError("memorial_query_source must be 'stream' or 'input'")
 
 
 def _linear_params(rng, d_in, d_out, dt):
@@ -151,11 +148,9 @@ class DualAttention:
     final (self tokens, memorial tokens) pair, both shaped like the input
     tokens (..., L, D). It owns the fixed (L, D) position table ``pos``,
     built once here and added to the input tokens and to every level's
-    memory tokens. The memorial queries read the feature stream
-    (``memorial_query_source = "stream"``) or, at every level, the
-    positioned input tokens (``"input"``). The per-level memory tokens are
-    (L, D) parameters, broadcast over the leading (batch) axes of the
-    input."""
+    memory tokens. At every level the memorial queries read the feature
+    stream as it enters that level. The per-level memory tokens are (L, D)
+    parameters, broadcast over the leading (batch) axes of the input."""
 
     def __init__(self, cfg: DualAttnConfig, length: int, rng):
         self.cfg = cfg
@@ -189,16 +184,11 @@ class DualAttention:
             return ad.broadcast_lead(ad.add(self.memory[level], self.pos), tokens.shape)
 
         feat = ad.add(tokens, self.pos)
-        q_src = feat  # "input" keeps the level-0 (positioned input) tokens
         mem = memory(0)
         for level in range(self.cfg.depth):
             if level > 0:
                 mem = ad.add(mem, memory(level))
-            if self.cfg.memorial_query_source == "stream":
-                q_src = feat
-            new_feat = self.self_blocks[level](feat)
-            mem = self.mem_blocks[level](q_src, mem)
-            feat = new_feat
+            feat, mem = self.self_blocks[level](feat), self.mem_blocks[level](feat, mem)
         return feat, mem
 
 

@@ -9,8 +9,8 @@ the ``.grad`` field of leaf tensors. Work only the gradient needs therefore
 runs inside the closure. Without an active tape the same functions are plain
 numpy math and the closures are dropped unrun, which is how inference runs.
 
-The float width is a build-wide switch: ``set_default_dtype(np.float64)``
-before constructing a model gives a float64 build for verification, the
+The float width is a build-wide switch: a model constructed inside
+``with using_dtype(np.float64):`` is a float64 build for verification, the
 default is float32.
 """
 
@@ -38,27 +38,22 @@ class _TapeStack(threading.local):
 _tls = _TapeStack()
 
 
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ContractError(f"default dtype must be float32 or float64, got {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
 def default_dtype():
     return _DEFAULT_DTYPE
 
 
 @contextmanager
 def using_dtype(dtype):
-    """Temporarily switch the build-wide float width."""
-    prev = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    """Temporarily switch the build-wide float width (float32 or float64)."""
+    global _DEFAULT_DTYPE
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ContractError(f"default dtype must be float32 or float64, got {dtype}")
+    prev, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype.type
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        _DEFAULT_DTYPE = prev
 
 
 def active_tape():

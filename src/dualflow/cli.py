@@ -73,7 +73,7 @@ def cmd_score(args) -> int:
     if image.shape[0] != expected or image.shape[1] != expected:
         raise ShapeError(f"checkpoint expects {expected}x{expected} images, "
                          f"got {image.shape[1]}x{image.shape[0]}")
-    amap = scoring.anomaly_map(model, image, mode=args.mode,
+    amap = scoring.anomaly_map(model, image, mode=args.mode or rc.scoring.mode,
                                smooth_sigma=rc.scoring.smooth_sigma,
                                fuse_weight=rc.scoring.fuse_weight)
     if args.heatmap:
@@ -113,16 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "discriminative normalizing flows.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = data.DatasetSpec()
     p = sub.add_parser("gen-data", help="generate a synthetic defect dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--texture", default="stripes", choices=data.TEXTURES)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--n-train", type=int, default=192)
-    p.add_argument("--n-test-normal", type=int, default=16)
-    p.add_argument("--n-test-anomalous", type=int, default=24)
-    p.add_argument("--kinds", default=",".join(data.ANOMALY_KINDS),
+    p.add_argument("--texture", default=spec.texture, choices=data.TEXTURES)
+    p.add_argument("--size", type=int, default=spec.image_size)
+    p.add_argument("--n-train", type=int, default=spec.n_train)
+    p.add_argument("--n-test-normal", type=int, default=spec.n_test_normal)
+    p.add_argument("--n-test-anomalous", type=int, default=spec.n_test_anomalous)
+    p.add_argument("--kinds", default=",".join(spec.anomaly_kinds),
                    help="comma-separated subset of patch,scratch,swap")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=spec.seed)
     p.set_defaults(fn=cmd_gen_data)
 
     epilog = ("default config:\n\n" +
@@ -142,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score one PPM image against a checkpoint")
     p.add_argument("--image", required=True, help="input PPM (P6)")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--mode", default="likelihood", choices=scoring.MODES)
+    p.add_argument("--mode", choices=scoring.MODES,
+                   help="override the checkpoint's scoring mode")
     p.add_argument("--heatmap", help="write 16-bit PGM anomaly heatmap here")
     p.set_defaults(fn=cmd_score)
 

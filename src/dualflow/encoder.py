@@ -29,7 +29,6 @@ STAGE_STRIDES = (4, 8, 16)
 class EncoderConfig:
     in_size: int = 64
     stage_channels: tuple = (16, 32, 64)
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.stage_channels) != 3:
@@ -38,8 +37,6 @@ class EncoderConfig:
             raise ContractError("stage channel counts must be positive")
         if self.in_size % 16 != 0 or self.in_size <= 0:
             raise ContractError(f"in_size must be a positive multiple of 16, got {self.in_size}")
-        if self.seed < 0:
-            raise ContractError("encoder seed must be non-negative")
 
 
 def _conv3x3_s2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -56,13 +53,14 @@ def _conv3x3_s2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class FrozenEncoder:
-    """Four 3x3 stride-2 convs with seeded Kaiming-style weights. Feature
-    taps sit at strides 4, 8 and 16; weights are plain arrays, so nothing
-    here can ever appear in an optimizer."""
+    """Four 3x3 stride-2 convs with Kaiming-style weights drawn from one
+    fixed seed, like one fixed pretrained backbone. Feature taps sit at
+    strides 4, 8 and 16; weights are plain arrays, so nothing here can ever
+    appear in an optimizer."""
 
     def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        rng = np.random.default_rng(np.random.SeedSequence(0))
         c1, c2, c3 = cfg.stage_channels
         dt = default_dtype()
         plans = [(3, c1), (c1, c1), (c1, c2), (c2, c3)]

@@ -26,6 +26,11 @@ from .flow import per_location_stats
 
 MODES = ("likelihood", "latent_norm", "recon_self", "recon_mem", "recon_fused")
 
+# Largest accepted smoothing sigma. ``gaussian_filter``'s kernel has 8σ+1
+# taps, so its time and memory grow with σ without bound; 256 is already four
+# times the width of a default 64x64 map.
+MAX_SMOOTH_SIGMA = 256.0
+
 
 @dataclass(frozen=True)
 class ScoringConfig:
@@ -37,8 +42,9 @@ class ScoringConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ContractError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (np.isfinite(self.smooth_sigma) and self.smooth_sigma >= 0):
-            raise ContractError("smooth_sigma must be finite and non-negative (0: no smoothing)")
+        if not (0 <= self.smooth_sigma <= MAX_SMOOTH_SIGMA):
+            raise ContractError(f"smooth_sigma must lie in [0, {MAX_SMOOTH_SIGMA}] "
+                                "(0: no smoothing)")
         if not (0.0 <= self.fuse_weight <= 1.0):
             raise ContractError("fuse_weight must lie in [0, 1]")
         if not (0.0 < self.fpr_limit <= 1.0):

@@ -225,23 +225,14 @@ def check_gradcheck() -> tuple[bool, str]:
         w_q = Tensor(rng.normal(0, 0.3, size=(6, 6)), requires_grad=True)
         gain = Tensor(np.ones(6), requires_grad=True)
         bias = Tensor(np.zeros(6), requires_grad=True)
-        x = Tensor(rng.normal(size=(4, 6)))
+        for x in (Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(2, 4, 6)))):
 
-        def attn_loss():
-            h = ad.layer_norm(x, gain, bias)
-            out = _multi_head(ad.matmul(h, w_q), h, h, heads=2)
-            return ad.sum_all(ad.mul(ad.gelu(out), ad.tanh(out)))
+            def attn_loss():
+                h = ad.layer_norm(x, gain, bias)
+                out = _multi_head(ad.matmul(h, w_q), h, h, heads=2)
+                return ad.sum_all(ad.mul(ad.gelu(out), ad.tanh(out)))
 
-        worst = max(worst, check_gradients(attn_loss, [w_q, gain, bias]))
-
-        xb = Tensor(rng.normal(size=(2, 4, 6)))
-
-        def batched_attn_loss():
-            h = ad.layer_norm(xb, gain, bias)
-            out = _multi_head(ad.matmul(h, w_q), h, h, heads=2)
-            return ad.sum_all(ad.mul(ad.gelu(out), ad.tanh(out)))
-
-        worst = max(worst, check_gradients(batched_attn_loss, [w_q, gain, bias]))
+            worst = max(worst, check_gradients(attn_loss, [w_q, gain, bias]))
         if worst >= 1e-4:
             return False, f"worst rel err {worst:.3e} >= 1e-4"
     return True, f"worst rel err {worst:.1e}"

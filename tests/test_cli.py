@@ -9,7 +9,9 @@ import pytest
 from helpers import replace_with_symlink
 
 from dualflow import data
+from dualflow.checkpoint import load_checkpoint, save_checkpoint
 from dualflow.cli import main
+from dualflow.config import apply_overrides, default_run_config, render_run_config
 
 TINY_CONFIG = """\
 [encoder]
@@ -135,6 +137,20 @@ def test_score_prints_parseable_value(workspace, tmp_path, capsys):
     assert np.isfinite(value)
 
 
+def test_score_defaults_to_the_checkpoint_mode(workspace, tmp_path, capsys):
+    root, ds, cfg, ckpt = workspace
+    model, rc = load_checkpoint(ckpt)
+    latent = tmp_path / "latent.ckpt"
+    save_checkpoint(model, apply_overrides(rc, ["scoring.mode=latent_norm"]), latent)
+    img = str(ds / next(s.path for s in data.load(ds) if s.split == "test"))
+    printed = {}
+    for mode in (None, "latent_norm", "likelihood"):
+        flags = ["--mode", mode] if mode else []
+        assert main(["score", "--image", img, "--ckpt", str(latent), *flags]) == 0
+        printed[mode] = capsys.readouterr().out
+    assert printed[None] == printed["latent_norm"] != printed["likelihood"]
+
+
 def test_score_heatmap_roundtrip(workspace, tmp_path, capsys):
     root, ds, cfg, ckpt = workspace
     samples = data.load(ds)
@@ -212,7 +228,8 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     "train.lr=nan", "train.lr=inf", "flow.clamp=nan", "flow.clamp=inf",
     "flow.hidden_ratio=-1", "train.weight_decay=-1", "scoring.smooth_sigma=nan",
-    "scoring.smooth_sigma=-2", "patch_embed.token_dim=0", "train.stage1_epochs=-3"])
+    "scoring.smooth_sigma=-2", "scoring.smooth_sigma=1e8", "patch_embed.token_dim=0",
+    "train.stage1_epochs=-3"])
 def test_malformed_config_value_exits_1(workspace, tmp_path, capsys, override):
     _, ds, cfg, _ = workspace
     assert main(["train", "--data", str(ds), "--out", str(tmp_path / "m.ckpt"),
@@ -283,3 +300,21 @@ def test_train_help_embeds_default_config(capsys):
     assert e.value.code == 0
     text = capsys.readouterr().out
     assert "[encoder]" in text and "stage_channels = 16,32,64" in text
+
+
+def test_config_surface_is_pinned():
+    """Every knob of the run config; adding or retiring one edits this list."""
+    keys, section = [], None
+    for line in render_run_config(default_run_config()).splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            keys.append(f"{section}.{line.split(' = ')[0]}")
+    assert keys == [
+        "encoder.in_size", "encoder.stage_channels",
+        "patch_embed.patch_sizes", "patch_embed.token_dim",
+        "attention.depth", "attention.heads", "attention.mlp_ratio",
+        "flow.variant", "flow.n_blocks", "flow.clamp", "flow.hidden_ratio",
+        "train.lr", "train.batch_size", "train.stage1_epochs", "train.stage2_epochs",
+        "train.seed", "train.weight_decay",
+        "scoring.mode", "scoring.smooth_sigma", "scoring.fuse_weight", "scoring.fpr_limit"]

@@ -47,8 +47,6 @@ def test_config_validation():
         EncoderConfig(stage_channels=(16, 32))
     with pytest.raises(ContractError):
         EncoderConfig(stage_channels=(0, 32, 64))
-    with pytest.raises(ContractError):
-        EncoderConfig(seed=-1)
     for token_dim in (0, -12):
         with pytest.raises(ContractError):
             PatchEmbedConfig(token_dim=token_dim)
@@ -66,7 +64,7 @@ def test_pyramid_shapes_and_dtype():
 
 
 def test_zero_image_gives_bias_driven_nonzero_pyramid():
-    enc = FrozenEncoder(EncoderConfig(seed=3))
+    enc = FrozenEncoder(EncoderConfig())
     maps_a = enc(np.zeros((64, 64, 3)))
     maps_b = enc(np.zeros((64, 64, 3)))
     assert any(np.abs(m).max() > 0 for m in maps_a)
@@ -75,11 +73,13 @@ def test_zero_image_gives_bias_driven_nonzero_pyramid():
 
 
 def test_seed_determinism_and_variation(rng):
+    """The weights come from one fixed seed: every build gives the same
+    pyramid, and only the image varies it."""
     img = rng.random((64, 64, 3))
-    same = [FrozenEncoder(EncoderConfig(seed=1))(img) for _ in range(2)]
+    same = [FrozenEncoder(EncoderConfig())(img) for _ in range(2)]
     for a, b in zip(*same):
         np.testing.assert_array_equal(a, b)
-    other = FrozenEncoder(EncoderConfig(seed=2))(img)
+    other = FrozenEncoder(EncoderConfig())(rng.random((64, 64, 3)))
     assert any(np.abs(a - o).max() > 1e-6 for a, o in zip(same[0], other))
 
 

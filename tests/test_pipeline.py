@@ -491,25 +491,40 @@ def test_checkpoint_bad_config_echo_rejected(tmp_path):
                               "bad config echo"),
                              (b"smooth_sigma = 4.0\n", b"smooth_sigma = -2.\n",
                               "bad config echo"),
+                             (b"smooth_sigma = 4.0\n", b"smooth_sigma = 1e8\n",
+                              "bad config echo"),
                              (b"flow_trained = false", b"flow_trained = yes!!", "malformed")):
         assert blob.count(good) == 1 and len(good) == len(bad)
         (tmp_path / "cfg.ckpt").write_bytes(blob.replace(good, bad))
         _assert_rejected(tmp_path / "cfg.ckpt", match=match)
 
 
-def test_checkpoint_with_train_flow_variant_rejected(tmp_path, capsys):
-    # an echo written while the variant was a [train] key
+# echo splices that turn today's echo into one written before each key retired
+RETIRED_KEYS = {
+    # the variant was a [train] key
+    "train.flow_variant": ((b"[flow]\nvariant = D\n", b"[flow]\n"),
+                           (b"[train]\n", b"[train]\nflow_variant = D\n")),
+    "attention.memorial_query_source": ((b"[attention]\n",
+                                         b"[attention]\nmemorial_query_source = stream\n"),),
+    "encoder.seed": ((b"[encoder]\n", b"[encoder]\nseed = 0\n"),),
+}
+
+
+@pytest.mark.parametrize("key", RETIRED_KEYS)
+def test_checkpoint_with_retired_key_rejected(tmp_path, capsys, key):
     rc = tiny_run_config()
     blob = _saved(build_model(rc), rc, tmp_path).read_bytes()
     start = blob.index(b"[encoder]")
-    echo = blob[start:].replace(b"[flow]\nvariant = D\n", b"[flow]\n")
-    echo = echo.replace(b"[train]\n", b"[train]\nflow_variant = D\n")
+    echo = blob[start:]
+    for old, new in RETIRED_KEYS[key]:
+        assert echo.count(old) == 1
+        echo = echo.replace(old, new)
     path = tmp_path / "old.ckpt"
     path.write_bytes(blob[:start - 4] + struct.pack("<I", len(echo)) + echo)
-    _assert_rejected(path, match="unknown config key train.flow_variant")
+    _assert_rejected(path, match=f"unknown config key {key}")
     capsys.readouterr()
     assert main(["eval", "--data", str(tmp_path), "--ckpt", str(path)]) == 1
-    assert "train.flow_variant" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_checkpoint_non_positive_std_rejected(tmp_path):

@@ -10,8 +10,8 @@ from helpers import tiny_images, tiny_run_config
 from dualflow import autodiff as ad, metrics, pipeline
 from dualflow.errors import ContractError, ShapeError
 from dualflow.metrics import evaluate
-from dualflow.scoring import (MODES, ScoringConfig, anomaly_map, bilinear_upsample,
-                              raw_scale_maps)
+from dualflow.scoring import (MAX_SMOOTH_SIGMA, MODES, ScoringConfig, anomaly_map,
+                              bilinear_upsample, raw_scale_maps)
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +100,10 @@ def test_upsample_rejects_non_2d():
 
 def test_config_validation():
     assert ScoringConfig(smooth_sigma=0.0).smooth_sigma == 0.0  # 0 turns smoothing off
+    ScoringConfig(smooth_sigma=MAX_SMOOTH_SIGMA)
     for bad in (dict(smooth_sigma=float("nan")), dict(smooth_sigma=-2.0),
-                dict(smooth_sigma=float("inf")), dict(fuse_weight=float("nan")),
+                dict(smooth_sigma=float("inf")), dict(smooth_sigma=MAX_SMOOTH_SIGMA * 2),
+                dict(fuse_weight=float("nan")),
                 dict(fpr_limit=0.0), dict(mode="badmode")):
         with pytest.raises(ContractError):
             ScoringConfig(**bad)
