@@ -361,15 +361,30 @@ def concat_last(parts) -> Tensor:
     return _emit(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), vjp)
 
 
-def index_last(x, idx) -> Tensor:
-    """Reorder the last axis by a permutation index array."""
+class Permutation:
+    """A permutation of range(n), checked once when built, with its inverse
+    ``inv``; ``index_last`` applies it without checking it again."""
+
+    def __init__(self, idx, n: int):
+        idx = np.array(idx, dtype=np.int64)
+        if idx.shape != (n,) or not (np.sort(idx) == np.arange(n)).all():
+            raise ShapeError(f"index must be a permutation of range({n})")
+        self.idx = idx
+        self.inv = np.argsort(idx)
+
+
+def index_last(x, perm) -> Tensor:
+    """Reorder the last axis by ``perm``: a ``Permutation`` of its range, or
+    an index array, which is then checked as one on every call."""
     x = _as_tensor(x)
-    idx = np.asarray(idx, dtype=np.int64)
     d = x.data.shape[-1]
-    if idx.shape != (d,) or not (np.sort(idx) == np.arange(d)).all():
-        raise ShapeError(f"index_last: index must be a permutation of range({d})")
-    return _emit(np.take(x.data, idx, axis=-1), (x,),
-                 lambda g: (np.take(g, np.argsort(idx), axis=-1),))
+    if not isinstance(perm, Permutation):
+        perm = Permutation(perm, d)
+    elif perm.idx.shape != (d,):
+        raise ShapeError(f"index_last: permutation of range({perm.idx.size}) "
+                         f"on an axis of size {d}")
+    return _emit(np.take(x.data, perm.idx, axis=-1), (x,),
+                 lambda g: (np.take(g, perm.inv, axis=-1),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Per-scale discriminative normalizing flows.
 
 Each scale owns a stack of affine coupling layers over channels-last feature
-maps: one half of the channels is transformed by scale/shift fields predicted
-from the other half through a small conv subnet (3x3 depthwise, 1x1, leaky
-ReLU, then a zero-initialized 1x1, so every stack starts as the identity).
+maps: one half of the channels is transformed by scale and shift fields that
+one small conv subnet predicts together from the other half (3x3 depthwise,
+1x1, leaky ReLU, then a zero-initialized 1x1 whose output holds both fields,
+so every stack starts as the identity).
 The log scale is soft-clamped, ``alpha * tanh(s / alpha)``, which keeps the
 Jacobian bounded while leaving the log-determinant exact: a sum of the
 clamped scales. A flow step is "permute, then couple": every coupling after
@@ -58,8 +59,9 @@ class FlowConfig:
 
 class Subnet:
     """dw3x3 -> 1x1 -> LeakyReLU -> 1x1 (zero init): identity-at-init
-    predictor of a per-location field from the untouched channel half. A 1x1
-    layer is a ``matmul`` over the channel axis."""
+    predictor of per-location fields from the untouched channel half; a
+    coupling's one subnet outputs its raw log-scale and its shift side by
+    side. A 1x1 layer is a ``matmul`` over the channel axis."""
 
     def __init__(self, c_in: int, c_out: int, rng, hidden: int):
         dt = default_dtype()
@@ -85,12 +87,14 @@ class Subnet:
 
 class CouplingLayer:
     """One flow step: an optional fixed channel permutation (volume
-    preserving), then an affine coupling over a channel split. ``flip``
-    alternates which half is transformed; on an odd width the two halves
-    differ by one channel, and each subnet reads the conditioning half and
-    predicts the transformed one. forward returns the output and the
-    clamped log-scale field; its per-location channel sum is the exact local
-    Jacobian term, and the permutation adds nothing to it."""
+    preserving, checked once here), then an affine coupling over a channel
+    split. ``flip`` alternates which half is transformed; on an odd width
+    the two halves differ by one channel. One subnet reads the conditioning
+    half and predicts, for the transformed half, the raw log-scale (its
+    first ``n_out`` output channels) and the shift (its last ``n_out``).
+    forward returns the output and the clamped log-scale field; its
+    per-location channel sum is the exact local Jacobian term, and the
+    permutation adds nothing to it."""
 
     def __init__(self, channels: int, clamp: float, flip: bool, rng, hidden_ratio: float = 1.0,
                  perm=None):
@@ -100,21 +104,15 @@ class CouplingLayer:
         self.n_a = channels // 2
         self.clamp = clamp
         self.flip = flip
-        self.perm = perm
-        self.inv = None if perm is None else np.argsort(perm)
+        self.perm = None if perm is None else ad.Permutation(perm, channels)
+        self.inv = None if perm is None else ad.Permutation(self.perm.inv, channels)
         n_rest = channels - self.n_a
-        n_in, n_out = (n_rest, self.n_a) if flip else (self.n_a, n_rest)
+        n_in, self.n_out = (n_rest, self.n_a) if flip else (self.n_a, n_rest)
         hidden = max(1, int(round(n_in * hidden_ratio)))
-        self.s_net = Subnet(n_in, n_out, rng, hidden)
-        self.t_net = Subnet(n_in, n_out, rng, hidden)
+        self.net = Subnet(n_in, 2 * self.n_out, rng, hidden)
 
     def params(self):
-        out = {}
-        for k, v in self.s_net.params().items():
-            out[f"s.{k}"] = v
-        for k, v in self.t_net.params().items():
-            out[f"t.{k}"] = v
-        return out
+        return self.net.params()
 
     def _halves(self, x: Tensor):
         if self.flip:
@@ -124,23 +122,24 @@ class CouplingLayer:
     def _join(self, a: Tensor, b: Tensor) -> Tensor:
         return ad.concat_last([b, a] if self.flip else [a, b])
 
-    def _clamped_scale(self, a: Tensor) -> Tensor:
-        raw = self.s_net(a)
-        return ad.mul(ad.tanh(ad.mul(raw, 1.0 / self.clamp)), self.clamp)
+    def _scale_shift(self, a: Tensor):
+        """The clamped log-scale and the shift predicted from ``a``."""
+        out = self.net(a)
+        raw = ad.take_last(out, 0, self.n_out)
+        t = ad.take_last(out, self.n_out, 2 * self.n_out)
+        return ad.mul(ad.tanh(ad.mul(raw, 1.0 / self.clamp)), self.clamp), t
 
     def forward(self, x: Tensor):
         if self.perm is not None:
             x = ad.index_last(x, self.perm)
         a, b = self._halves(x)
-        s = self._clamped_scale(a)
-        t = self.t_net(a)
+        s, t = self._scale_shift(a)
         y_b = ad.add(ad.mul(b, ad.exp(s)), t)
         return self._join(a, y_b), s
 
     def inverse(self, y: Tensor) -> Tensor:
         a, y_b = self._halves(y)
-        s = self._clamped_scale(a)
-        t = self.t_net(a)
+        s, t = self._scale_shift(a)
         b = ad.mul(ad.sub(y_b, t), ad.exp(ad.mul(s, -1.0)))
         x = self._join(a, b)
         return x if self.inv is None else ad.index_last(x, self.inv)
@@ -190,7 +189,7 @@ class FlowStack:
     def __init__(self, channels: int, cfg: FlowConfig, rng):
         self.channels = channels
         self.standardize = StandardizeStage(channels)
-        # each permutation is drawn before its coupling's subnets
+        # each permutation is drawn before its coupling's subnet
         self.couplings = [CouplingLayer(channels, cfg.clamp, flip=bool(i % 2), rng=rng,
                                         hidden_ratio=cfg.hidden_ratio,
                                         perm=rng.permutation(channels) if i else None)

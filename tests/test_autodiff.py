@@ -135,6 +135,10 @@ def test_shape_mismatch_raises():
                 [[0, 1, 2], [3, 4, 5]]):   # wrong rank
         with pytest.raises(ShapeError):
             ad.index_last(x6, bad)
+        with pytest.raises(ShapeError):
+            ad.Permutation(bad, 6)
+    with pytest.raises(ShapeError):  # a checked permutation of another width
+        ad.index_last(x6, ad.Permutation([1, 0, 2, 3, 4], 5))
     with pytest.raises(ShapeError):  # a constant operand may not widen the tensor
         ad.add(Tensor(np.ones(3)), np.ones((2, 3)))
     with pytest.raises(ShapeError):
@@ -413,8 +417,9 @@ def _primitive_cases(seed):
                   [tk]))
     ix = p((2, 3, 6))
     perm = rng.permutation(6)
+    checked = ad.Permutation(perm, 6)
     cases.append(("index_last", lambda: ad.sum_all(ad.mul(ad.index_last(ix, perm),
-                                                          ad.index_last(ix, perm))), [ix]))
+                                                          ad.index_last(ix, checked))), [ix]))
     rs = p((2, 3, 4))
     cases.append(("reshape_permute",
                   lambda: ad.sum_all(ad.mul(ad.permute(ad.reshape(rs, (2, 12)), (1, 0)),

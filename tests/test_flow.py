@@ -65,7 +65,7 @@ def test_identity_at_init(rng):
         assert stack.couplings[0].perm is None
         perm = np.arange(8)
         for layer in stack.couplings[1:]:
-            perm = perm[layer.perm]
+            perm = perm[layer.perm.idx]
         np.testing.assert_allclose(stack.log_det(fields).data, 0.0, atol=1e-12)
         np.testing.assert_array_equal(z.data, u[..., perm])
 
@@ -124,16 +124,16 @@ def test_logdet_matches_numeric_jacobian(seed):
 
 
 def test_odd_width_forward_inverse_and_log_det():
-    """On 15 channels the halves are 7 and 8 wide; each subnet reads the
-    conditioning half, so a flipped coupling reads 8 channels and predicts
-    7."""
+    """On 15 channels the halves are 7 and 8 wide; each coupling's subnet
+    reads the conditioning half and predicts a log-scale and a shift for the
+    other, so a flipped coupling reads 8 channels and outputs 2 x 7."""
     with using_dtype(np.float64):
         rng = np.random.default_rng(7)
         shape = (1, 2, 2, 15)  # 60 dims
         stack = perturb(FlowStack(15, FlowConfig(n_blocks=3), np.random.default_rng(6)),
                         rng, scale=0.4)
-        assert [c.s_net.dw_k.shape[-1] for c in stack.couplings] == [7, 8, 7]
-        assert [c.t_net.pw2_w.shape[-1] for c in stack.couplings] == [8, 7, 8]
+        assert [c.net.dw_k.shape[-1] for c in stack.couplings] == [7, 8, 7]
+        assert [c.net.pw2_w.shape[-1] for c in stack.couplings] == [16, 14, 16]
         u0 = rng.normal(size=shape)
         z, fields = stack.forward(Tensor(u0))
         assert np.abs(stack.inverse(z).data - u0).max() < 1e-10
@@ -193,6 +193,12 @@ def test_extra_permutation_leaves_likelihood_unchanged(rng):
         np.testing.assert_array_equal(logdet2.data, logdet.data)
         after = log_likelihood(z2.data, logdet2.data)
         np.testing.assert_allclose(after, before, rtol=1e-12)
+
+
+def test_coupling_checks_its_permutation_when_built():
+    for bad in ([0, 1, 2, 3, 4, 5, 6, 6], np.arange(1, 9), np.arange(7)):
+        with pytest.raises(ShapeError):
+            CouplingLayer(8, 2.0, flip=False, rng=np.random.default_rng(0), perm=bad)
 
 
 def test_per_location_sums_match_global(rng):

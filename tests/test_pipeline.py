@@ -14,9 +14,10 @@ from dualflow.attention import DualAttnConfig
 from dualflow.autodiff import Tape, Tensor, reset_grads, using_dtype
 from dualflow.checkpoint import load_checkpoint, save_checkpoint
 from dualflow.cli import main
+from dualflow.config import default_run_config
 from dualflow.encoder import EncoderConfig, PatchEmbedConfig
 from dualflow.errors import CheckpointError, ContractError, NumericError, ShapeError
-from dualflow.flow import FlowConfig, FlowStack
+from dualflow.flow import FlowConfig, FlowStack, Subnet
 from dualflow.gradcheck import check_gradients, max_rel_error
 from dualflow.pipeline import (TrainConfig, build_model, collect_joints, loss_flow, recon_loss,
                                train, train_flow, train_transformer)
@@ -89,6 +90,20 @@ def test_loss_flow_gradcheck_toy(f64):
         return loss_flow([stack], [u])
 
     assert check_gradients(f, list(stack.params().values())) < 1e-4
+
+
+def test_default_loss_flow_records_518_tape_ops():
+    """Each coupling runs one subnet, which predicts its log-scale and shift
+    together: a default-config loss on a batch of 8 records 518 ops (a
+    scale and a shift subnet per coupling would record 638). The count does
+    not depend on the map size."""
+    model = build_model(default_run_config())
+    rng = np.random.default_rng(0)
+    joints = [Tensor(rng.normal(size=(8, 2, 2, s.channels)).astype(np.float32))
+              for s in model.flows]
+    with Tape() as tape:
+        loss_flow(model.flows, joints)
+    assert len(tape) == 518
 
 
 def test_loss_flow_stack_count_mismatch():
@@ -525,6 +540,29 @@ def test_checkpoint_with_retired_key_rejected(tmp_path, capsys, key):
     capsys.readouterr()
     assert main(["eval", "--data", str(tmp_path), "--ckpt", str(path)]) == 1
     assert key in capsys.readouterr().err
+
+
+def test_checkpoint_with_two_subnet_couplings_rejected(tmp_path, capsys, monkeypatch):
+    """A checkpoint written while each coupling had a scale and a shift
+    subnet names their arrays ``layerK.s.*`` and ``layerK.t.*``."""
+    rc = tiny_run_config()
+    model = build_model(rc)
+    params = {n: p for n, p in model.parameters().items() if ".layer" not in n}
+    rng = np.random.default_rng(0)
+    for i, stack in enumerate(model.flows):
+        for k, c in enumerate(stack.couplings):
+            n_in, hidden = c.net.pw1_w.shape
+            for half in "st":
+                sub = Subnet(n_in, c.n_out, rng, hidden)
+                params.update((f"flow.{i}.layer{k}.{half}.{n}", p)
+                              for n, p in sub.params().items())
+    assert "flow.0.layer0.s.dw.k" in params and "flow.0.layer0.t.pw2.b" in params
+    monkeypatch.setattr(model, "parameters", lambda: params)
+    path = _saved(model, rc, tmp_path, "old.ckpt")
+    _assert_rejected(path, match="array names do not match")
+    capsys.readouterr()
+    assert main(["eval", "--data", str(tmp_path), "--ckpt", str(path)]) == 1
+    assert "layer0.s.dw.k" in capsys.readouterr().err
 
 
 def test_checkpoint_non_positive_std_rejected(tmp_path):
