@@ -2,12 +2,17 @@
 
 A ``Tensor`` wraps a numpy array. Each op computes its forward and hands
 ``_emit`` one vjp closure (output gradient to input gradients). While a
-``Tape`` is active, every op whose inputs require gradients appends one record
-(output, inputs, vjp) to the tape; ``Tape.backward`` replays the records in
-reverse, is the only caller of the closures, and accumulates gradients into
-the ``.grad`` field of leaf tensors. Work only the gradient needs therefore
-runs inside the closure. Without an active tape the same functions are plain
-numpy math and the closures are dropped unrun, which is how inference runs.
+``Tape`` is active, every op whose inputs require gradients gives its output
+a fresh integer key and appends one record (key, targets, vjp) to the tape:
+``targets`` names, per input, the key of the op that made it, the leaf
+tensor that requires grad, or None for a constant. A record holds no op
+output, so an array lives only as long as the forward's own locals or some
+vjp closure refer to it, and whatever no backward reads is freed during the
+forward. ``Tape.backward`` replays the records in reverse, is the only
+caller of the closures, and accumulates gradients into the ``.grad`` field
+of leaf tensors. Work only the gradient needs therefore runs inside the
+closure. Without an active tape the same functions are plain numpy math and
+the closures are dropped unrun, which is how inference runs.
 
 The float width is a build-wide switch: a model constructed inside
 ``with using_dtype(np.float64):`` is a float64 build for verification, the
@@ -16,6 +21,7 @@ default is float32.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from contextlib import contextmanager
 
@@ -36,6 +42,9 @@ class _TapeStack(threading.local):
 
 
 _tls = _TapeStack()
+# Keys of taped outputs, unique for the life of the process: an ``id()``
+# can be reused once an output is freed, and would then misroute a gradient.
+_keys = itertools.count()
 
 
 def default_dtype():
@@ -64,24 +73,25 @@ def active_tape():
 class Tensor:
     """Immutable-by-convention array node. Do not mutate ``.data`` while a
     tape referencing the tensor is alive; the optimizer updates parameters
-    in place only between tapes."""
+    in place only between tapes. ``_node`` is the tape key of the op that
+    made the tensor, None for a leaf or an untaped result."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_from_op")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=default_dtype())
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._from_op = False
+        self._node = None
 
     @classmethod
-    def _wrap(cls, data: np.ndarray, requires_grad: bool, from_op: bool) -> "Tensor":
+    def _wrap(cls, data: np.ndarray, node) -> "Tensor":
         out = cls.__new__(cls)
         out.data = data
-        out.requires_grad = requires_grad
+        out.requires_grad = node is not None
         out.grad = None
-        out._from_op = from_op
+        out._node = node
         return out
 
     @property
@@ -105,9 +115,12 @@ class Tape:
     """Records operations for one backward pass.
 
     Use as a context manager around the forward computation, then call
-    ``backward(loss)`` while still holding the tape. Backward visits the
-    records in reverse creation order, so gradients are deterministic for a
-    fixed forward program.
+    ``backward(loss)`` while still holding the tape. A record is (key,
+    targets, vjp): the output's key, per input its producing op's key, the
+    leaf tensor that requires grad or None, and the vjp closure. The tape
+    keeps no output array; which arrays outlive the forward is set by what
+    the vjp closures read. Backward visits the records in reverse creation
+    order, so gradients are deterministic for a fixed forward program.
     """
 
     def __init__(self):
@@ -126,8 +139,8 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def record(self, out: Tensor, inputs: tuple, vjp) -> None:
-        self._records.append((out, inputs, vjp))
+    def record(self, key: int, targets: tuple, vjp) -> None:
+        self._records.append((key, targets, vjp))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires_grad
@@ -137,21 +150,24 @@ class Tape:
             raise ContractError("backward expects a Tensor loss")
         if loss.data.shape != ():
             raise ContractError(f"backward expects a scalar loss, shape is {loss.data.shape}")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
-        if loss.requires_grad and not loss._from_op:
-            loss.grad = grads[id(loss)] if loss.grad is None else loss.grad + grads[id(loss)]
-        for out, inputs, vjp in reversed(self._records):
-            g = grads.pop(id(out), None)
+        one = np.ones((), dtype=loss.data.dtype)
+        if loss._node is None:
+            if loss.requires_grad:
+                loss.grad = one if loss.grad is None else loss.grad + one
+            return
+        grads: dict[int, np.ndarray] = {loss._node: one}
+        for key, targets, vjp in reversed(self._records):
+            g = grads.pop(key, None)
             if g is None:
                 continue
-            for inp, gi in zip(inputs, vjp(g)):
-                if gi is None:
+            for target, gi in zip(targets, vjp(g)):
+                if gi is None or target is None:
                     continue
-                if inp._from_op:
-                    prev = grads.get(id(inp))
-                    grads[id(inp)] = gi if prev is None else prev + gi
-                elif inp.requires_grad:
-                    inp.grad = gi.copy() if inp.grad is None else inp.grad + gi
+                if isinstance(target, int):
+                    prev = grads.get(target)
+                    grads[target] = gi if prev is None else prev + gi
+                else:
+                    target.grad = gi.copy() if target.grad is None else target.grad + gi
 
 
 def reset_grads(params) -> None:
@@ -164,16 +180,20 @@ def _as_tensor(x) -> Tensor:
 
 
 def _emit(out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
-    """Wrap an op result; when grads are needed, record ``vjp`` (the output
-    gradient to one gradient per input, None for none) on the active tape.
-    ``Tape.backward`` is its only caller, so whatever an op needs only for
-    its gradient is computed inside ``vjp``, not in the forward."""
+    """Wrap an op result; when grads are needed, key it and record ``vjp``
+    (the output gradient to one gradient per input, None for none) on the
+    active tape. The closure is all the tape keeps of the op, so the arrays
+    it reads are the ones that live until backward. ``Tape.backward`` is its
+    only caller, so whatever an op needs only for its gradient is computed
+    inside ``vjp``, not in the forward."""
     tape = active_tape()
-    needs = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor._wrap(out_data, requires_grad=needs, from_op=needs)
-    if needs:
-        tape.record(out, inputs, vjp)
-    return out
+    if tape is None or not any(t.requires_grad for t in inputs):
+        return Tensor._wrap(out_data, None)
+    key = next(_keys)
+    targets = tuple(t._node if t._node is not None else (t if t.requires_grad else None)
+                    for t in inputs)
+    tape.record(key, targets, vjp)
+    return Tensor._wrap(out_data, key)
 
 
 def _constant(a: Tensor, b, opname: str):
@@ -373,14 +393,13 @@ class Permutation:
         self.inv = np.argsort(idx)
 
 
-def index_last(x, perm) -> Tensor:
-    """Reorder the last axis by ``perm``: a ``Permutation`` of its range, or
-    an index array, which is then checked as one on every call."""
+def index_last(x, perm: Permutation) -> Tensor:
+    """Reorder the last axis by ``perm``, a ``Permutation`` of its range."""
     x = _as_tensor(x)
     d = x.data.shape[-1]
     if not isinstance(perm, Permutation):
-        perm = Permutation(perm, d)
-    elif perm.idx.shape != (d,):
+        raise ContractError(f"index_last takes a Permutation, got {type(perm).__name__}")
+    if perm.idx.shape != (d,):
         raise ShapeError(f"index_last: permutation of range({perm.idx.size}) "
                          f"on an axis of size {d}")
     return _emit(np.take(x.data, perm.idx, axis=-1), (x,),

@@ -2,6 +2,7 @@
 every differentiable primitive, and determinism of backward."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -134,11 +135,11 @@ def test_shape_mismatch_raises():
                 [0, 1, 2, 3, 4],           # wrong length
                 [[0, 1, 2], [3, 4, 5]]):   # wrong rank
         with pytest.raises(ShapeError):
-            ad.index_last(x6, bad)
-        with pytest.raises(ShapeError):
             ad.Permutation(bad, 6)
     with pytest.raises(ShapeError):  # a checked permutation of another width
         ad.index_last(x6, ad.Permutation([1, 0, 2, 3, 4], 5))
+    with pytest.raises(ContractError):  # a raw index array is not a Permutation
+        ad.index_last(x6, np.arange(6))
     with pytest.raises(ShapeError):  # a constant operand may not widen the tensor
         ad.add(Tensor(np.ones(3)), np.ones((2, 3)))
     with pytest.raises(ShapeError):
@@ -320,21 +321,99 @@ def test_leaky_relu_matches_two_where_form_bit_for_bit(dtype):
 
 def test_taped_ops_hold_no_backward_only_arrays():
     """After its forward a taped op holds what its vjp reads and cannot
-    rebuild, nothing more: ``leaky_relu`` its output (backward rebuilds the
-    sign mask from the input), ``gelu`` its output and ``cdf`` (backward
-    computes ``pdf``)."""
-    x = Tensor(np.linspace(-3.0, 3.0, 2 ** 20, dtype=np.float32), requires_grad=True)
+    rebuild, nothing more, and the tape holds no op output: once the caller
+    drops the output, ``leaky_relu`` holds no new array (backward rebuilds
+    the sign mask from the input), ``gelu`` its ``cdf`` (backward computes
+    ``pdf``), ``exp`` and ``tanh`` their output, and ``add``, a constant
+    ``mul``, ``take_last`` and ``index_last`` nothing."""
+    n = 2 ** 10
+    x = Tensor(np.linspace(-3.0, 3.0, n * n, dtype=np.float32).reshape(n, n),
+               requires_grad=True)
     nbytes = x.data.nbytes
-    for op, n_arrays in ((ad.leaky_relu, 1), (ad.gelu, 2)):
+    reverse = ad.Permutation(np.arange(n)[::-1], n)
+    ops = (("leaky_relu", ad.leaky_relu, 0), ("gelu", ad.gelu, 1), ("exp", ad.exp, 1),
+           ("tanh", ad.tanh, 1), ("add", lambda t: ad.add(t, t), 0),
+           ("mul", lambda t: ad.mul(t, 2.0), 0), ("take_last", lambda t: ad.take_last(t, 1, n), 0),
+           ("index_last", lambda t: ad.index_last(t, reverse), 0))
+    for name, op, n_arrays in ops:
         tracemalloc.start()
         try:
-            with Tape():
+            with Tape() as tape:
                 out = op(x)
+                made = tracemalloc.get_traced_memory()[0]
+                del out
                 held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert out.data.nbytes == nbytes
-        assert held <= n_arrays * nbytes + 64 * 1024, (op.__name__, held)
+        assert len(tape) == 1 and made >= nbytes // 2, name
+        assert held <= n_arrays * nbytes + 64 * 1024, (name, held)
+
+
+def test_outputs_no_vjp_reads_are_freed_during_the_forward():
+    """An op output that only feeds ops whose vjps do not read it is gone as
+    soon as the forward drops it, with the tape still alive: the permuted
+    map split by two ``take_last``s, an ``add`` scaled by a constant ``mul``.
+    An output a vjp reads (``exp``'s) stays until the tape goes, and the
+    gradients are those of the whole graph."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+    perm = ad.Permutation([3, 0, 5, 1, 4, 2], 6)
+    with Tape() as tape:
+        permuted = ad.index_last(x, perm)
+        a, b = ad.take_last(permuted, 0, 3), ad.take_last(permuted, 3, 6)
+        summed = ad.add(a, b)
+        scaled = ad.mul(summed, 2.0)
+        e = ad.exp(scaled)
+        refs = {name: weakref.ref(t.data) for name, t in
+                (("index_last", permuted), ("add", summed), ("exp", e))}
+        del permuted, summed, e
+        assert refs["index_last"]() is None and refs["add"]() is None
+        assert refs["exp"]() is not None
+        tape.backward(ad.sum_all(scaled))
+        tape.backward(ad.sum_all(ad.exp(scaled)))
+    xp = x.data[:, perm.idx]
+    want_p = np.concatenate([2.0 + 2.0 * np.exp(2.0 * (xp[:, :3] + xp[:, 3:]))] * 2, axis=1)
+    np.testing.assert_allclose(x.grad, want_p[:, perm.inv], rtol=1e-6)
+    del tape
+    assert refs["exp"]() is None
+
+
+def test_keys_route_gradients_only_within_their_tape():
+    """Keys come from one process-wide counter, not from ``id()``: a tensor
+    made on a finished tape and used under a new one routes no gradient to
+    the leaves behind it, the outputs of many tapes in a row, each freed,
+    never share a key, and each tape's gradients stay exact."""
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape():
+        stale = ad.mul(x, x)
+    w = Tensor([3.0, -1.0], requires_grad=True)
+    with Tape() as tape:
+        tape.backward(ad.sum_all(ad.add(ad.mul(stale, w), ad.mul(x, w))))
+    np.testing.assert_array_equal(w.grad, stale.data + x.data)
+    np.testing.assert_array_equal(x.grad, w.data)
+    keys = []
+    for i in range(200):
+        ad.reset_grads([x])
+        with Tape() as tape:
+            y = ad.tanh(ad.mul(x, float(i)))
+            keys.append(y._node)
+            loss = ad.sum_all(y)
+            del y
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, i * (1.0 - np.tanh(i * x.data) ** 2))
+    assert len(set(keys)) == len(keys)
+
+
+def test_leaf_loss_gets_grad_and_accumulates():
+    x = Tensor(np.array(3.0), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(x)
+        tape.backward(x)
+    np.testing.assert_array_equal(x.grad, np.array(2.0, dtype=x.data.dtype))
+    constant = Tensor(np.array(1.0))
+    with Tape() as tape:
+        tape.backward(constant)
+    assert constant.grad is None
 
 
 def test_sum_batch_backward_builds_no_full_size_gradient():
@@ -416,10 +495,10 @@ def _primitive_cases(seed):
                                                             ad.take_last(tk, 4, 9)]), tk)),
                   [tk]))
     ix = p((2, 3, 6))
-    perm = rng.permutation(6)
-    checked = ad.Permutation(perm, 6)
+    perm = ad.Permutation(rng.permutation(6), 6)
+    inv = ad.Permutation(perm.inv, 6)
     cases.append(("index_last", lambda: ad.sum_all(ad.mul(ad.index_last(ix, perm),
-                                                          ad.index_last(ix, checked))), [ix]))
+                                                          ad.index_last(ix, inv))), [ix]))
     rs = p((2, 3, 4))
     cases.append(("reshape_permute",
                   lambda: ad.sum_all(ad.mul(ad.permute(ad.reshape(rs, (2, 12)), (1, 0)),

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,26 @@ def test_default_loss_flow_records_518_tape_ops():
     with Tape() as tape:
         loss_flow(model.flows, joints)
     assert len(tape) == 518
+
+
+def test_default_loss_flow_forward_holds_only_what_backward_reads():
+    """A default-config ``loss_flow`` forward on a batch of 8 at the default
+    map sizes keeps alive only the arrays its vjps read: about 24.5 MiB. A
+    tape that kept every op output held 68.5 MiB."""
+    model = build_model(default_run_config())
+    rng = np.random.default_rng(0)
+    maps = model.prior_features(np.zeros((model.enc_cfg.in_size,) * 2 + (3,)))
+    joints = [Tensor(rng.normal(size=(8,) + m.shape[:2] + (s.channels,)).astype(np.float32))
+              for m, s in zip(maps, model.flows)]
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss_flow(model.flows, joints)
+            held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 518
+    assert held <= 32 * 2 ** 20, held / 2 ** 20
 
 
 def test_loss_flow_stack_count_mismatch():
