@@ -77,6 +77,8 @@ def region_overlap_curve(maps, masks, saturations=None):
         raise ContractError("localization metrics need at least one map/mask pair")
     if saturations is None:
         saturations = [1.0] * len(maps)
+    elif np.ndim(saturations) != 1 or len(saturations) != len(maps):
+        raise ShapeError("one saturation per map is required")
     flat_scores = []
     flat_region = []
     region_sizes = []
@@ -127,17 +129,16 @@ def _area_to_limit(fprs: np.ndarray, vals: np.ndarray, limit: float) -> float:
     normalized by the limit. Interpolates the crossing segment."""
     if not (0.0 < limit <= 1.0):
         raise ContractError("FPR limit must lie in (0, 1]")
-    area = 0.0
-    for k in range(1, fprs.size):
-        f0, f1 = fprs[k - 1], fprs[k]
-        v0, v1 = vals[k - 1], vals[k]
-        if f1 <= limit:
-            area += (f1 - f0) * (v0 + v1) * 0.5
-            continue
-        if f0 < limit:
-            v_lim = v0 + (v1 - v0) * (limit - f0) / (f1 - f0)
-            area += (limit - f0) * (v0 + v_lim) * 0.5
-        break
+    # fprs is non-decreasing from 0: the first k points lie at or below the
+    # limit, and the segment from point k - 1 to point k crosses it
+    k = int(np.searchsorted(fprs, limit, side="right"))
+    f0, f1, v0, v1 = fprs[:k - 1], fprs[1:k], vals[:k - 1], vals[1:k]
+    # cumsum adds left to right, like a running Python sum; np.sum would not
+    area = float(np.cumsum((f1 - f0) * (v0 + v1) * 0.5)[-1]) if k > 1 else 0.0
+    if k < fprs.size and fprs[k - 1] < limit:
+        f0, f1, v0, v1 = fprs[k - 1], fprs[k], vals[k - 1], vals[k]
+        v_lim = v0 + (v1 - v0) * (limit - f0) / (f1 - f0)
+        area += (limit - f0) * (v0 + v_lim) * 0.5
     return area / limit
 
 

@@ -207,6 +207,33 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[lo:lo + batch_size]
 
 
+def _fit(params: dict, n: int, batch_loss, cfg: TrainConfig, log, *, stage: str,
+         what: str, spawn: int, epochs: int) -> None:
+    """The loop both stages share: AdamW over ``params``, an order of the
+    ``n`` samples seeded by ``(cfg.seed, spawn)``, then per batch one taped
+    ``batch_loss(indices)``, returning ``(loss, values)``, a finiteness
+    check, backward and a step. Each epoch ends with
+    ``log(stage, epoch, *means)``: the values averaged over the batches,
+    summed as Python floats in batch order."""
+    opt = AdamW(list(params.values()), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(spawn,)))
+    for epoch in range(epochs):
+        sums = None
+        count = 0
+        for batch in _batches(n, cfg.batch_size, rng):
+            opt.zero_grad()
+            with Tape() as tape:
+                loss, values = batch_loss(batch)
+                if not np.isfinite(loss.data):
+                    raise NumericError(f"non-finite loss in {what} training")
+                tape.backward(loss)
+            opt.step()
+            sums = [s + v for s, v in zip(sums or [0.0] * len(values), values)]
+            count += 1
+        if log is not None:
+            log(stage, epoch, *(s / count for s in sums))
+
+
 def _stacked_pyramids(model: Model, images) -> list:
     """The frozen pyramids of ``images``, one image at a time, stacked per
     scale into (N, H, W, C) arrays."""
@@ -226,28 +253,17 @@ def train_transformer(model: Model, images, cfg: TrainConfig, log=None) -> None:
                              f"the model expects {want}")
     model.set_image_norm(*flow_input_stats([np.stack(images)])[0])
     stacked = _stacked_pyramids(model, images)
-    opt = AdamW(list(model.transformer_parameters().values()), lr=cfg.lr,
-                weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(100,)))
-    for epoch in range(cfg.stage1_epochs):
-        sums = np.zeros(2)
-        count = 0
-        for batch in _batches(len(images), cfg.batch_size, rng):
-            targets = [s[batch] for s in stacked]
-            opt.zero_grad()
-            with Tape() as tape:
-                recon_s, recon_m = model.reconstruct(targets)
-                ls = recon_loss(targets, recon_s)
-                lm = recon_loss(targets, recon_m)
-                loss = ad.mul(ad.add(ls, lm), 1.0 / len(batch))
-                if not np.isfinite(loss.data):
-                    raise NumericError("non-finite loss in transformer training")
-                tape.backward(loss)
-            opt.step()
-            sums += [ls.item() / len(batch), lm.item() / len(batch)]
-            count += 1
-        if log is not None:
-            log("stage1", epoch, float(sums[0] / count), float(sums[1] / count))
+
+    def batch_loss(batch):
+        targets = [s[batch] for s in stacked]
+        recon_s, recon_m = model.reconstruct(targets)
+        ls = recon_loss(targets, recon_s)
+        lm = recon_loss(targets, recon_m)
+        loss = ad.mul(ad.add(ls, lm), 1.0 / len(batch))
+        return loss, (ls.item() / len(batch), lm.item() / len(batch))
+
+    _fit(model.transformer_parameters(), len(images), batch_loss, cfg, log,
+         stage="stage1", what="transformer", spawn=100, epochs=cfg.stage1_epochs)
     model.transformer_trained = True
 
 
@@ -282,26 +298,13 @@ def train_flow(model: Model, images, cfg: TrainConfig, log=None) -> None:
     cached = collect_joints(model, images)
     for stack, (mean, std) in zip(model.flows, flow_input_stats(cached)):
         stack.standardize.set_stats(mean, std)
-    opt = AdamW(list(model.flow_parameters().values()), lr=cfg.lr,
-                weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(200,)))
-    n = cached[0].shape[0]
-    for epoch in range(cfg.stage2_epochs):
-        total = 0.0
-        count = 0
-        for batch in _batches(n, cfg.batch_size, rng):
-            opt.zero_grad()
-            with Tape() as tape:
-                joints = [Tensor(stacked[batch]) for stacked in cached]
-                loss = loss_flow(model.flows, joints)
-                if not np.isfinite(loss.data):
-                    raise NumericError("non-finite loss in flow training")
-                tape.backward(loss)
-            opt.step()
-            total += loss.item()
-            count += 1
-        if log is not None:
-            log("stage2", epoch, total / count)
+
+    def batch_loss(batch):
+        loss = loss_flow(model.flows, [Tensor(stacked[batch]) for stacked in cached])
+        return loss, (loss.item(),)
+
+    _fit(model.flow_parameters(), cached[0].shape[0], batch_loss, cfg, log,
+         stage="stage2", what="flow", spawn=200, epochs=cfg.stage2_epochs)
     model.flow_trained = True
 
 

@@ -6,13 +6,14 @@ import sys
 
 import numpy as np
 import pytest
+from helpers import assert_same_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
 import dualflow
 from dualflow.errors import ContractError, NumericError, ShapeError
-from dualflow.metrics import (au_pro, auroc, connected_components,
+from dualflow.metrics import (_area_to_limit, au_pro, auroc, connected_components,
                               region_overlap_curve, spro)
 from dualflow.selftest import (area_bruteforce, au_pro_bruteforce,
                                auroc_bruteforce, connected_components_bfs,
@@ -226,11 +227,51 @@ def test_saturation_outside_unit_interval_rejected():
             spro([heat], [mask], [bad])
 
 
+def test_spro_rejects_saturation_count_mismatch():
+    # the second pair misses its region at every threshold below FPR 1, so
+    # a short saturation list that dropped it would read 1.0
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[1, 1] = True
+    hit = mask.astype(float)
+    miss = 1.0 - hit
+    maps, masks = [hit, miss], [mask, mask]
+    assert spro(maps[:1], masks[:1], [1.0]) == 1.0
+    assert spro(maps, masks, [1.0, 1.0]) < 1.0
+    for sats in ([1.0], [1.0, 1.0, 1.0], 1.0, np.ones((2, 1))):
+        with pytest.raises(ShapeError, match="one saturation per map"):
+            spro(maps, masks, sats)
+
+
+def test_area_to_limit_matches_loop_oracle_bit_for_bit():
+    """The integral equals the segment-by-segment loop of the oracle to the
+    bit: limits on a curve point, between points and at 1.0, curves with
+    repeated FPRs, and the region curves of random instances."""
+    rng = np.random.default_rng(11)
+    curves = []
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        steps = rng.choice([0.0, 1.0], size=n, p=[0.3, 0.7]) * rng.random(n)
+        fprs = np.concatenate(([0.0], np.cumsum(steps)))
+        fprs /= max(fprs[-1], 1.0)
+        fprs[-1] = 1.0
+        curves.append((fprs, np.concatenate(([0.0], rng.random(n)))))
+    for _ in range(20):
+        curves.append(region_overlap_curve(*_random_instance(rng)))
+    assert sum((np.diff(fprs) == 0).any() for fprs, _ in curves) > 50
+    for fprs, vals in curves:
+        j = int(rng.integers(1, fprs.size))
+        limits = [1.0, float(rng.uniform(1e-3, 1.0)), float(fprs[j]),
+                  float((fprs[j - 1] + fprs[j]) / 2)]
+        for limit in limits:
+            if limit > 0.0:
+                assert_same_bits(np.asarray(_area_to_limit(fprs, vals, limit)),
+                                 np.asarray(area_bruteforce(fprs, vals, limit)))
+
+
 def test_area_integration_interpolates_at_limit():
     fprs = np.array([0.0, 0.2, 0.4])
     vals = np.array([0.0, 0.4, 0.8])
     # straight line val = 2 * fpr: normalized area below limit L is 0.5 * 2L/L... = L
-    from dualflow.metrics import _area_to_limit
     assert _area_to_limit(fprs, vals, 0.3) == pytest.approx(0.3)
     assert _area_to_limit(fprs, vals, 0.4) == pytest.approx(0.4)
     assert area_bruteforce(fprs, vals, 0.3) == pytest.approx(0.3)

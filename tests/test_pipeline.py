@@ -338,15 +338,6 @@ def test_losses_decrease():
     assert all(np.isfinite(v) for v in s1 + s2)
 
 
-def test_epoch_column_monotone():
-    rc = tiny_run_config()
-    rows = []
-    train(tiny_images(3), rc, log=lambda *row: rows.append(row))
-    for stage in ("stage1", "stage2"):
-        epochs = [r[1] for r in rows if r[0] == stage]
-        assert epochs == sorted(epochs)
-
-
 def test_flow_input_stats_floor_and_values():
     images = [np.full((4, 4, 3), 0.25), np.full((4, 4, 3), 0.75)]
     (mean, std), = pipeline.flow_input_stats([np.stack(images)])
@@ -636,3 +627,58 @@ def test_fit_rejects_non_finite_loss():
     weight.data.flat[0] = np.nan
     with pytest.raises(NumericError, match="non-finite values after flow stage"):
         train_flow(model, images, rc.train)
+
+
+def test_fit_rejects_non_finite_stage2_loss(monkeypatch):
+    """A non-finite flow loss stops stage 2 at the loop's loss check, before
+    backward and the step: no flow weight moves and no epoch is logged."""
+    rc = tiny_run_config(stage1_epochs=1, stage2_epochs=1)
+    images = tiny_images(4)
+    model = build_model(rc)
+    train_transformer(model, images, rc.train)
+    before = {k: v.data.copy() for k, v in model.flow_parameters().items()}
+    real = pipeline.loss_flow
+    monkeypatch.setattr(pipeline, "loss_flow",
+                        lambda stacks, joints: ad.mul(real(stacks, joints), np.nan))
+    rows = []
+    with pytest.raises(NumericError, match="non-finite loss in flow training"):
+        train_flow(model, images, rc.train, log=lambda *row: rows.append(row))
+    assert rows == []
+    for k, v in model.flow_parameters().items():
+        np.testing.assert_array_equal(v.data, before[k])
+
+
+def test_epoch_log_contract(monkeypatch):
+    """One row per epoch per stage, epochs in order; stage 1 logs both
+    branch losses, stage 2 the flow loss; every value is a built-in float
+    (a numpy scalar would print as np.float64(...) in the CLI's TSV), the
+    mean of the batch values summed in batch order; no row for a stage
+    with zero epochs."""
+    batch_losses = []
+    real = pipeline.loss_flow
+
+    def recording_loss_flow(stacks, joints):
+        loss = real(stacks, joints)
+        batch_losses.append(loss.item())
+        return loss
+
+    monkeypatch.setattr(pipeline, "loss_flow", recording_loss_flow)
+    images = tiny_images(5)  # batches of 2, 2 and 1
+    rows = []
+    train(images, tiny_run_config(stage1_epochs=3, stage2_epochs=2),
+          log=lambda *row: rows.append(row))
+    assert [r[:2] for r in rows] == [("stage1", 0), ("stage1", 1), ("stage1", 2),
+                                     ("stage2", 0), ("stage2", 1)]
+    assert [len(r) for r in rows] == [4, 4, 4, 3, 3]
+    assert all(type(v) is float for r in rows for v in r[2:])
+    for epoch, row in enumerate(rows[3:]):
+        total = 0.0
+        for v in batch_losses[3 * epoch:3 * epoch + 3]:
+            total += v
+        assert row[2] == total / 3
+
+    for epochs, stages in (((0, 0), []), ((1, 0), ["stage1"]), ((0, 1), ["stage2"])):
+        rows = []
+        train(images, tiny_run_config(stage1_epochs=epochs[0], stage2_epochs=epochs[1]),
+              log=lambda *row: rows.append(row))
+        assert [r[0] for r in rows] == stages
