@@ -106,14 +106,10 @@ class _Block:
         return out
 
     def _attend(self, qn: Tensor, kvn: Tensor, stream: Tensor) -> Tensor:
-        q = ad.add_bias(ad.matmul(qn, self.wq[0]), self.wq[1])
-        k = ad.add_bias(ad.matmul(kvn, self.wk[0]), self.wk[1])
-        v = ad.add_bias(ad.matmul(kvn, self.wv[0]), self.wv[1])
-        mixed = _multi_head(q, k, v, self.heads)
-        stream = ad.add(stream, ad.add_bias(ad.matmul(mixed, self.wo[0]), self.wo[1]))
-        sn = ad.layer_norm(stream, *self.ln2)
-        h = ad.gelu(ad.add_bias(ad.matmul(sn, self.mlp1[0]), self.mlp1[1]))
-        return ad.add(stream, ad.add_bias(ad.matmul(h, self.mlp2[0]), self.mlp2[1]))
+        q, k, v = ad.linear(qn, *self.wq), ad.linear(kvn, *self.wk), ad.linear(kvn, *self.wv)
+        stream = ad.add(stream, ad.linear(_multi_head(q, k, v, self.heads), *self.wo))
+        h = ad.gelu(ad.linear(ad.layer_norm(stream, *self.ln2), *self.mlp1))
+        return ad.add(stream, ad.linear(h, *self.mlp2))
 
 
 class SelfBlock(_Block):
@@ -223,6 +219,6 @@ class OutputHeads:
         for i, ((w, b), p, (h, wd, c)) in enumerate(zip(self.heads, self.patch_sizes,
                                                         self.map_shapes)):
             lo, hi = i * self.width, (i + 1) * self.width
-            rows = ad.add_bias(ad.matmul(ad.take_last(tokens, lo, hi), w), b)
+            rows = ad.linear(ad.take_last(tokens, lo, hi), w, b)
             maps.append(unpatchify(rows, p, h, wd, c))
         return maps

@@ -248,15 +248,6 @@ def mul(a, b) -> Tensor:
     return _emit(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
-def add_bias(x, b) -> Tensor:
-    """Broadcast a 1-d bias over the last axis of ``x``."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    if b.data.ndim != 1 or x.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"add_bias: bias {b.data.shape} does not match last axis of {x.data.shape}")
-    return _emit(x.data + b.data, (x, b),
-                 lambda g: (g, g.sum(axis=tuple(range(g.ndim - 1)))))
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -383,7 +374,7 @@ def concat_last(parts) -> Tensor:
 
 class Permutation:
     """A permutation of range(n), checked once when built, with its inverse
-    ``inv``; ``index_last`` applies it without checking it again."""
+    ``inv``; ``take_channels`` applies it without checking it again."""
 
     def __init__(self, idx, n: int):
         idx = np.array(idx, dtype=np.int64)
@@ -393,17 +384,28 @@ class Permutation:
         self.inv = np.argsort(idx)
 
 
-def index_last(x, perm: Permutation) -> Tensor:
-    """Reorder the last axis by ``perm``, a ``Permutation`` of its range."""
+def take_channels(x, perm: Permutation, start: int, stop: int) -> Tensor:
+    """Channels ``perm.idx[start:stop]`` of the last axis, in that order: the
+    slice ``[start:stop]`` of ``x`` reordered by ``perm``, a ``Permutation``
+    of its range, taken in one gather without building the reordered map."""
     x = _as_tensor(x)
     d = x.data.shape[-1]
     if not isinstance(perm, Permutation):
-        raise ContractError(f"index_last takes a Permutation, got {type(perm).__name__}")
+        raise ContractError(f"take_channels takes a Permutation, got {type(perm).__name__}")
     if perm.idx.shape != (d,):
-        raise ShapeError(f"index_last: permutation of range({perm.idx.size}) "
+        raise ShapeError(f"take_channels: permutation of range({perm.idx.size}) "
                          f"on an axis of size {d}")
-    return _emit(np.take(x.data, perm.idx, axis=-1), (x,),
-                 lambda g: (np.take(g, perm.inv, axis=-1),))
+    if not (0 <= start < stop <= d):
+        raise ShapeError(f"take_channels: slice [{start}:{stop}] out of range for axis size {d}")
+    idx = perm.idx[start:stop]
+    in_shape = x.data.shape
+
+    def vjp(g):
+        gx = np.zeros(in_shape, dtype=g.dtype)
+        gx[..., idx] = g
+        return (gx,)
+
+    return _emit(np.take(x.data, idx, axis=-1), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +461,29 @@ def matmul(a, b) -> Tensor:
         return ((gf @ bd.T).reshape(ad.shape), flat.T @ gf)
 
     return _emit((flat @ bd).reshape(ad.shape[:-1] + (n,)), (a, b), vjp)
+
+
+def linear(x, w, b) -> Tensor:
+    """An affine layer over the last axis, ``x @ w + b`` with ``w`` (K, N)
+    and ``b`` (N,), as one op: the (rows, K) @ (K, N) product over the
+    flattened leading axes, then the bias added to it in place. The vjp
+    reads ``x`` and ``w`` only."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    xd, wd = x.data, w.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"linear: operands {xd.shape} @ {wd.shape} do not agree")
+    k, n = wd.shape
+    if b.data.shape != (n,):
+        raise ShapeError(f"linear: bias {b.data.shape} does not match {n} outputs")
+    flat = xd.reshape(-1, k)
+    out = flat @ wd
+    out += b.data
+
+    def vjp(g):
+        gf = g.reshape(-1, n)
+        return ((gf @ wd.T).reshape(xd.shape), flat.T @ gf, g.sum(axis=tuple(range(g.ndim - 1))))
+
+    return _emit(out.reshape(xd.shape[:-1] + (n,)), (x, w, b), vjp)
 
 
 def softmax_rows(x) -> Tensor:
@@ -519,45 +544,64 @@ def zero_pad_hw(xd: np.ndarray) -> np.ndarray:
     return xp
 
 
+def tap_view(xp: np.ndarray, out_shape: tuple, step: int) -> np.ndarray:
+    """The nine taps of a 3x3 window over the padded channels-last map
+    ``xp`` (a fresh contiguous array, as ``zero_pad_hw`` returns) as one
+    (3, 3, *out_shape) view: ``[dy, dx]`` is ``xp[..., dy::step, dx::step, :]``
+    cut to ``out_shape``, the map's leading axes then (H, W, C). No copy."""
+    s = xp.strides
+    strides = (s[-3], s[-2]) + s[:-3] + (step * s[-3], step * s[-2], s[-1])
+    return np.ndarray((3, 3) + tuple(out_shape), xp.dtype, xp, 0, strides)
+
+
 def _dw3x3_forward(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
     """Sum of the nine shifted, kernel-weighted copies of the padded map.
     The padding is ``zero_pad_hw``, not ``np.pad``, whose Python-level setup
-    cost more than the arithmetic on these small maps. The tap order, the
-    ``zeros_like`` start and the in-place ``+=`` fix the float summation
-    order, so outputs and checkpoints stay bit-for-bit reproducible: change
-    none of them without saying so."""
-    h, w = xd.shape[-3], xd.shape[-2]
-    xp = zero_pad_hw(xd)
-    out = np.zeros_like(xd)
-    for dy in range(3):
-        for dx in range(3):
-            out += kd[dy, dx] * xp[..., dy:dy + h, dx:dx + w, :]
-    return out
+    cost more than the arithmetic on these small maps. One ``np.multiply``
+    writes the nine products, kernel first, into a (9, ...) buffer, and one
+    ``np.add.reduce`` over its leading axis, started from ``initial=0``,
+    adds them one after another: ((0 + tap (0, 0)) + tap (0, 1)) + ... +
+    tap (2, 2). That is the order of a zero start and one in-place ``+=``
+    per tap in row-major kernel order, which every trained checkpoint was
+    made with, so outputs stay bit-for-bit reproducible (the +0.0 start also
+    turns an all -0.0 sum into +0.0). ``dualflow selftest`` checks the order
+    against that tap-by-tap loop, ``selftest.dw3x3_loop``."""
+    c = xd.shape[-1]
+    taps = np.empty((3, 3) + xd.shape, dtype=xd.dtype)
+    np.multiply(kd.reshape((3, 3) + (1,) * (xd.ndim - 1) + (c,)),
+                tap_view(zero_pad_hw(xd), xd.shape, 1), out=taps)
+    return np.add.reduce(taps.reshape((9,) + xd.shape), axis=0, initial=xd.dtype.type(0))
 
 
-def depthwise_conv3x3(x, kernel) -> Tensor:
+def depthwise_conv3x3(x, kernel, bias) -> Tensor:
     """Stride-1 depthwise 3x3 convolution with zero 'same' padding on a
-    channels-last map of shape (H, W, C) or (B, H, W, C); ``kernel`` is
-    (3, 3, C)."""
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
+    channels-last map of shape (H, W, C) or (B, H, W, C), plus a per-channel
+    bias; ``kernel`` is (3, 3, C) and ``bias`` (C,). The bias is added in
+    place after the nine taps."""
+    x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     xd, kd = x.data, kernel.data
     if xd.ndim not in (3, 4):
         raise ShapeError(f"depthwise_conv3x3 expects (H, W, C) or (B, H, W, C), got {xd.shape}")
     c = xd.shape[-1]
     if kd.shape != (3, 3, c):
         raise ShapeError(f"depthwise_conv3x3 kernel must be (3, 3, {c}), got {kd.shape}")
+    if bias.data.shape != (c,):
+        raise ShapeError(f"depthwise_conv3x3 bias must be ({c},), got {bias.data.shape}")
     out = _dw3x3_forward(xd, kd)
+    out += bias.data
     h, w = xd.shape[-3], xd.shape[-2]
     lead = tuple(range(xd.ndim - 3))
 
     def vjp(g):
         gx = _dw3x3_forward(g, kd[::-1, ::-1])
         xp = zero_pad_hw(xd)
+        # tap by tap: a single nine-tap reduction sums a one-channel map in
+        # another order
         gk = np.empty_like(kd)
         for dy in range(3):
             for dx in range(3):
                 prod = g * xp[..., dy:dy + h, dx:dx + w, :]
                 gk[dy, dx] = prod.sum(axis=lead + (-3, -2))
-        return (gx, gk)
+        return (gx, gk, g.sum(axis=tuple(range(g.ndim - 1))))
 
-    return _emit(out, (x, kernel), vjp)
+    return _emit(out, (x, kernel, bias), vjp)

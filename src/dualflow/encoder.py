@@ -40,16 +40,20 @@ class EncoderConfig:
 
 
 def _conv3x3_s2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 conv, stride 2, zero padding 1, channels last. H and W must be even."""
-    h, wd, _ = x.shape
-    ho, wo = h // 2, wd // 2
-    xp = ad.zero_pad_hw(x)
-    out = np.broadcast_to(b, (ho, wo, w.shape[-1])).copy()
-    for dy in range(3):
-        for dx in range(3):
-            patch = xp[dy:dy + 2 * ho - 1:2, dx:dx + 2 * wo - 1:2, :]
-            out += np.tensordot(patch, w[dy, dx], axes=([-1], [0]))
-    return out
+    """3x3 conv, stride 2, zero padding 1, channels last. H and W must be
+    even. The nine taps are one stacked (9, Ho*Wo, Cin) @ (9, Cin, Cout)
+    ``np.matmul`` into slabs 1 to 9 of a buffer whose slab 0 is the bias,
+    and ``np.add.reduce`` over that axis adds the slabs one after another:
+    the bias, then tap (0, 0) to tap (2, 2), each tap the same GEMM a
+    per-tap ``np.tensordot`` runs. That is the order and the bits of the
+    tap-by-tap loop this replaces, which ``dualflow selftest`` checks."""
+    h, wd, cin = x.shape
+    ho, wo, cout = h // 2, wd // 2, w.shape[-1]
+    taps = np.ascontiguousarray(ad.tap_view(ad.zero_pad_hw(x), (ho, wo, cin), 2))
+    buf = np.empty((10, ho * wo, cout), dtype=b.dtype)
+    buf[0] = b
+    np.matmul(taps.reshape(9, ho * wo, cin), w.reshape(9, cin, cout), out=buf[1:])
+    return np.add.reduce(buf, axis=0).reshape(ho, wo, cout)
 
 
 class FrozenEncoder:
@@ -179,7 +183,7 @@ class PatchEmbed:
         for fmap, p, (w, b) in zip(pyramid, self.cfg.patch_sizes, self.heads):
             rows = patchify(np.asarray(fmap), p)
             lengths.append(rows.shape[-2])
-            parts.append(ad.add_bias(ad.matmul(Tensor(rows), w), b))
+            parts.append(ad.linear(Tensor(rows), w, b))
         if len(set(lengths)) != 1:
             raise ShapeError(f"token counts differ across scales: {lengths}")
         return ad.concat_last(parts)

@@ -61,7 +61,7 @@ class Subnet:
     """dw3x3 -> 1x1 -> LeakyReLU -> 1x1 (zero init): identity-at-init
     predictor of per-location fields from the untouched channel half; a
     coupling's one subnet outputs its raw log-scale and its shift side by
-    side. A 1x1 layer is a ``matmul`` over the channel axis."""
+    side. A 1x1 layer is a ``linear`` over the channel axis."""
 
     def __init__(self, c_in: int, c_out: int, rng, hidden: int):
         dt = default_dtype()
@@ -79,21 +79,22 @@ class Subnet:
                 "pw2.w": self.pw2_w, "pw2.b": self.pw2_b}
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = ad.add_bias(ad.depthwise_conv3x3(x, self.dw_k), self.dw_b)
-        h = ad.add_bias(ad.matmul(h, self.pw1_w), self.pw1_b)
-        h = ad.leaky_relu(h)
-        return ad.add_bias(ad.matmul(h, self.pw2_w), self.pw2_b)
+        h = ad.depthwise_conv3x3(x, self.dw_k, self.dw_b)
+        h = ad.leaky_relu(ad.linear(h, self.pw1_w, self.pw1_b))
+        return ad.linear(h, self.pw2_w, self.pw2_b)
 
 
 class CouplingLayer:
-    """One flow step: an optional fixed channel permutation (volume
-    preserving, checked once here), then an affine coupling over a channel
-    split. ``flip`` alternates which half is transformed; on an odd width
-    the two halves differ by one channel. One subnet reads the conditioning
-    half and predicts, for the transformed half, the raw log-scale (its
-    first ``n_out`` output channels) and the shift (its last ``n_out``).
-    forward returns the output and the clamped log-scale field; its
-    per-location channel sum is the exact local Jacobian term, and the
+    """One flow step: a fixed channel permutation (volume preserving,
+    checked once here; the identity when ``perm`` is None), then an affine
+    coupling over a channel split of the permuted map. ``flip`` alternates
+    which half is transformed; on an odd width the two halves differ by one
+    channel. One subnet reads the conditioning half and predicts, for the
+    transformed half, the raw log-scale (its first ``n_out`` output
+    channels) and the shift (its last ``n_out``). forward gathers each half
+    straight from its input through the permutation, never building the
+    permuted map, and returns the output and the clamped log-scale field;
+    its per-location channel sum is the exact local Jacobian term, and the
     permutation adds nothing to it."""
 
     def __init__(self, channels: int, clamp: float, flip: bool, rng, hidden_ratio: float = 1.0,
@@ -104,8 +105,12 @@ class CouplingLayer:
         self.n_a = channels // 2
         self.clamp = clamp
         self.flip = flip
-        self.perm = None if perm is None else ad.Permutation(perm, channels)
-        self.inv = None if perm is None else ad.Permutation(self.perm.inv, channels)
+        self.perm = ad.Permutation(np.arange(channels) if perm is None else perm, channels)
+        self.inv = ad.Permutation(self.perm.inv, channels)
+        # (start, stop) of the conditioning and the transformed half in
+        # permuted channel order
+        self.half_a, self.half_b = (((self.n_a, channels), (0, self.n_a)) if flip
+                                    else ((0, self.n_a), (self.n_a, channels)))
         n_rest = channels - self.n_a
         n_in, self.n_out = (n_rest, self.n_a) if flip else (self.n_a, n_rest)
         hidden = max(1, int(round(n_in * hidden_ratio)))
@@ -113,11 +118,6 @@ class CouplingLayer:
 
     def params(self):
         return self.net.params()
-
-    def _halves(self, x: Tensor):
-        if self.flip:
-            return ad.take_last(x, self.n_a, self.channels), ad.take_last(x, 0, self.n_a)
-        return ad.take_last(x, 0, self.n_a), ad.take_last(x, self.n_a, self.channels)
 
     def _join(self, a: Tensor, b: Tensor) -> Tensor:
         return ad.concat_last([b, a] if self.flip else [a, b])
@@ -130,19 +130,17 @@ class CouplingLayer:
         return ad.mul(ad.tanh(ad.mul(raw, 1.0 / self.clamp)), self.clamp), t
 
     def forward(self, x: Tensor):
-        if self.perm is not None:
-            x = ad.index_last(x, self.perm)
-        a, b = self._halves(x)
+        a = ad.take_channels(x, self.perm, *self.half_a)
+        b = ad.take_channels(x, self.perm, *self.half_b)
         s, t = self._scale_shift(a)
         y_b = ad.add(ad.mul(b, ad.exp(s)), t)
         return self._join(a, y_b), s
 
     def inverse(self, y: Tensor) -> Tensor:
-        a, y_b = self._halves(y)
+        a, y_b = ad.take_last(y, *self.half_a), ad.take_last(y, *self.half_b)
         s, t = self._scale_shift(a)
         b = ad.mul(ad.sub(y_b, t), ad.exp(ad.mul(s, -1.0)))
-        x = self._join(a, b)
-        return x if self.inv is None else ad.index_last(x, self.inv)
+        return ad.take_channels(self._join(a, b), self.inv, 0, self.channels)
 
 
 class StandardizeStage:

@@ -77,8 +77,13 @@ def region_overlap_curve(maps, masks, saturations=None):
         raise ContractError("localization metrics need at least one map/mask pair")
     if saturations is None:
         saturations = [1.0] * len(maps)
-    elif np.ndim(saturations) != 1 or len(saturations) != len(maps):
-        raise ShapeError("one saturation per map is required")
+    else:
+        try:
+            saturations = np.asarray(saturations, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ContractError("saturations must be numbers, one per map") from None
+        if saturations.shape != (len(maps),):
+            raise ShapeError("one saturation per map is required")
     flat_scores = []
     flat_region = []
     region_sizes = []

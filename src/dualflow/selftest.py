@@ -3,9 +3,9 @@
 The oracles here recompute results from first principles — O(n²) pairwise
 comparisons for ranking, exhaustive threshold enumeration for region curves,
 breadth-first flood fill for components, finite differences for gradients and
-Jacobians — and share no kernels with the production code they check. The
-test suite imports them too, so there is exactly one canonical oracle per
-quantity.
+Jacobians, tap-by-tap loops for the 3x3 convolutions — and share no kernels
+with the production code they check. The test suite imports them too, so
+there is exactly one canonical oracle per quantity.
 
 ``run_selftest`` prints one ``ok <name>`` / ``FAIL <name>: <detail>`` line
 per check and returns True only if every check passed.
@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import _multi_head
 from .autodiff import Tensor, using_dtype
+from .encoder import _conv3x3_s2
 from .flow import FlowConfig, FlowStack
 from .gradcheck import check_gradients
 from .metrics import au_pro, auroc, connected_components, region_overlap_curve, spro
@@ -146,6 +147,34 @@ def numeric_jacobian(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         lo[i] -= eps
         jac[:, i] = (fn(hi) - fn(lo)) / (2.0 * eps)
     return jac
+
+
+def dw3x3_loop(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
+    """Depthwise 3x3 'same' convolution of a channels-last map, (..., H, W,
+    C) with a (3, 3, C) kernel: the nine kernel-weighted shifts of the
+    ``np.pad``-ed map added one tap at a time, in row-major kernel order, to
+    a zero start."""
+    h, w = xd.shape[-3], xd.shape[-2]
+    xp = np.pad(xd, [(0, 0)] * (xd.ndim - 3) + [(1, 1), (1, 1), (0, 0)])
+    out = np.zeros_like(xd)
+    for dy in range(3):
+        for dx in range(3):
+            out += kd[dy, dx] * xp[..., dy:dy + h, dx:dx + w, :]
+    return out
+
+
+def conv3x3_s2_loop(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stride-2 3x3 convolution with zero padding 1 of an (H, W, Cin) map,
+    (3, 3, Cin, Cout) weights: the bias, then one ``np.tensordot`` per tap
+    added one tap at a time, in row-major kernel order."""
+    ho, wo = x.shape[0] // 2, x.shape[1] // 2
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    out = np.broadcast_to(b, (ho, wo, w.shape[-1])).copy()
+    for dy in range(3):
+        for dx in range(3):
+            patch = xp[dy:dy + 2 * ho - 1:2, dx:dx + 2 * wo - 1:2, :]
+            out += np.tensordot(patch, w[dy, dx], axes=([-1], [0]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +324,54 @@ def check_metric_oracles() -> tuple[bool, str]:
     return True, "20 ranking + 8 region instances exact"
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    uint = np.dtype(f"u{a.dtype.itemsize}")
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(uint), b.view(uint))
+
+
+def check_conv_taps() -> tuple[bool, str]:
+    """The one-call 3x3 convolutions against their tap-by-tap loops, bit for
+    bit. Both rest on numpy and BLAS behaviour a library upgrade could
+    change: ``np.add.reduce`` over the leading axis adds the slabs one after
+    another, and a stacked ``np.matmul`` runs the GEMM ``np.tensordot`` runs.
+    Shapes are the flows' (batch 1 and 8, one-channel subnets included) and
+    the encoder's, default and small; inputs carry zeros, -0.0 and
+    denormals."""
+    rng = np.random.default_rng(29)
+
+    def sample(shape, dtype):
+        x = rng.normal(size=shape).astype(dtype)
+        flat = x.reshape(-1)
+        tiny = np.finfo(dtype).smallest_subnormal
+        flat[rng.choice(flat.size, size=4, replace=False)] = [0.0, -0.0, tiny, -tiny]
+        return x
+
+    n = 0
+    for dtype in (np.float32, np.float64):
+        for shape in ((1, 16, 16, 24), (8, 16, 16, 24), (1, 8, 8, 48), (8, 4, 4, 96),
+                      (7, 9, 4), (2, 5, 6, 1)):
+            x, k = sample(shape, dtype), sample((3, 3, shape[-1]), dtype)
+            for kernel in (k, k[::-1, ::-1]):  # the forward's and the input gradient's
+                n += 1
+                if not _same_bits(ad._dw3x3_forward(x, kernel), dw3x3_loop(x, kernel)):
+                    return False, f"depthwise {shape} {dtype.__name__} differs from the tap loop"
+        for size, cin, cout in ((64, 3, 16), (32, 16, 16), (16, 16, 32), (8, 32, 64),
+                                (32, 3, 4), (16, 4, 4), (8, 4, 6), (4, 6, 8)):
+            x = sample((size, size, cin), dtype)
+            w, b = sample((3, 3, cin, cout), dtype), sample((cout,), dtype)
+            n += 1
+            if not _same_bits(_conv3x3_s2(x, w, b), conv3x3_s2_loop(x, w, b)):
+                return False, f"stride-2 conv {(size, size, cin, cout)} {dtype.__name__} " \
+                              "differs from the tap loop"
+    return True, f"{n} convolutions bit-equal"
+
+
 CHECKS = (
     ("flow_roundtrip", check_flow_roundtrip),
     ("flow_logdet", check_flow_logdet),
     ("gradcheck", check_gradcheck),
     ("metric_oracles", check_metric_oracles),
+    ("conv_taps", check_conv_taps),
 )
 
 

@@ -14,6 +14,7 @@ from dualflow.autodiff import Tape, Tensor
 from dualflow.errors import ContractError, ShapeError
 from dualflow.gradcheck import check_gradients, finite_difference_grads, max_rel_error
 from dualflow.optim import AdamW, adamw_step
+from dualflow.selftest import dw3x3_loop
 
 
 def t64(data, requires_grad=False):
@@ -137,9 +138,19 @@ def test_shape_mismatch_raises():
         with pytest.raises(ShapeError):
             ad.Permutation(bad, 6)
     with pytest.raises(ShapeError):  # a checked permutation of another width
-        ad.index_last(x6, ad.Permutation([1, 0, 2, 3, 4], 5))
+        ad.take_channels(x6, ad.Permutation([1, 0, 2, 3, 4], 5), 0, 5)
     with pytest.raises(ContractError):  # a raw index array is not a Permutation
-        ad.index_last(x6, np.arange(6))
+        ad.take_channels(x6, np.arange(6), 0, 6)
+    for start, stop in ((0, 7), (-1, 3), (3, 3)):
+        with pytest.raises(ShapeError):
+            ad.take_channels(x6, ad.Permutation(np.arange(6), 6), start, stop)
+    for x, w, b in (((2, 3), (4, 5), (5,)),      # inner axes differ
+                    ((3,), (3, 5), (5,)),        # a vector is not a row stack
+                    ((2, 3), (2, 3, 5), (5,)),   # the weight is one matrix
+                    ((2, 3), (3, 5), (3,)),      # bias of the input width
+                    ((2, 3), (3, 5), (1, 5))):   # bias is 1-d
+        with pytest.raises(ShapeError):
+            ad.linear(Tensor(np.ones(x)), Tensor(np.ones(w)), Tensor(np.ones(b)))
     with pytest.raises(ShapeError):  # a constant operand may not widen the tensor
         ad.add(Tensor(np.ones(3)), np.ones((2, 3)))
     with pytest.raises(ShapeError):
@@ -198,18 +209,20 @@ def test_conv2d_depthwise_delta_kernel_is_identity(f64, rng):
     x = rng.normal(size=(6, 7, 4))
     k = np.zeros((3, 3, 4))
     k[1, 1, :] = 1.0
-    out = ad.depthwise_conv3x3(Tensor(x), Tensor(k)).data
+    out = ad.depthwise_conv3x3(Tensor(x), Tensor(k), Tensor(np.zeros(4))).data
     np.testing.assert_array_equal(out, x)
 
 
 def test_conv2d_depthwise_matches_direct_sum(rng):
-    # the loop adds the taps in the kernel's order, starting from zero, so
-    # the sums agree exactly
-    for shape, dtype in (((5, 5, 2), np.float64), ((2, 4, 5, 3), np.float32)):
+    # the loop adds the taps in the kernel's order, starting from zero, then
+    # the bias, so the sums agree exactly
+    for shape, dtype in (((5, 5, 2), np.float64), ((2, 4, 5, 3), np.float32),
+                         ((3, 4, 1), np.float32)):
         x = rng.normal(size=shape).astype(dtype)
         k = rng.normal(size=(3, 3, shape[-1])).astype(dtype)
+        bias = rng.normal(size=shape[-1]).astype(dtype)
         with ad.using_dtype(dtype):
-            out = ad.depthwise_conv3x3(Tensor(x), Tensor(k)).data
+            out = ad.depthwise_conv3x3(Tensor(x), Tensor(k), Tensor(bias)).data
         xb, ob = x.reshape((-1,) + x.shape[-3:]), out.reshape((-1,) + x.shape[-3:])
         n, hh, ww, cc = xb.shape
         for b in range(n):
@@ -221,38 +234,31 @@ def test_conv2d_depthwise_matches_direct_sum(rng):
                         for dy in range(3):
                             for dx in range(3):
                                 want[h, w, c] += k[dy, dx, c] * xp[h + dy, w + dx, c]
-            np.testing.assert_array_equal(ob[b], want)
+            np.testing.assert_array_equal(ob[b], want + bias)
 
 
 def test_conv2d_batched_matches_loop(f64, rng):
     x = rng.normal(size=(3, 5, 5, 4))
-    k = rng.normal(size=(3, 3, 4))
-    batched = ad.depthwise_conv3x3(Tensor(x), Tensor(k)).data
+    k, bias = Tensor(rng.normal(size=(3, 3, 4))), Tensor(rng.normal(size=4))
+    batched = ad.depthwise_conv3x3(Tensor(x), k, bias).data
     for b in range(3):
-        single = ad.depthwise_conv3x3(Tensor(x[b]), Tensor(k)).data
+        single = ad.depthwise_conv3x3(Tensor(x[b]), k, bias).data
         np.testing.assert_allclose(batched[b], single, atol=1e-12)
 
 
 def test_conv2d_channel_mismatch_raises():
     with pytest.raises(ShapeError):
-        ad.depthwise_conv3x3(Tensor(np.ones((4, 4, 3))), Tensor(np.ones((3, 3, 2))))
-    with pytest.raises(ShapeError):  # a 1x1 layer is a matmul over the channel axis
-        ad.matmul(Tensor(np.ones((4, 4, 3))), Tensor(np.ones((4, 2))))
+        ad.depthwise_conv3x3(Tensor(np.ones((4, 4, 3))), Tensor(np.ones((3, 3, 2))),
+                             Tensor(np.ones(3)))
+    with pytest.raises(ShapeError):  # one bias per channel
+        ad.depthwise_conv3x3(Tensor(np.ones((4, 4, 3))), Tensor(np.ones((3, 3, 3))),
+                             Tensor(np.ones(2)))
+    with pytest.raises(ShapeError):  # a 1x1 layer is a linear over the channel axis
+        ad.linear(Tensor(np.ones((4, 4, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
 
 
 # ---------------------------------------------------------------------------
 # the flow kernels against the numpy forms they replaced, bit for bit
-
-
-def dw3x3_np_pad(xd, kd):
-    """The depthwise forward as it was written with ``np.pad``."""
-    h, w = xd.shape[-3], xd.shape[-2]
-    xp = np.pad(xd, [(0, 0)] * (xd.ndim - 3) + [(1, 1), (1, 1), (0, 0)])
-    out = np.zeros_like(xd)
-    for dy in range(3):
-        for dx in range(3):
-            out += kd[dy, dx] * xp[..., dy:dy + h, dx:dx + w, :]
-    return out
 
 
 def dw3x3_kernel_grad_np_pad(xd, kd, g):
@@ -275,25 +281,57 @@ def leaky_relu_two_where(xd, slope=0.01):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(7, 9, 4), (3, 6, 5, 8)])
+@pytest.mark.parametrize("shape", [(7, 9, 4), (3, 6, 5, 8), (2, 4, 5, 1)])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_depthwise_conv3x3_matches_np_pad_form_bit_for_bit(shape, dtype):
+    """The one-call forward and input gradient equal the tap-by-tap
+    ``np.pad`` loop, the bias added after the nine taps, bit for bit; the
+    kernel gradient equals its own tap loop, the bias gradient the sum of
+    the output gradient over every axis but the channels."""
     rng = np.random.default_rng(sum(shape))
     xd = with_specials(rng, shape, dtype)
     kd = with_specials(rng, (3, 3, shape[-1]), dtype, finite_only=True)
+    bd = rng.normal(size=shape[-1]).astype(dtype)
     gd = with_specials(rng, shape, dtype)
     # a channel whose every product is -0.0: only the +0.0 start of the sum
-    # turns it into +0.0
+    # turns it into +0.0, and its bias is -0.0 as well
     xd[..., 0] = -0.0
     kd[..., 0] = np.abs(kd[..., 0])
+    bd[0] = -0.0
     with ad.using_dtype(dtype):
         x, k = Tensor(xd, requires_grad=True), Tensor(kd, requires_grad=True)
+        b = Tensor(bd, requires_grad=True)
         with Tape() as tape:
-            out = ad.depthwise_conv3x3(x, k)
+            out = ad.depthwise_conv3x3(x, k, b)
             tape.backward(ad.sum_all(ad.mul(out, gd)))
-    assert_same_bits(out.data, dw3x3_np_pad(xd, kd))
-    assert_same_bits(x.grad, dw3x3_np_pad(gd, kd[::-1, ::-1]))
+    assert_same_bits(out.data, dw3x3_loop(xd, kd) + bd)
+    assert_same_bits(x.grad, dw3x3_loop(gd, kd[::-1, ::-1]))
     assert_same_bits(k.grad, dw3x3_kernel_grad_np_pad(xd, kd, gd))
+    assert_same_bits(b.grad, gd.sum(axis=tuple(range(gd.ndim - 1))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(6, 5), (2, 4, 3, 5)])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_linear_matches_matmul_plus_bias_form_bit_for_bit(shape, dtype):
+    """``linear`` equals ``(x.reshape(-1, K) @ w).reshape(...) + b``, and
+    its gradients the transpose products and the bias sum of that form,
+    bit for bit."""
+    rng = np.random.default_rng(sum(shape))
+    k, n = shape[-1], 12
+    xd, wd = with_specials(rng, shape, dtype), with_specials(rng, (k, n), dtype)
+    bd = with_specials(rng, (n,), dtype)
+    gd = with_specials(rng, shape[:-1] + (n,), dtype)
+    with ad.using_dtype(dtype):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+        with Tape() as tape:
+            out = ad.linear(x, w, b)
+            tape.backward(ad.sum_all(ad.mul(out, gd)))
+    flat, gf = xd.reshape(-1, k), gd.reshape(-1, n)
+    assert_same_bits(out.data, (flat @ wd).reshape(gd.shape) + bd)
+    assert_same_bits(x.grad, (gf @ wd.T).reshape(shape))
+    assert_same_bits(w.grad, flat.T @ gf)
+    assert_same_bits(b.grad, gd.sum(axis=tuple(range(gd.ndim - 1))))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -325,16 +363,20 @@ def test_taped_ops_hold_no_backward_only_arrays():
     drops the output, ``leaky_relu`` holds no new array (backward rebuilds
     the sign mask from the input), ``gelu`` its ``cdf`` (backward computes
     ``pdf``), ``exp`` and ``tanh`` their output, and ``add``, a constant
-    ``mul``, ``take_last`` and ``index_last`` nothing."""
+    ``mul``, ``take_last``, ``take_channels`` and ``linear`` nothing
+    (``linear`` reads only its input and weight, not its product)."""
     n = 2 ** 10
     x = Tensor(np.linspace(-3.0, 3.0, n * n, dtype=np.float32).reshape(n, n),
                requires_grad=True)
     nbytes = x.data.nbytes
     reverse = ad.Permutation(np.arange(n)[::-1], n)
+    w = Tensor(np.full((n, n // 2), 1e-3, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.ones(n // 2, dtype=np.float32), requires_grad=True)
     ops = (("leaky_relu", ad.leaky_relu, 0), ("gelu", ad.gelu, 1), ("exp", ad.exp, 1),
            ("tanh", ad.tanh, 1), ("add", lambda t: ad.add(t, t), 0),
            ("mul", lambda t: ad.mul(t, 2.0), 0), ("take_last", lambda t: ad.take_last(t, 1, n), 0),
-           ("index_last", lambda t: ad.index_last(t, reverse), 0))
+           ("take_channels", lambda t: ad.take_channels(t, reverse, 1, n), 0),
+           ("linear", lambda t: ad.linear(t, w, b), 0))
     for name, op, n_arrays in ops:
         tracemalloc.start()
         try:
@@ -352,22 +394,23 @@ def test_taped_ops_hold_no_backward_only_arrays():
 def test_outputs_no_vjp_reads_are_freed_during_the_forward():
     """An op output that only feeds ops whose vjps do not read it is gone as
     soon as the forward drops it, with the tape still alive: the permuted
-    map split by two ``take_last``s, an ``add`` scaled by a constant ``mul``.
+    map (one ``take_channels`` over every channel) split by two
+    ``take_last``s, an ``add`` scaled by a constant ``mul``.
     An output a vjp reads (``exp``'s) stays until the tape goes, and the
     gradients are those of the whole graph."""
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     perm = ad.Permutation([3, 0, 5, 1, 4, 2], 6)
     with Tape() as tape:
-        permuted = ad.index_last(x, perm)
+        permuted = ad.take_channels(x, perm, 0, 6)
         a, b = ad.take_last(permuted, 0, 3), ad.take_last(permuted, 3, 6)
         summed = ad.add(a, b)
         scaled = ad.mul(summed, 2.0)
         e = ad.exp(scaled)
         refs = {name: weakref.ref(t.data) for name, t in
-                (("index_last", permuted), ("add", summed), ("exp", e))}
+                (("take_channels", permuted), ("add", summed), ("exp", e))}
         del permuted, summed, e
-        assert refs["index_last"]() is None and refs["add"]() is None
+        assert refs["take_channels"]() is None and refs["add"]() is None
         assert refs["exp"]() is not None
         tape.backward(ad.sum_all(scaled))
         tape.backward(ad.sum_all(ad.exp(scaled)))
@@ -481,14 +524,14 @@ def _primitive_cases(seed):
     cases.append(("leaky_relu", lambda: ad.sum_all(ad.mul(ad.leaky_relu(lr), lr)), [lr]))
     ge = p((4, 4))
     cases.append(("gelu", lambda: ad.sum_all(ad.mul(ad.gelu(ge), ge)), [ge]))
-    dw_x, dw_k = p((4, 5, 3)), p((3, 3, 3), scale=0.5)
+    dw_x, dw_k, dw_b = p((4, 5, 3)), p((3, 3, 3), scale=0.5), p((3,))
     cases.append(("depthwise_conv3x3",
-                  lambda: ad.sum_all(ad.mul(ad.depthwise_conv3x3(dw_x, dw_k),
-                                            ad.depthwise_conv3x3(dw_x, dw_k))),
-                  [dw_x, dw_k]))
-    bb_x, bb_b = p((3, 4, 5)), p((5,))
-    cases.append(("add_bias", lambda: ad.sum_all(ad.mul(ad.add_bias(bb_x, bb_b),
-                                                        ad.add_bias(bb_x, bb_b))), [bb_x, bb_b]))
+                  lambda: ad.sum_all(ad.mul(ad.depthwise_conv3x3(dw_x, dw_k, dw_b),
+                                            ad.depthwise_conv3x3(dw_x, dw_k, dw_b))),
+                  [dw_x, dw_k, dw_b]))
+    li_x, li_w, li_b = p((3, 4, 5)), p((5, 2), scale=0.5), p((2,))
+    cases.append(("linear", lambda: ad.sum_all(ad.tanh(ad.linear(li_x, li_w, li_b))),
+                  [li_x, li_w, li_b]))
     tk = p((3, 9))
     cases.append(("take_concat",
                   lambda: ad.sum_all(ad.mul(ad.concat_last([ad.take_last(tk, 0, 4),
@@ -497,8 +540,10 @@ def _primitive_cases(seed):
     ix = p((2, 3, 6))
     perm = ad.Permutation(rng.permutation(6), 6)
     inv = ad.Permutation(perm.inv, 6)
-    cases.append(("index_last", lambda: ad.sum_all(ad.mul(ad.index_last(ix, perm),
-                                                          ad.index_last(ix, inv))), [ix]))
+    cases.append(("take_channels",
+                  lambda: ad.sum_all(ad.mul(ad.concat_last([ad.take_channels(ix, perm, 4, 6),
+                                                            ad.take_channels(ix, perm, 0, 4)]),
+                                            ad.take_channels(ix, inv, 0, 6))), [ix]))
     rs = p((2, 3, 4))
     cases.append(("reshape_permute",
                   lambda: ad.sum_all(ad.mul(ad.permute(ad.reshape(rs, (2, 12)), (1, 0)),
@@ -534,7 +579,7 @@ def test_composite_gradient_matches_finite_differences(f64):
 
     def f():
         h = ad.layer_norm(x, g, bmat)
-        h = ad.gelu(ad.add_bias(ad.matmul(h, w1), b1))
+        h = ad.gelu(ad.linear(h, w1, b1))
         out = ad.softmax_rows(ad.matmul(h, w2))
         return ad.sum_all(ad.mul(out, out))
 

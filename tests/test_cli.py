@@ -291,7 +291,7 @@ def test_mixed_size_training_images_exit_1(workspace, tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert len(lines) == 4 and all(line.startswith("ok ") for line in lines), lines
+    assert len(lines) == 5 and all(line.startswith("ok ") for line in lines), lines
 
 
 def test_train_help_embeds_default_config(capsys):

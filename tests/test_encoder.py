@@ -10,6 +10,7 @@ from dualflow.autodiff import Tensor, using_dtype
 from dualflow.encoder import (EncoderConfig, FrozenEncoder, PatchEmbed, PatchEmbedConfig,
                               _conv3x3_s2, patchify, position_encoding, unpatchify)
 from dualflow.errors import ContractError, ShapeError
+from dualflow.selftest import conv3x3_s2_loop
 
 
 def unpatchify_np(rows: np.ndarray, p: int, h: int, w: int, c: int) -> np.ndarray:
@@ -19,25 +20,20 @@ def unpatchify_np(rows: np.ndarray, p: int, h: int, w: int, c: int) -> np.ndarra
     return np.ascontiguousarray(out).reshape(h, w, c)
 
 
-def conv3x3_s2_np_pad(x, w, b):
-    """The stride-2 conv as it was written with ``np.pad``."""
-    ho, wo = x.shape[0] // 2, x.shape[1] // 2
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    out = np.broadcast_to(b, (ho, wo, w.shape[-1])).copy()
-    for dy in range(3):
-        for dx in range(3):
-            patch = xp[dy:dy + 2 * ho - 1:2, dx:dx + 2 * wo - 1:2, :]
-            out += np.tensordot(patch, w[dy, dx], axes=([-1], [0]))
-    return out
-
-
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_frozen_conv_matches_np_pad_form():
+    """The one stacked product over the nine taps equals the bias plus nine
+    ``np.tensordot``s of the ``np.pad``-ed map, added tap by tap, bit for
+    bit: on a non-square map and on every conv of the default and the
+    small encoder, with zeros, -0.0, denormals, infinities and NaN."""
     rng = np.random.default_rng(4)
-    x = with_specials(rng, (8, 10, 3), np.float32)
-    w = rng.normal(size=(3, 3, 3, 5)).astype(np.float32)
-    b = rng.normal(size=5).astype(np.float32)
-    assert_same_bits(_conv3x3_s2(x, w, b), conv3x3_s2_np_pad(x, w, b))
+    for shape, cout in (((8, 10, 3), 5), ((64, 64, 3), 16), ((32, 32, 16), 16),
+                        ((16, 16, 16), 32), ((8, 8, 32), 64), ((32, 32, 3), 4),
+                        ((16, 16, 4), 4), ((8, 8, 4), 6), ((4, 4, 6), 8)):
+        x = with_specials(rng, shape, np.float32)
+        w = with_specials(rng, (3, 3, shape[-1], cout), np.float32)
+        b = rng.normal(size=cout).astype(np.float32)
+        assert_same_bits(_conv3x3_s2(x, w, b), conv3x3_s2_loop(x, w, b))
 
 
 def test_config_validation():

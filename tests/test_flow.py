@@ -61,10 +61,10 @@ def test_identity_at_init(rng):
         u = rng.normal(size=(2, 3, 3, 8))
         z, fields = stack.forward(Tensor(u))
         # at init the stack is the composition of its couplings' seeded
-        # permutations; the first coupling has none
-        assert stack.couplings[0].perm is None
+        # permutations; the first coupling's is the identity
+        np.testing.assert_array_equal(stack.couplings[0].perm.idx, np.arange(8))
         perm = np.arange(8)
-        for layer in stack.couplings[1:]:
+        for layer in stack.couplings:
             perm = perm[layer.perm.idx]
         np.testing.assert_allclose(stack.log_det(fields).data, 0.0, atol=1e-12)
         np.testing.assert_array_equal(z.data, u[..., perm])
@@ -312,3 +312,72 @@ def test_standardize_matches_broadcast_copy_form_bit_for_bit(dtype):
                 assert got[2] == want[2]  # same tape ops
                 if taped:
                     assert_same_bits(got[1], want[1])
+
+
+def coupling_forward_permute_then_slice(layer, x):
+    """The coupling forward as it was written: the whole map reordered by
+    the permutation (one gather over every channel, what ``index_last``
+    did), then split by two ``take_last`` slices."""
+    x = ad.take_channels(x, layer.perm, 0, layer.channels)
+    a, b = ad.take_last(x, *layer.half_a), ad.take_last(x, *layer.half_b)
+    s, t = layer._scale_shift(a)
+    return layer._join(a, ad.add(ad.mul(b, ad.exp(s)), t)), s
+
+
+def coupling_inverse_slice_then_permute(layer, y, permuted):
+    """The coupling inverse as it was written: split by two slices, then
+    the joined map reordered by the inverse permutation, if the coupling
+    has a drawn one."""
+    a, y_b = ad.take_last(y, *layer.half_a), ad.take_last(y, *layer.half_b)
+    s, t = layer._scale_shift(a)
+    x = layer._join(a, ad.mul(ad.sub(y_b, t), ad.exp(ad.mul(s, -1.0))))
+    return ad.take_channels(x, layer.inv, 0, layer.channels) if permuted else x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [7, 8])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+def test_coupling_gathers_match_permute_then_slice_form_bit_for_bit(channels, dtype):
+    """A coupling's forward gathers each half through its permutation in one
+    op: its output, log-scale field and input gradient equal those of
+    reordering the whole map first and slicing it, bit for bit; the inverse
+    equals its own slice-then-reorder form. Covered: both flips, with and
+    without a drawn permutation, odd and even widths, inputs with zeros,
+    -0.0, denormals, infinities and NaN."""
+    rng = np.random.default_rng(channels)
+    for flip in (False, True):
+        for permuted in (False, True):
+            with using_dtype(dtype):
+                layer = CouplingLayer(channels, 2.0, flip, np.random.default_rng(1), 1.5,
+                                      perm=rng.permutation(channels) if permuted else None)
+                perturb(layer.net, rng, scale=0.3)
+            xd = with_specials(rng, (2, 3, 4, channels), dtype)
+            gd = with_specials(rng, (2, 3, 4, channels), dtype)
+            gs = with_specials(rng, (2, 3, 4, layer.n_out), dtype)
+
+            def run(fn):
+                with using_dtype(dtype):
+                    x = Tensor(xd, requires_grad=True)
+                    with ad.Tape() as tape:
+                        out, s = fn(layer, x)
+                        tape.backward(ad.add(ad.sum_all(ad.mul(out, gd)),
+                                             ad.sum_all(ad.mul(s, gs))))
+                    return out.data, s.data, x.grad
+
+            for got, want in zip(run(CouplingLayer.forward),
+                                 run(coupling_forward_permute_then_slice)):
+                assert_same_bits(got, want)
+
+            def run_inverse(fn):
+                with using_dtype(dtype):
+                    y = Tensor(xd, requires_grad=True)
+                    with ad.Tape() as tape:
+                        out = fn(y)
+                        tape.backward(ad.sum_all(ad.mul(out, gd)))
+                    return out.data, y.grad
+
+            for got, want in zip(run_inverse(layer.inverse),
+                                 run_inverse(lambda y: coupling_inverse_slice_then_permute(
+                                     layer, y, permuted))):
+                assert_same_bits(got, want)

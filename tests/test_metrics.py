@@ -242,6 +242,19 @@ def test_spro_rejects_saturation_count_mismatch():
             spro(maps, masks, sats)
 
 
+def test_spro_rejects_non_numeric_saturations():
+    """A saturation that is not a number fails as a contract error, not as
+    numpy's or Python's own: a string, None (read as NaN, which is no
+    region fraction) and a ragged list."""
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[1, 1] = True
+    for sats in (["a"], [None]):
+        with pytest.raises(ContractError):
+            spro([mask.astype(float)], [mask], sats)
+    with pytest.raises(ContractError, match="numbers, one per map"):
+        spro([mask.astype(float)] * 2, [mask] * 2, [1.0, [1.0]])
+
+
 def test_area_to_limit_matches_loop_oracle_bit_for_bit():
     """The integral equals the segment-by-segment loop of the oracle to the
     bit: limits on a curve point, between points and at 1.0, curves with

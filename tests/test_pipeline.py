@@ -93,18 +93,20 @@ def test_loss_flow_gradcheck_toy(f64):
     assert check_gradients(f, list(stack.params().values())) < 1e-4
 
 
-def test_default_loss_flow_records_518_tape_ops():
+def test_default_loss_flow_records_425_tape_ops():
     """Each coupling runs one subnet, which predicts its log-scale and shift
-    together: a default-config loss on a batch of 8 records 518 ops (a
-    scale and a shift subnet per coupling would record 638). The count does
-    not depend on the map size."""
+    together; each subnet layer is one op with its bias, and a coupling
+    gathers its two halves through its permutation: a default-config loss
+    on a batch of 8 records 425 ops (518 with a bias op per layer and the
+    permuted map built first, 638 with a scale and a shift subnet per
+    coupling too). The count does not depend on the map size."""
     model = build_model(default_run_config())
     rng = np.random.default_rng(0)
     joints = [Tensor(rng.normal(size=(8, 2, 2, s.channels)).astype(np.float32))
               for s in model.flows]
     with Tape() as tape:
         loss_flow(model.flows, joints)
-    assert len(tape) == 518
+    assert len(tape) == 425
 
 
 def test_default_loss_flow_forward_holds_only_what_backward_reads():
@@ -123,7 +125,7 @@ def test_default_loss_flow_forward_holds_only_what_backward_reads():
             held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(tape) == 518
+    assert len(tape) == 425
     assert held <= 32 * 2 ** 20, held / 2 ** 20
 
 
