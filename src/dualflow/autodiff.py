@@ -1,11 +1,11 @@
 """Dense tensors with reverse-mode autodiff on a define-by-run tape.
 
 A ``Tensor`` wraps a numpy array. Each op computes its forward and hands
-``_emit`` one vjp closure (output gradient to input gradients). While a
-``Tape`` is active, every op whose inputs require gradients gives its output
-a fresh integer key and appends one record (key, targets, vjp) to the tape:
-``targets`` names, per input, the key of the op that made it, the leaf
-tensor that requires grad, or None for a constant. A record holds no op
+``_emit`` one vjp closure (output gradients to input gradients). While a
+``Tape`` is active, every op whose inputs require gradients gives each of its
+outputs a fresh integer key and appends one record (keys, targets, vjp) to
+the tape: ``targets`` names, per input, the key of the op that made it, the
+leaf tensor that requires grad, or None for a constant. A record holds no op
 output, so an array lives only as long as the forward's own locals or some
 vjp closure refer to it, and whatever no backward reads is freed during the
 forward. ``Tape.backward`` replays the records in reverse, is the only
@@ -22,7 +22,6 @@ default is float32.
 from __future__ import annotations
 
 import itertools
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -33,15 +32,9 @@ from .errors import ContractError, ShapeError
 _DEFAULT_DTYPE = np.float32
 
 
-class _TapeStack(threading.local):
-    """Per-thread stack of active tapes; every thread starts with an empty
-    one, so looking it up never misses."""
-
-    def __init__(self):
-        self.tapes = []
-
-
-_tls = _TapeStack()
+# The stack of active tapes. Tapes run on one thread: the stack is shared by
+# every thread of the process.
+_tapes = []
 # Keys of taped outputs, unique for the life of the process: an ``id()``
 # can be reused once an output is freed, and would then misroute a gradient.
 _keys = itertools.count()
@@ -66,8 +59,7 @@ def using_dtype(dtype):
 
 
 def active_tape():
-    stack = _tls.tapes
-    return stack[-1] if stack else None
+    return _tapes[-1] if _tapes else None
 
 
 class Tensor:
@@ -115,32 +107,33 @@ class Tape:
     """Records operations for one backward pass.
 
     Use as a context manager around the forward computation, then call
-    ``backward(loss)`` while still holding the tape. A record is (key,
-    targets, vjp): the output's key, per input its producing op's key, the
-    leaf tensor that requires grad or None, and the vjp closure. The tape
-    keeps no output array; which arrays outlive the forward is set by what
-    the vjp closures read. Backward visits the records in reverse creation
-    order, so gradients are deterministic for a fixed forward program.
+    ``backward(loss)`` while still holding the tape. A record is (keys,
+    targets, vjp): the keys of the op's outputs, per input its producing
+    op's key, the leaf tensor that requires grad or None, and the vjp
+    closure, which takes one gradient per output (None for an output that
+    got none) and is skipped when no output got one. The tape keeps no
+    output array; which arrays outlive the forward is set by what the vjp
+    closures read. Backward visits the records in reverse creation order, so
+    gradients are deterministic for a fixed forward program.
     """
 
     def __init__(self):
         self._records = []
 
     def __enter__(self) -> "Tape":
-        _tls.tapes.append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tls.tapes
-        assert stack and stack[-1] is self
-        stack.pop()
+        assert _tapes and _tapes[-1] is self
+        _tapes.pop()
         return False
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def record(self, key: int, targets: tuple, vjp) -> None:
-        self._records.append((key, targets, vjp))
+    def record(self, keys: tuple, targets: tuple, vjp) -> None:
+        self._records.append((keys, targets, vjp))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires_grad
@@ -156,11 +149,11 @@ class Tape:
                 loss.grad = one if loss.grad is None else loss.grad + one
             return
         grads: dict[int, np.ndarray] = {loss._node: one}
-        for key, targets, vjp in reversed(self._records):
-            g = grads.pop(key, None)
-            if g is None:
+        for keys, targets, vjp in reversed(self._records):
+            gs = [grads.pop(key, None) for key in keys]
+            if all(g is None for g in gs):
                 continue
-            for target, gi in zip(targets, vjp(g)):
+            for target, gi in zip(targets, vjp(*gs)):
                 if gi is None or target is None:
                     continue
                 if isinstance(target, int):
@@ -179,21 +172,25 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _emit(out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
-    """Wrap an op result; when grads are needed, key it and record ``vjp``
-    (the output gradient to one gradient per input, None for none) on the
-    active tape. The closure is all the tape keeps of the op, so the arrays
-    it reads are the ones that live until backward. ``Tape.backward`` is its
-    only caller, so whatever an op needs only for its gradient is computed
-    inside ``vjp``, not in the forward."""
+def _emit(out_data, inputs: tuple, vjp):
+    """Wrap an op result, an array or a tuple of arrays (one tensor each);
+    when grads are needed, key each output and record ``vjp`` (one gradient
+    per output, None for an output that got none, to one gradient per
+    input, None for none) on the active tape. The closure is all the tape
+    keeps of the op, so the arrays it reads are the ones that live until
+    backward. ``Tape.backward`` is its only caller, so whatever an op needs
+    only for its gradient is computed inside ``vjp``, not in the forward."""
+    multi = type(out_data) is tuple
     tape = active_tape()
     if tape is None or not any(t.requires_grad for t in inputs):
-        return Tensor._wrap(out_data, None)
-    key = next(_keys)
-    targets = tuple(t._node if t._node is not None else (t if t.requires_grad else None)
-                    for t in inputs)
-    tape.record(key, targets, vjp)
-    return Tensor._wrap(out_data, key)
+        keys = (None,) * len(out_data) if multi else (None,)
+    else:
+        keys = tuple(next(_keys) for _ in out_data) if multi else (next(_keys),)
+        tape.record(keys, tuple(t._node if t._node is not None
+                                else (t if t.requires_grad else None) for t in inputs), vjp)
+    if multi:
+        return tuple(map(Tensor._wrap, out_data, keys))
+    return Tensor._wrap(out_data, keys[0])
 
 
 def _constant(a: Tensor, b, opname: str):
@@ -372,42 +369,6 @@ def concat_last(parts) -> Tensor:
     return _emit(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), vjp)
 
 
-class Permutation:
-    """A permutation of range(n), checked once when built, with its inverse
-    ``inv``; ``take_channels`` applies it without checking it again."""
-
-    def __init__(self, idx, n: int):
-        idx = np.array(idx, dtype=np.int64)
-        if idx.shape != (n,) or not (np.sort(idx) == np.arange(n)).all():
-            raise ShapeError(f"index must be a permutation of range({n})")
-        self.idx = idx
-        self.inv = np.argsort(idx)
-
-
-def take_channels(x, perm: Permutation, start: int, stop: int) -> Tensor:
-    """Channels ``perm.idx[start:stop]`` of the last axis, in that order: the
-    slice ``[start:stop]`` of ``x`` reordered by ``perm``, a ``Permutation``
-    of its range, taken in one gather without building the reordered map."""
-    x = _as_tensor(x)
-    d = x.data.shape[-1]
-    if not isinstance(perm, Permutation):
-        raise ContractError(f"take_channels takes a Permutation, got {type(perm).__name__}")
-    if perm.idx.shape != (d,):
-        raise ShapeError(f"take_channels: permutation of range({perm.idx.size}) "
-                         f"on an axis of size {d}")
-    if not (0 <= start < stop <= d):
-        raise ShapeError(f"take_channels: slice [{start}:{stop}] out of range for axis size {d}")
-    idx = perm.idx[start:stop]
-    in_shape = x.data.shape
-
-    def vjp(g):
-        gx = np.zeros(in_shape, dtype=g.dtype)
-        gx[..., idx] = g
-        return (gx,)
-
-    return _emit(np.take(x.data, idx, axis=-1), (x,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -472,18 +433,24 @@ def linear(x, w, b) -> Tensor:
     xd, wd = x.data, w.data
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"linear: operands {xd.shape} @ {wd.shape} do not agree")
-    k, n = wd.shape
-    if b.data.shape != (n,):
-        raise ShapeError(f"linear: bias {b.data.shape} does not match {n} outputs")
-    flat = xd.reshape(-1, k)
-    out = flat @ wd
-    out += b.data
+    if b.data.shape != (wd.shape[1],):
+        raise ShapeError(f"linear: bias {b.data.shape} does not match {wd.shape[1]} outputs")
+    return _emit(_linear_forward(xd, wd, b.data), (x, w, b), lambda g: _linear_vjp(g, xd, wd))
 
-    def vjp(g):
-        gf = g.reshape(-1, n)
-        return ((gf @ wd.T).reshape(xd.shape), flat.T @ gf, g.sum(axis=tuple(range(g.ndim - 1))))
 
-    return _emit(out.reshape(xd.shape[:-1] + (n,)), (x, w, b), vjp)
+def _linear_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """``linear``'s forward on arrays: one (rows, K) @ (K, N) product, the
+    bias added in place."""
+    out = xd.reshape(-1, wd.shape[0]) @ wd
+    out += bd
+    return out.reshape(xd.shape[:-1] + (wd.shape[1],))
+
+
+def _linear_vjp(g: np.ndarray, xd: np.ndarray, wd: np.ndarray) -> tuple:
+    """``linear``'s gradients (input, weight, bias) for output gradient ``g``."""
+    gf = g.reshape(-1, wd.shape[1])
+    return ((gf @ wd.T).reshape(xd.shape), xd.reshape(-1, wd.shape[0]).T @ gf,
+            g.sum(axis=tuple(range(g.ndim - 1))))
 
 
 def softmax_rows(x) -> Tensor:
@@ -589,19 +556,21 @@ def depthwise_conv3x3(x, kernel, bias) -> Tensor:
         raise ShapeError(f"depthwise_conv3x3 bias must be ({c},), got {bias.data.shape}")
     out = _dw3x3_forward(xd, kd)
     out += bias.data
+    return _emit(out, (x, kernel, bias), lambda g: _dw3x3_vjp(g, xd, kd))
+
+
+def _dw3x3_vjp(g: np.ndarray, xd: np.ndarray, kd: np.ndarray) -> tuple:
+    """``depthwise_conv3x3``'s gradients (input, kernel, bias) for output
+    gradient ``g``: the input's is the flipped kernel's convolution, the
+    kernel's is summed tap by tap (a single nine-tap reduction sums a
+    one-channel map in another order)."""
     h, w = xd.shape[-3], xd.shape[-2]
     lead = tuple(range(xd.ndim - 3))
-
-    def vjp(g):
-        gx = _dw3x3_forward(g, kd[::-1, ::-1])
-        xp = zero_pad_hw(xd)
-        # tap by tap: a single nine-tap reduction sums a one-channel map in
-        # another order
-        gk = np.empty_like(kd)
-        for dy in range(3):
-            for dx in range(3):
-                prod = g * xp[..., dy:dy + h, dx:dx + w, :]
-                gk[dy, dx] = prod.sum(axis=lead + (-3, -2))
-        return (gx, gk, g.sum(axis=tuple(range(g.ndim - 1))))
-
-    return _emit(out, (x, kernel, bias), vjp)
+    gx = _dw3x3_forward(g, kd[::-1, ::-1])
+    xp = zero_pad_hw(xd)
+    gk = np.empty_like(kd)
+    for dy in range(3):
+        for dx in range(3):
+            prod = g * xp[..., dy:dy + h, dx:dx + w, :]
+            gk[dy, dx] = prod.sum(axis=lead + (-3, -2))
+    return (gx, gk, g.sum(axis=tuple(range(g.ndim - 1))))

@@ -10,6 +10,13 @@ Jacobian bounded while leaving the log-determinant exact: a sum of the
 clamped scales. A flow step is "permute, then couple": every coupling after
 the first starts with its own fixed seeded channel permutation, and a fixed
 affine standardization layer (fitted once on training features) runs first.
+Each coupling is one tape op with two outputs, the transformed map and the
+clamped log-scale field: its forward runs the subnet, the clamp and the
+affine map in numpy, and its one hand-written vjp returns the gradients of
+its input and of the subnet's six parameters, the same bits the op chain it
+replaced gave (``tests/test_flow.py`` keeps that chain as the oracle). The
+inverse runs without a tape.
+
 The flow maps data to latent and returns the couplings' scale fields;
 ``FlowStack.log_det`` builds the log-determinant from them, so scoring, which
 needs only per-location terms, never builds it. Log-likelihoods come from
@@ -61,7 +68,9 @@ class Subnet:
     """dw3x3 -> 1x1 -> LeakyReLU -> 1x1 (zero init): identity-at-init
     predictor of per-location fields from the untouched channel half; a
     coupling's one subnet outputs its raw log-scale and its shift side by
-    side. A 1x1 layer is a ``linear`` over the channel axis."""
+    side. A 1x1 layer is an affine map over the channel axis."""
+
+    SLOPE = 0.01  # of the leaky ReLU
 
     def __init__(self, c_in: int, c_out: int, rng, hidden: int):
         dt = default_dtype()
@@ -78,10 +87,16 @@ class Subnet:
                 "pw1.w": self.pw1_w, "pw1.b": self.pw1_b,
                 "pw2.w": self.pw2_w, "pw2.b": self.pw2_b}
 
-    def __call__(self, x: Tensor) -> Tensor:
-        h = ad.depthwise_conv3x3(x, self.dw_k, self.dw_b)
-        h = ad.leaky_relu(ad.linear(h, self.pw1_w, self.pw1_b))
-        return ad.linear(h, self.pw2_w, self.pw2_b)
+    def forward(self, a: np.ndarray):
+        """The subnet on the array ``a``, with no tape: the conv output, the
+        hidden map before and after the leaky ReLU, and the output, each
+        computed as the ``depthwise_conv3x3``, ``linear`` and ``leaky_relu``
+        ops compute it."""
+        h0 = ad._dw3x3_forward(a, self.dw_k.data)
+        h0 += self.dw_b.data
+        h1 = ad._linear_forward(h0, self.pw1_w.data, self.pw1_b.data)
+        h2 = np.maximum(h1, h1 * h1.dtype.type(self.SLOPE))
+        return h0, h1, h2, ad._linear_forward(h2, self.pw2_w.data, self.pw2_b.data)
 
 
 class CouplingLayer:
@@ -91,26 +106,27 @@ class CouplingLayer:
     which half is transformed; on an odd width the two halves differ by one
     channel. One subnet reads the conditioning half and predicts, for the
     transformed half, the raw log-scale (its first ``n_out`` output
-    channels) and the shift (its last ``n_out``). forward gathers each half
-    straight from its input through the permutation, never building the
-    permuted map, and returns the output and the clamped log-scale field;
-    its per-location channel sum is the exact local Jacobian term, and the
-    permutation adds nothing to it."""
+    channels) and the shift (its last ``n_out``). ``half_a`` and ``half_b``
+    are the conditioning and the transformed half as channel slices of the
+    permuted map, which is also the output's channel order; forward gathers
+    each half straight from its input through the permutation and never
+    builds the permuted map."""
 
     def __init__(self, channels: int, clamp: float, flip: bool, rng, hidden_ratio: float = 1.0,
                  perm=None):
         if channels < 2:
             raise ContractError("coupling needs at least 2 channels")
+        perm = np.arange(channels) if perm is None else np.array(perm, dtype=np.int64)
+        if perm.shape != (channels,) or not (np.sort(perm) == np.arange(channels)).all():
+            raise ShapeError(f"index must be a permutation of range({channels})")
         self.channels = channels
         self.n_a = channels // 2
         self.clamp = clamp
         self.flip = flip
-        self.perm = ad.Permutation(np.arange(channels) if perm is None else perm, channels)
-        self.inv = ad.Permutation(self.perm.inv, channels)
-        # (start, stop) of the conditioning and the transformed half in
-        # permuted channel order
-        self.half_a, self.half_b = (((self.n_a, channels), (0, self.n_a)) if flip
-                                    else ((0, self.n_a), (self.n_a, channels)))
+        self.perm, self.inv = perm, np.argsort(perm)
+        self.half_a, self.half_b = ((slice(self.n_a, channels), slice(0, self.n_a)) if flip
+                                    else (slice(0, self.n_a), slice(self.n_a, channels)))
+        self.idx_a, self.idx_b = perm[self.half_a], perm[self.half_b]
         n_rest = channels - self.n_a
         n_in, self.n_out = (n_rest, self.n_a) if flip else (self.n_a, n_rest)
         hidden = max(1, int(round(n_in * hidden_ratio)))
@@ -119,28 +135,74 @@ class CouplingLayer:
     def params(self):
         return self.net.params()
 
-    def _join(self, a: Tensor, b: Tensor) -> Tensor:
-        return ad.concat_last([b, a] if self.flip else [a, b])
-
-    def _scale_shift(self, a: Tensor):
-        """The clamped log-scale and the shift predicted from ``a``."""
-        out = self.net(a)
-        raw = ad.take_last(out, 0, self.n_out)
-        t = ad.take_last(out, self.n_out, 2 * self.n_out)
-        return ad.mul(ad.tanh(ad.mul(raw, 1.0 / self.clamp)), self.clamp), t
-
     def forward(self, x: Tensor):
-        a = ad.take_channels(x, self.perm, *self.half_a)
-        b = ad.take_channels(x, self.perm, *self.half_b)
-        s, t = self._scale_shift(a)
-        y_b = ad.add(ad.mul(b, ad.exp(s)), t)
-        return self._join(a, y_b), s
+        """The output and the clamped log-scale field, as one tape op; the
+        field's per-location channel sum is the exact local Jacobian term,
+        and the permutation adds nothing to it. Forward and vjp do the op
+        chain's arithmetic in its order (the two gathers, the subnet's ops,
+        ``clamp * tanh(raw / clamp)``, ``b * exp(s) + shift``, the join), so
+        they give its bits, and keep what its vjps read: the two halves, the
+        conv output, the hidden maps, ``tanh``'s and ``exp``'s outputs."""
+        xd, n, net = x.data, self.n_out, self.net
+        a, b = np.take(xd, self.idx_a, axis=-1), np.take(xd, self.idx_b, axis=-1)
+        h0, h1, h2, out = net.forward(a)
+        dt, x_shape, out_shape = out.dtype.type, xd.shape, out.shape
+        th = np.tanh(out[..., :n] * dt(1.0 / self.clamp))
+        s = th * dt(self.clamp)
+        e = np.exp(s)
+        # the shift copied out contiguous, as ``take_last`` gave it: which of
+        # two NaN terms a sum keeps depends on the operands' memory layout
+        y_b = b * e + np.ascontiguousarray(out[..., n:])
+        del out
+        y = np.concatenate((y_b, a) if self.flip else (a, y_b), axis=-1)
+        params = tuple(net.params().values())
+        kd, w1, w2 = params[0].data, params[2].data, params[4].data
+
+        def vjp(gy, gs):
+            if gy is not None:
+                gy_b = gy[..., self.half_b]
+                g_e = gy_b * b
+                g_e *= e
+                gs = g_e if gs is None else gs + g_e
+                del g_e
+            g_out = np.zeros(out_shape, dtype=gs.dtype)
+            g_raw = gs * dt(self.clamp)
+            g_raw *= 1.0 - th * th
+            g_raw *= dt(1.0 / self.clamp)
+            g_out[..., :n] = g_raw
+            del gs, g_raw
+            if gy is not None:
+                g_out[..., n:] = gy_b
+            g_h, g_w2, g_b2 = ad._linear_vjp(g_out, h2, w2)
+            del g_out
+            g_h *= np.maximum(h1 >= 0, h1.dtype.type(Subnet.SLOPE))
+            g_h, g_w1, g_b1 = ad._linear_vjp(g_h, h0, w1)
+            g_a, g_k, g_dwb = ad._dw3x3_vjp(g_h, a, kd)
+            del g_h
+            g_x = np.zeros(x_shape, dtype=g_a.dtype)
+            g_x[..., self.idx_a] = g_a if gy is None else gy[..., self.half_a] + g_a
+            if gy is not None:
+                g_x[..., self.idx_b] = gy_b * e
+                # The chain summed its two gathers' zero-filled scatters,
+                # which turns -0.0 into +0.0. The subnet output's gradient
+                # needs no such sum: its readers, two products and a bias
+                # sum, all start from +0.0.
+                g_x += 0
+            return g_x, g_k, g_dwb, g_w1, g_b1, g_w2, g_b2
+
+        return ad._emit((y, s), (x,) + params, vjp)
 
     def inverse(self, y: Tensor) -> Tensor:
-        a, y_b = ad.take_last(y, *self.half_a), ad.take_last(y, *self.half_b)
-        s, t = self._scale_shift(a)
-        b = ad.mul(ad.sub(y_b, t), ad.exp(ad.mul(s, -1.0)))
-        return ad.take_channels(self._join(a, b), self.inv, 0, self.channels)
+        """``forward``'s inverse, in the arithmetic of the op chain's inverse,
+        and with no tape: no caller differentiates it."""
+        yd, n = y.data, self.n_out
+        a, y_b = (np.ascontiguousarray(yd[..., h]) for h in (self.half_a, self.half_b))
+        out = self.net.forward(a)[-1]
+        dt = out.dtype.type
+        s = np.tanh(out[..., :n] * dt(1.0 / self.clamp)) * dt(self.clamp)
+        b = (y_b - np.ascontiguousarray(out[..., n:])) * np.exp(s * dt(-1.0))
+        x = np.concatenate((b, a) if self.flip else (a, b), axis=-1)
+        return Tensor._wrap(np.take(x, self.inv, axis=-1), None)
 
 
 class StandardizeStage:

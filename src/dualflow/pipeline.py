@@ -271,12 +271,18 @@ def flow_input_stats(stacks) -> list:
     """Per-channel float64 (mean, std) of each (..., C) array, the std
     floored at 1e-6: the image statistics of stage 1 (one (N, H, W, 3)
     stack) and the flow input statistics of stage 2 (one joint stack per
-    scale). Both reduce in float64 without a float64 copy of the stack."""
+    scale). Both reduce in float64 without a float64 copy of the stack: the
+    squared deviations are summed a block of rows at a time onto the running
+    sum, row after row, as ``np.std`` sums them over two or more channels."""
     stats = []
     for stacked in stacks:
         flat = stacked.reshape(-1, stacked.shape[-1])
-        stats.append((flat.mean(axis=0, dtype=np.float64),
-                      np.maximum(flat.std(axis=0, dtype=np.float64), 1e-6)))
+        mean, rows = flat.mean(axis=0, dtype=np.float64), max(1, (1 << 15) // flat.shape[1])
+        total = np.zeros(flat.shape[1])
+        for lo in range(0, len(flat), rows):
+            d = flat[lo:lo + rows] - mean
+            total = np.vstack((total, d * d)).sum(axis=0)
+        stats.append((mean, np.maximum(np.sqrt(total / len(flat)), 1e-6)))
     return stats
 
 

@@ -12,6 +12,7 @@ from helpers import assert_same_bits, with_specials
 from dualflow import autodiff as ad
 from dualflow.autodiff import Tape, Tensor
 from dualflow.errors import ContractError, ShapeError
+from dualflow.flow import CouplingLayer
 from dualflow.gradcheck import check_gradients, finite_difference_grads, max_rel_error
 from dualflow.optim import AdamW, adamw_step
 from dualflow.selftest import dw3x3_loop
@@ -129,21 +130,6 @@ def test_shape_mismatch_raises():
         ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
-    x6 = Tensor(np.ones((2, 6)))
-    for bad in ([0, 1, 2, 3, 4, 4],        # duplicate index
-                [0, 1, 2, 3, 4, 6],        # out of range
-                [-1, 0, 1, 2, 3, 4],       # negative
-                [0, 1, 2, 3, 4],           # wrong length
-                [[0, 1, 2], [3, 4, 5]]):   # wrong rank
-        with pytest.raises(ShapeError):
-            ad.Permutation(bad, 6)
-    with pytest.raises(ShapeError):  # a checked permutation of another width
-        ad.take_channels(x6, ad.Permutation([1, 0, 2, 3, 4], 5), 0, 5)
-    with pytest.raises(ContractError):  # a raw index array is not a Permutation
-        ad.take_channels(x6, np.arange(6), 0, 6)
-    for start, stop in ((0, 7), (-1, 3), (3, 3)):
-        with pytest.raises(ShapeError):
-            ad.take_channels(x6, ad.Permutation(np.arange(6), 6), start, stop)
     for x, w, b in (((2, 3), (4, 5), (5,)),      # inner axes differ
                     ((3,), (3, 5), (5,)),        # a vector is not a row stack
                     ((2, 3), (2, 3, 5), (5,)),   # the weight is one matrix
@@ -363,20 +349,26 @@ def test_taped_ops_hold_no_backward_only_arrays():
     drops the output, ``leaky_relu`` holds no new array (backward rebuilds
     the sign mask from the input), ``gelu`` its ``cdf`` (backward computes
     ``pdf``), ``exp`` and ``tanh`` their output, and ``add``, a constant
-    ``mul``, ``take_last``, ``take_channels`` and ``linear`` nothing
-    (``linear`` reads only its input and weight, not its product)."""
+    ``mul``, ``take_last`` and ``linear`` nothing (``linear`` reads only its
+    input and weight, not its product). A flow coupling holds the seven
+    half-width maps its op chain's vjps held (its two input halves, the conv
+    output, the hidden map before and after the leaky ReLU, ``tanh``'s and
+    ``exp``'s outputs), and not its output, its subnet's output or its
+    log-scale field."""
     n = 2 ** 10
     x = Tensor(np.linspace(-3.0, 3.0, n * n, dtype=np.float32).reshape(n, n),
                requires_grad=True)
     nbytes = x.data.nbytes
-    reverse = ad.Permutation(np.arange(n)[::-1], n)
     w = Tensor(np.full((n, n // 2), 1e-3, dtype=np.float32), requires_grad=True)
     b = Tensor(np.ones(n // 2, dtype=np.float32), requires_grad=True)
+    coupling = CouplingLayer(16, 2.0, False, np.random.default_rng(0),
+                             perm=np.random.default_rng(1).permutation(16))
+    x_maps = Tensor(x.data.reshape(4, n // 8, n // 8, 16), requires_grad=True)
     ops = (("leaky_relu", ad.leaky_relu, 0), ("gelu", ad.gelu, 1), ("exp", ad.exp, 1),
            ("tanh", ad.tanh, 1), ("add", lambda t: ad.add(t, t), 0),
            ("mul", lambda t: ad.mul(t, 2.0), 0), ("take_last", lambda t: ad.take_last(t, 1, n), 0),
-           ("take_channels", lambda t: ad.take_channels(t, reverse, 1, n), 0),
-           ("linear", lambda t: ad.linear(t, w, b), 0))
+           ("linear", lambda t: ad.linear(t, w, b), 0),
+           ("coupling", lambda t: coupling.forward(x_maps), 7 / 2))
     for name, op, n_arrays in ops:
         tracemalloc.start()
         try:
@@ -393,30 +385,29 @@ def test_taped_ops_hold_no_backward_only_arrays():
 
 def test_outputs_no_vjp_reads_are_freed_during_the_forward():
     """An op output that only feeds ops whose vjps do not read it is gone as
-    soon as the forward drops it, with the tape still alive: the permuted
-    map (one ``take_channels`` over every channel) split by two
-    ``take_last``s, an ``add`` scaled by a constant ``mul``.
+    soon as the forward drops it, with the tape still alive: a shifted map
+    (a constant ``add``) split by two ``take_last``s, an ``add`` scaled by a
+    constant ``mul``.
     An output a vjp reads (``exp``'s) stays until the tape goes, and the
     gradients are those of the whole graph."""
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
-    perm = ad.Permutation([3, 0, 5, 1, 4, 2], 6)
     with Tape() as tape:
-        permuted = ad.take_channels(x, perm, 0, 6)
-        a, b = ad.take_last(permuted, 0, 3), ad.take_last(permuted, 3, 6)
+        shifted = ad.add(x, 1.0)
+        a, b = ad.take_last(shifted, 0, 3), ad.take_last(shifted, 3, 6)
         summed = ad.add(a, b)
         scaled = ad.mul(summed, 2.0)
         e = ad.exp(scaled)
         refs = {name: weakref.ref(t.data) for name, t in
-                (("take_channels", permuted), ("add", summed), ("exp", e))}
-        del permuted, summed, e
-        assert refs["take_channels"]() is None and refs["add"]() is None
+                (("shifted", shifted), ("add", summed), ("exp", e))}
+        del shifted, summed, e
+        assert refs["shifted"]() is None and refs["add"]() is None
         assert refs["exp"]() is not None
         tape.backward(ad.sum_all(scaled))
         tape.backward(ad.sum_all(ad.exp(scaled)))
-    xp = x.data[:, perm.idx]
-    want_p = np.concatenate([2.0 + 2.0 * np.exp(2.0 * (xp[:, :3] + xp[:, 3:]))] * 2, axis=1)
-    np.testing.assert_allclose(x.grad, want_p[:, perm.inv], rtol=1e-6)
+    xs = x.data + 1.0
+    want = np.concatenate([2.0 + 2.0 * np.exp(2.0 * (xs[:, :3] + xs[:, 3:]))] * 2, axis=1)
+    np.testing.assert_allclose(x.grad, want, rtol=1e-6)
     del tape
     assert refs["exp"]() is None
 
@@ -445,6 +436,49 @@ def test_keys_route_gradients_only_within_their_tape():
             tape.backward(loss)
         np.testing.assert_array_equal(x.grad, i * (1.0 - np.tanh(i * x.data) ** 2))
     assert len(set(keys)) == len(keys)
+
+
+def test_two_output_op_is_one_record_whose_vjp_gets_a_gradient_per_output():
+    """An op with two outputs records once, with a key per output; backward
+    calls its vjp with one gradient per output, None for an output that got
+    none, and skips the record, touching no leaf, when neither got one."""
+    calls = []
+
+    def double_and_square(x):
+        xd = x.data
+
+        def vjp(g_double, g_square):
+            calls.append((g_double is not None, g_square is not None))
+            g = np.zeros_like(xd)
+            if g_double is not None:
+                g += 2.0 * g_double
+            if g_square is not None:
+                g += 2.0 * xd * g_square
+            return (g,)
+
+        return ad._emit((2.0 * xd, xd * xd), (x,), vjp)
+
+    x = t64([1.0, -2.0, 3.0], requires_grad=True)
+    other = t64([1.0, 1.0], requires_grad=True)
+    wants = {(True, False): np.full(3, 2.0), (False, True): 2.0 * x.data,
+             (True, True): 2.0 + 2.0 * x.data}
+    for used, want in list(wants.items()) + [((False, False), None)]:
+        x.grad = other.grad = None
+        calls.clear()
+        with Tape() as tape:
+            outs = double_and_square(x)
+            assert len(tape) == 1 and [t._node is not None for t in outs] == [True, True]
+            terms = [ad.sum_all(t) for t, use in zip(outs, used) if use] or [ad.sum_all(other)]
+            tape.backward(terms[0] if len(terms) == 1 else ad.add(*terms))
+        if want is None:
+            assert calls == [] and x.grad is None
+            np.testing.assert_array_equal(other.grad, np.ones(2))
+        else:
+            assert calls == [used] and other.grad is None
+            np.testing.assert_array_equal(x.grad, want)
+    outs = double_and_square(x)  # no tape: plain tensors
+    assert [t._node for t in outs] == [None, None]
+    np.testing.assert_array_equal(outs[1].data, x.data * x.data)
 
 
 def test_leaf_loss_gets_grad_and_accumulates():
@@ -537,13 +571,17 @@ def _primitive_cases(seed):
                   lambda: ad.sum_all(ad.mul(ad.concat_last([ad.take_last(tk, 0, 4),
                                                             ad.take_last(tk, 4, 9)]), tk)),
                   [tk]))
-    ix = p((2, 3, 6))
-    perm = ad.Permutation(rng.permutation(6), 6)
-    inv = ad.Permutation(perm.inv, 6)
-    cases.append(("take_channels",
-                  lambda: ad.sum_all(ad.mul(ad.concat_last([ad.take_channels(ix, perm, 4, 6),
-                                                            ad.take_channels(ix, perm, 0, 4)]),
-                                            ad.take_channels(ix, inv, 0, 6))), [ix]))
+    cp_x = p((2, 2, 3, 5))
+    coupling = CouplingLayer(5, 1.5, bool(seed % 2), rng, 1.5, perm=rng.permutation(5))
+    cp_params = list(coupling.params().values())
+    for q in cp_params:
+        q.data = q.data + rng.normal(0.0, 0.3, size=q.data.shape)
+
+    def coupling_loss():
+        y, s = coupling.forward(cp_x)
+        return ad.add(ad.sum_all(ad.mul(y, y)), ad.sum_all(ad.mul(s, s)))
+
+    cases.append(("coupling", coupling_loss, [cp_x] + cp_params))
     rs = p((2, 3, 4))
     cases.append(("reshape_permute",
                   lambda: ad.sum_all(ad.mul(ad.permute(ad.reshape(rs, (2, 12)), (1, 0)),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import assert_same_bits, with_specials
 
 from dualflow import autodiff as ad
-from dualflow.autodiff import Tensor, using_dtype
+from dualflow.autodiff import Tensor, reset_grads, using_dtype
 from dualflow.errors import ContractError, NumericError, ShapeError
 from dualflow.flow import (FLOW_VARIANTS, CouplingLayer, FlowConfig, FlowStack, StandardizeStage,
                            per_location_stats)
@@ -62,10 +62,10 @@ def test_identity_at_init(rng):
         z, fields = stack.forward(Tensor(u))
         # at init the stack is the composition of its couplings' seeded
         # permutations; the first coupling's is the identity
-        np.testing.assert_array_equal(stack.couplings[0].perm.idx, np.arange(8))
+        np.testing.assert_array_equal(stack.couplings[0].perm, np.arange(8))
         perm = np.arange(8)
         for layer in stack.couplings:
-            perm = perm[layer.perm.idx]
+            perm = perm[layer.perm]
         np.testing.assert_allclose(stack.log_det(fields).data, 0.0, atol=1e-12)
         np.testing.assert_array_equal(z.data, u[..., perm])
 
@@ -196,7 +196,11 @@ def test_extra_permutation_leaves_likelihood_unchanged(rng):
 
 
 def test_coupling_checks_its_permutation_when_built():
-    for bad in ([0, 1, 2, 3, 4, 5, 6, 6], np.arange(1, 9), np.arange(7)):
+    for bad in ([0, 1, 2, 3, 4, 5, 6, 6],            # duplicate index
+                np.arange(1, 9),                     # out of range
+                [-1, 0, 1, 2, 3, 4, 5, 6],           # negative
+                np.arange(7),                        # wrong length
+                [[0, 1, 2, 3], [4, 5, 6, 7]]):       # wrong rank
         with pytest.raises(ShapeError):
             CouplingLayer(8, 2.0, flip=False, rng=np.random.default_rng(0), perm=bad)
 
@@ -314,70 +318,119 @@ def test_standardize_matches_broadcast_copy_form_bit_for_bit(dtype):
                     assert_same_bits(got[1], want[1])
 
 
+def gather_last(x, idx):
+    """Channels ``idx`` of the last axis as one tape op, whose vjp scatters
+    the gradient into zeros: the gather the op-chain coupling used."""
+    in_shape = x.data.shape
+
+    def vjp(g):
+        gx = np.zeros(in_shape, dtype=g.dtype)
+        gx[..., idx] = g
+        return (gx,)
+
+    return ad._emit(np.take(x.data, idx, axis=-1), (x,), vjp)
+
+
+def scale_shift_chain(layer, a):
+    """The clamped log-scale and the shift predicted from ``a``, as tape ops:
+    the subnet (conv, 1x1, leaky ReLU, 1x1), the two output halves, then
+    ``clamp * tanh(raw / clamp)``."""
+    net, n = layer.net, layer.n_out
+    h = ad.depthwise_conv3x3(a, net.dw_k, net.dw_b)
+    out = ad.linear(ad.leaky_relu(ad.linear(h, net.pw1_w, net.pw1_b)), net.pw2_w, net.pw2_b)
+    raw, t = ad.take_last(out, 0, n), ad.take_last(out, n, 2 * n)
+    return ad.mul(ad.tanh(ad.mul(raw, 1.0 / layer.clamp)), layer.clamp), t
+
+
+def join_chain(layer, a, b):
+    return ad.concat_last([b, a] if layer.flip else [a, b])
+
+
 def coupling_forward_permute_then_slice(layer, x):
-    """The coupling forward as it was written: the whole map reordered by
-    the permutation (one gather over every channel, what ``index_last``
-    did), then split by two ``take_last`` slices."""
-    x = ad.take_channels(x, layer.perm, 0, layer.channels)
-    a, b = ad.take_last(x, *layer.half_a), ad.take_last(x, *layer.half_b)
-    s, t = layer._scale_shift(a)
-    return layer._join(a, ad.add(ad.mul(b, ad.exp(s)), t)), s
+    """The coupling forward as an op chain, as it was first written: the
+    whole map reordered by the permutation (one gather over every channel),
+    then split by two ``take_last`` slices, then the subnet, the clamp and
+    the affine map, each a tape op."""
+    x = gather_last(x, layer.perm)
+    a, b = (ad.take_last(x, h.start, h.stop) for h in (layer.half_a, layer.half_b))
+    s, t = scale_shift_chain(layer, a)
+    return join_chain(layer, a, ad.add(ad.mul(b, ad.exp(s)), t)), s
 
 
 def coupling_inverse_slice_then_permute(layer, y, permuted):
-    """The coupling inverse as it was written: split by two slices, then
-    the joined map reordered by the inverse permutation, if the coupling
-    has a drawn one."""
-    a, y_b = ad.take_last(y, *layer.half_a), ad.take_last(y, *layer.half_b)
-    s, t = layer._scale_shift(a)
-    x = layer._join(a, ad.mul(ad.sub(y_b, t), ad.exp(ad.mul(s, -1.0))))
-    return ad.take_channels(x, layer.inv, 0, layer.channels) if permuted else x
+    """The coupling inverse as an op chain: split by two slices, then the
+    joined map reordered by the inverse permutation, if the coupling has a
+    drawn one."""
+    a, y_b = (ad.take_last(y, h.start, h.stop) for h in (layer.half_a, layer.half_b))
+    s, t = scale_shift_chain(layer, a)
+    x = join_chain(layer, a, ad.mul(ad.sub(y_b, t), ad.exp(ad.mul(s, -1.0))))
+    return gather_last(x, layer.inv) if permuted else x
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("channels", [7, 8])
+@pytest.mark.parametrize("channels", [2, 7, 8])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
                             "ignore:overflow:RuntimeWarning")
 def test_coupling_gathers_match_permute_then_slice_form_bit_for_bit(channels, dtype):
-    """A coupling's forward gathers each half through its permutation in one
-    op: its output, log-scale field and input gradient equal those of
-    reordering the whole map first and slicing it, bit for bit; the inverse
-    equals its own slice-then-reorder form. Covered: both flips, with and
-    without a drawn permutation, odd and even widths, inputs with zeros,
-    -0.0, denormals, infinities and NaN."""
+    """A coupling's forward is one tape op: its output, its log-scale field,
+    and the gradients of its input and of all six subnet parameters equal
+    those of the op chain that reorders the whole map first and slices it,
+    bit for bit, whether the loss reads the output, the field or both. Its
+    tape-free inverse equals the chain's slice-then-reorder form. Covered:
+    both flips, with and without a drawn permutation, odd and even widths,
+    one-channel subnets (2 channels), batches of 1 and 2, a clamp whose
+    inverse is inexact, inputs with zeros, -0.0, denormals, infinities and
+    NaN, and an output channel whose whole gradient is -0.0."""
     rng = np.random.default_rng(channels)
     for flip in (False, True):
         for permuted in (False, True):
             with using_dtype(dtype):
-                layer = CouplingLayer(channels, 2.0, flip, np.random.default_rng(1), 1.5,
+                layer = CouplingLayer(channels, 1.5, flip, np.random.default_rng(1), 1.5,
                                       perm=rng.permutation(channels) if permuted else None)
                 perturb(layer.net, rng, scale=0.3)
-            xd = with_specials(rng, (2, 3, 4, channels), dtype)
-            gd = with_specials(rng, (2, 3, 4, channels), dtype)
-            gs = with_specials(rng, (2, 3, 4, layer.n_out), dtype)
+            params = list(layer.params().values())
+            for batch in (1, 2):
+                xd = with_specials(rng, (batch, 3, 4, channels), dtype)
+                gd = with_specials(rng, (batch, 3, 4, channels), dtype)
+                gs = with_specials(rng, (batch, 3, 4, layer.n_out), dtype)
+                if batch == 1:  # a shift channel whose whole gradient is -0.0
+                    gd[..., layer.half_b.start] = -0.0
 
-            def run(fn):
+                def run(fn, read_y, read_s):
+                    reset_grads(params)
+                    with using_dtype(dtype):
+                        x = Tensor(xd, requires_grad=True)
+                        with ad.Tape() as tape:
+                            out, s = fn(layer, x)
+                            terms = ([ad.sum_all(ad.mul(out, gd))] if read_y else []) + (
+                                [ad.sum_all(ad.mul(s, gs))] if read_s else [])
+                            tape.backward(terms[0] if len(terms) == 1 else ad.add(*terms))
+                    return [out.data, s.data, x.grad] + [p.grad for p in params]
+
+                for read_y, read_s in ((True, True), (True, False), (False, True)):
+                    got = run(CouplingLayer.forward, read_y, read_s)
+                    want = run(coupling_forward_permute_then_slice, read_y, read_s)
+                    assert len(got) == 9
+                    for g, w in zip(got, want):
+                        assert_same_bits(g, w)
+
                 with using_dtype(dtype):
-                    x = Tensor(xd, requires_grad=True)
-                    with ad.Tape() as tape:
-                        out, s = fn(layer, x)
-                        tape.backward(ad.add(ad.sum_all(ad.mul(out, gd)),
-                                             ad.sum_all(ad.mul(s, gs))))
-                    return out.data, s.data, x.grad
+                    assert_same_bits(layer.inverse(Tensor(xd)).data,
+                                     coupling_inverse_slice_then_permute(
+                                         layer, Tensor(xd), permuted).data)
 
-            for got, want in zip(run(CouplingLayer.forward),
-                                 run(coupling_forward_permute_then_slice)):
-                assert_same_bits(got, want)
 
-            def run_inverse(fn):
-                with using_dtype(dtype):
-                    y = Tensor(xd, requires_grad=True)
-                    with ad.Tape() as tape:
-                        out = fn(y)
-                        tape.backward(ad.sum_all(ad.mul(out, gd)))
-                    return out.data, y.grad
-
-            for got, want in zip(run_inverse(layer.inverse),
-                                 run_inverse(lambda y: coupling_inverse_slice_then_permute(
-                                     layer, y, permuted))):
-                assert_same_bits(got, want)
+def test_coupling_record_is_skipped_when_no_output_gets_a_gradient():
+    """A coupling whose output and log-scale field the loss never reads is
+    one record that backward skips: no gradient reaches its input or its
+    subnet parameters."""
+    layer = perturb(CouplingLayer(6, 2.0, False, np.random.default_rng(0)),
+                    np.random.default_rng(1))
+    x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 3, 6)), requires_grad=True)
+    other = Tensor(np.ones(3), requires_grad=True)
+    with ad.Tape() as tape:
+        layer.forward(x)
+        tape.backward(ad.sum_all(other))
+    assert len(tape) == 2
+    assert x.grad is None and all(p.grad is None for p in layer.params().values())
+    np.testing.assert_array_equal(other.grad, np.ones(3, dtype=other.data.dtype))

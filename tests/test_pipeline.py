@@ -93,31 +93,36 @@ def test_loss_flow_gradcheck_toy(f64):
     assert check_gradients(f, list(stack.params().values())) < 1e-4
 
 
-def test_default_loss_flow_records_425_tape_ops():
-    """Each coupling runs one subnet, which predicts its log-scale and shift
-    together; each subnet layer is one op with its bias, and a coupling
-    gathers its two halves through its permutation: a default-config loss
-    on a batch of 8 records 425 ops (518 with a bias op per layer and the
-    permuted map built first, 638 with a scale and a shift subnet per
-    coupling too). The count does not depend on the map size."""
+def test_default_loss_flow_records_95_tape_ops():
+    """Each coupling is one tape op: its subnet, the clamp of its log-scale
+    and its affine map run inside the op, with one hand-written vjp. A
+    default-config loss on a batch of 8 records 95 ops (425 with each
+    coupling an op chain of 15: two gathers, the conv, two ``linear``s, the
+    leaky ReLU, two slices, the clamp's ``mul``, ``tanh`` and ``mul``,
+    ``exp``, ``mul``, ``add`` and ``concat_last``). The count does not depend
+    on the map size."""
     model = build_model(default_run_config())
     rng = np.random.default_rng(0)
     joints = [Tensor(rng.normal(size=(8, 2, 2, s.channels)).astype(np.float32))
               for s in model.flows]
     with Tape() as tape:
         loss_flow(model.flows, joints)
-    assert len(tape) == 425
+    assert len(tape) == 95
+
+
+def _default_batch_joints(model):
+    rng = np.random.default_rng(0)
+    maps = model.prior_features(np.zeros((model.enc_cfg.in_size,) * 2 + (3,)))
+    return [Tensor(rng.normal(size=(8,) + m.shape[:2] + (s.channels,)).astype(np.float32))
+            for m, s in zip(maps, model.flows)]
 
 
 def test_default_loss_flow_forward_holds_only_what_backward_reads():
     """A default-config ``loss_flow`` forward on a batch of 8 at the default
-    map sizes keeps alive only the arrays its vjps read: about 24.5 MiB. A
-    tape that kept every op output held 68.5 MiB."""
+    map sizes, 95 tape ops, keeps alive only the arrays its vjps read: about
+    24.4 MiB. A tape that kept every op output held 68.5 MiB."""
     model = build_model(default_run_config())
-    rng = np.random.default_rng(0)
-    maps = model.prior_features(np.zeros((model.enc_cfg.in_size,) * 2 + (3,)))
-    joints = [Tensor(rng.normal(size=(8,) + m.shape[:2] + (s.channels,)).astype(np.float32))
-              for m, s in zip(maps, model.flows)]
+    joints = _default_batch_joints(model)
     tracemalloc.start()
     try:
         with Tape() as tape:
@@ -125,8 +130,25 @@ def test_default_loss_flow_forward_holds_only_what_backward_reads():
             held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(tape) == 425
+    assert len(tape) == 95
     assert held <= 32 * 2 ** 20, held / 2 ** 20
+
+
+def test_default_loss_flow_backward_peaks_under_30_mib():
+    """The same forward plus its backward peaks at about 29.4 MiB: each
+    coupling's vjp frees its temporaries once their last reader is done
+    (29.5 MiB with each coupling an op chain; 31.5 with the vjp keeping its
+    temporaries until it returned)."""
+    model = build_model(default_run_config())
+    joints = _default_batch_joints(model)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            tape.backward(loss_flow(model.flows, joints))
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2 ** 20, peak / 2 ** 20
 
 
 def test_loss_flow_stack_count_mismatch():
@@ -350,14 +372,30 @@ def test_flow_input_stats_floor_and_values():
 
 
 def test_flow_input_stats_match_a_float64_copy_bit_for_bit(rng):
-    """Reducing a float32 stack with a float64 accumulator gives the bits of
-    reducing its float64 copy."""
-    stack = rng.normal(1.0, 2.0, size=(16, 16, 16, 48)).astype(np.float32)
-    (mean, std), = pipeline.flow_input_stats([stack])
-    flat = stack.reshape(-1, 48).astype(np.float64)
-    assert mean.dtype == std.dtype == np.float64
-    assert np.array_equal(mean, flat.mean(axis=0))
-    assert np.array_equal(std, np.maximum(flat.std(axis=0), 1e-6))
+    """Reducing a float32 stack with a float64 accumulator, a block of rows
+    at a time, gives the bits of reducing its float64 copy; both shapes
+    span several blocks."""
+    for shape in [(16, 16, 16, 48), (8, 64, 64, 3)]:
+        stack = rng.normal(1.0, 2.0, size=shape).astype(np.float32)
+        (mean, std), = pipeline.flow_input_stats([stack])
+        flat = stack.reshape(-1, shape[-1]).astype(np.float64)
+        assert mean.dtype == std.dtype == np.float64
+        assert np.array_equal(mean, flat.mean(axis=0))
+        assert np.array_equal(std, np.maximum(flat.std(axis=0), 1e-6))
+
+
+def test_flow_input_stats_hold_no_float64_copy(rng):
+    """The statistics of a 3 MiB float32 stack allocate well under the
+    6 MiB of its float64 copy: the squared deviations live one block at a
+    time."""
+    stack = rng.normal(size=(64, 16, 16, 48)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        pipeline.flow_input_stats([stack])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_batches_cover_every_index_once():
