@@ -58,10 +58,6 @@ def using_dtype(dtype):
         _DEFAULT_DTYPE = prev
 
 
-def active_tape():
-    return _tapes[-1] if _tapes else None
-
-
 class Tensor:
     """Immutable-by-convention array node. Do not mutate ``.data`` while a
     tape referencing the tensor is alive; the optimizer updates parameters
@@ -132,9 +128,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def record(self, keys: tuple, targets: tuple, vjp) -> None:
-        self._records.append((keys, targets, vjp))
-
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires_grad
         leaf reachable from ``loss``. Repeated calls keep accumulating; use
@@ -181,13 +174,13 @@ def _emit(out_data, inputs: tuple, vjp):
     backward. ``Tape.backward`` is its only caller, so whatever an op needs
     only for its gradient is computed inside ``vjp``, not in the forward."""
     multi = type(out_data) is tuple
-    tape = active_tape()
-    if tape is None or not any(t.requires_grad for t in inputs):
+    if not _tapes or not any(t.requires_grad for t in inputs):
         keys = (None,) * len(out_data) if multi else (None,)
     else:
         keys = tuple(next(_keys) for _ in out_data) if multi else (next(_keys),)
-        tape.record(keys, tuple(t._node if t._node is not None
-                                else (t if t.requires_grad else None) for t in inputs), vjp)
+        targets = tuple(t._node if t._node is not None else (t if t.requires_grad else None)
+                        for t in inputs)
+        _tapes[-1]._records.append((keys, targets, vjp))
     if multi:
         return tuple(map(Tensor._wrap, out_data, keys))
     return Tensor._wrap(out_data, keys[0])
@@ -247,12 +240,6 @@ def mul(a, b) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # nonlinearities
-
-
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    out = np.exp(x.data)
-    return _emit(out, (x,), lambda g: (g * out,))
 
 
 def tanh(x) -> Tensor:
@@ -402,26 +389,15 @@ def sum_batch(x) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """``(..., M, K) @ (K, N)`` is one (rows, K) @ (K, N) product over the
-    flattened leading axes (token rows of a batch, pixels of a channels-last
-    map); ``(..., M, K) @ (..., K, N)`` is one product per leading index
-    (sample and head)."""
+    """``(..., M, K) @ (..., K, N)``, one product per leading index (sample
+    and head); both operands have the same leading axes."""
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
-    if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
-            or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
+    if (ad.ndim < 2 or ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]
+            or ad.shape[-1] != bd.shape[-2]):
         raise ShapeError(f"matmul: operands {ad.shape} @ {bd.shape} do not agree")
-    if bd.ndim > 2:
-        return _emit(ad @ bd, (a, b),
-                     lambda g: (g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g))
-    k, n = bd.shape
-    flat = ad.reshape(-1, k)
-
-    def vjp(g):
-        gf = g.reshape(-1, n)
-        return ((gf @ bd.T).reshape(ad.shape), flat.T @ gf)
-
-    return _emit((flat @ bd).reshape(ad.shape[:-1] + (n,)), (a, b), vjp)
+    return _emit(ad @ bd, (a, b),
+                 lambda g: (g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g))
 
 
 def linear(x, w, b) -> Tensor:
@@ -522,8 +498,10 @@ def tap_view(xp: np.ndarray, out_shape: tuple, step: int) -> np.ndarray:
 
 
 def _dw3x3_forward(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
-    """Sum of the nine shifted, kernel-weighted copies of the padded map.
-    The padding is ``zero_pad_hw``, not ``np.pad``, whose Python-level setup
+    """Stride-1 depthwise 3x3 convolution with zero 'same' padding of a
+    channels-last (..., H, W, C) map with a (3, 3, C) kernel, no bias: the
+    sum of the nine shifted, kernel-weighted copies of the padded map. The
+    padding is ``zero_pad_hw``, not ``np.pad``, whose Python-level setup
     cost more than the arithmetic on these small maps. One ``np.multiply``
     writes the nine products, kernel first, into a (9, ...) buffer, and one
     ``np.add.reduce`` over its leading axis, started from ``initial=0``,
@@ -540,37 +518,16 @@ def _dw3x3_forward(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
     return np.add.reduce(taps.reshape((9,) + xd.shape), axis=0, initial=xd.dtype.type(0))
 
 
-def depthwise_conv3x3(x, kernel, bias) -> Tensor:
-    """Stride-1 depthwise 3x3 convolution with zero 'same' padding on a
-    channels-last map of shape (H, W, C) or (B, H, W, C), plus a per-channel
-    bias; ``kernel`` is (3, 3, C) and ``bias`` (C,). The bias is added in
-    place after the nine taps."""
-    x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
-    xd, kd = x.data, kernel.data
-    if xd.ndim not in (3, 4):
-        raise ShapeError(f"depthwise_conv3x3 expects (H, W, C) or (B, H, W, C), got {xd.shape}")
-    c = xd.shape[-1]
-    if kd.shape != (3, 3, c):
-        raise ShapeError(f"depthwise_conv3x3 kernel must be (3, 3, {c}), got {kd.shape}")
-    if bias.data.shape != (c,):
-        raise ShapeError(f"depthwise_conv3x3 bias must be ({c},), got {bias.data.shape}")
-    out = _dw3x3_forward(xd, kd)
-    out += bias.data
-    return _emit(out, (x, kernel, bias), lambda g: _dw3x3_vjp(g, xd, kd))
-
-
 def _dw3x3_vjp(g: np.ndarray, xd: np.ndarray, kd: np.ndarray) -> tuple:
-    """``depthwise_conv3x3``'s gradients (input, kernel, bias) for output
-    gradient ``g``: the input's is the flipped kernel's convolution, the
-    kernel's is summed tap by tap (a single nine-tap reduction sums a
-    one-channel map in another order)."""
-    h, w = xd.shape[-3], xd.shape[-2]
+    """The gradients (input, kernel, bias) of ``_dw3x3_forward`` plus a
+    per-channel bias, for output gradient ``g``: the input's is the flipped
+    kernel's convolution, the kernel's is summed tap by tap (a single
+    nine-tap reduction sums a one-channel map in another order)."""
     lead = tuple(range(xd.ndim - 3))
     gx = _dw3x3_forward(g, kd[::-1, ::-1])
-    xp = zero_pad_hw(xd)
+    taps = tap_view(zero_pad_hw(xd), xd.shape, 1)
     gk = np.empty_like(kd)
     for dy in range(3):
         for dx in range(3):
-            prod = g * xp[..., dy:dy + h, dx:dx + w, :]
-            gk[dy, dx] = prod.sum(axis=lead + (-3, -2))
+            gk[dy, dx] = (g * taps[dy, dx]).sum(axis=lead + (-3, -2))
     return (gx, gk, g.sum(axis=tuple(range(g.ndim - 1))))

@@ -40,13 +40,12 @@ class EncoderConfig:
 
 
 def _conv3x3_s2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 conv, stride 2, zero padding 1, channels last. H and W must be
-    even. The nine taps are one stacked (9, Ho*Wo, Cin) @ (9, Cin, Cout)
-    ``np.matmul`` into slabs 1 to 9 of a buffer whose slab 0 is the bias,
-    and ``np.add.reduce`` over that axis adds the slabs one after another:
-    the bias, then tap (0, 0) to tap (2, 2), each tap the same GEMM a
-    per-tap ``np.tensordot`` runs. That is the order and the bits of the
-    tap-by-tap loop this replaces, which ``dualflow selftest`` checks."""
+    """3x3 conv, stride 2, zero padding 1, channels last; H and W even. One
+    stacked (9, Ho*Wo, Cin) @ (9, Cin, Cout) ``np.matmul`` writes the taps,
+    each the GEMM a per-tap ``np.tensordot`` runs, into slabs 1 to 9 of a
+    buffer whose slab 0 is the bias; ``np.add.reduce`` adds the slabs in
+    the order ``autodiff._dw3x3_forward`` states, the bias in place of its
+    zero start. ``dualflow selftest`` checks the bits against a tap loop."""
     h, wd, cin = x.shape
     ho, wo, cout = h // 2, wd // 2, w.shape[-1]
     taps = np.ascontiguousarray(ad.tap_view(ad.zero_pad_hw(x), (ho, wo, cin), 2))

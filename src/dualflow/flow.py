@@ -88,10 +88,10 @@ class Subnet:
                 "pw2.w": self.pw2_w, "pw2.b": self.pw2_b}
 
     def forward(self, a: np.ndarray):
-        """The subnet on the array ``a``, with no tape: the conv output, the
-        hidden map before and after the leaky ReLU, and the output, each
-        computed as the ``depthwise_conv3x3``, ``linear`` and ``leaky_relu``
-        ops compute it."""
+        """The subnet on the array ``a``, with no tape: the conv output (the
+        bias added after ``_dw3x3_forward``), the hidden map before and after
+        the leaky ReLU, and the output, computed as ``linear`` and
+        ``leaky_relu`` compute them."""
         h0 = ad._dw3x3_forward(a, self.dw_k.data)
         h0 += self.dw_b.data
         h1 = ad._linear_forward(h0, self.pw1_w.data, self.pw1_b.data)

@@ -20,10 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import _multi_head
-from .autodiff import Tensor, using_dtype
+from .autodiff import Tape, Tensor, reset_grads, using_dtype
 from .encoder import _conv3x3_s2
 from .flow import FlowConfig, FlowStack
-from .gradcheck import check_gradients
 from .metrics import au_pro, auroc, connected_components, region_overlap_curve, spro
 
 # ---------------------------------------------------------------------------
@@ -141,12 +140,52 @@ def numeric_jacobian(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     y0 = fn(x)
     jac = np.zeros((y0.size, x.size))
     for i in range(x.size):
-        hi = x.copy()
-        lo = x.copy()
+        hi, lo = x.copy(), x.copy()
         hi[i] += eps
         lo[i] -= eps
         jac[:, i] = (fn(hi) - fn(lo)) / (2.0 * eps)
     return jac
+
+
+def finite_difference_grads(f, params, eps: float = 1e-6) -> list[np.ndarray]:
+    """Central-difference gradients of the scalar ``f()``, a Tensor or a
+    float that ``f`` rebuilds on every call: ``numeric_jacobian`` over one
+    parameter's entries at a time, each ``p.data`` rebound to the perturbed
+    copies and then to its own array again."""
+    grads = []
+    for p in params:
+        data = p.data
+
+        def value(flat):
+            p.data = flat.reshape(data.shape)
+            out = f()
+            return np.array([out.item() if isinstance(out, Tensor) else float(out)])
+
+        try:
+            grads.append(numeric_jacobian(value, data.reshape(-1), eps).reshape(data.shape))
+        finally:
+            p.data = data
+    return grads
+
+
+def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    a = np.asarray(analytic, dtype=np.float64)
+    n = np.asarray(numeric, dtype=np.float64)
+    scale = max(np.abs(a).max(initial=0.0), np.abs(n).max(initial=0.0), 1e-12)
+    return float(np.abs(a - n).max(initial=0.0) / scale)
+
+
+def check_gradients(f, params, eps: float = 1e-6) -> float:
+    """Worst relative error between tape gradients and central differences,
+    taken over all entries of all ``params``; NaN if any error is NaN."""
+    reset_grads(params)
+    with Tape() as tape:
+        tape.backward(f())
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    numeric = finite_difference_grads(f, params, eps)
+    worst = float(np.max([max_rel_error(a, n) for a, n in zip(analytic, numeric)], initial=0.0))
+    reset_grads(params)
+    return worst
 
 
 def dw3x3_loop(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
@@ -258,11 +297,11 @@ def check_gradcheck() -> tuple[bool, str]:
 
             def attn_loss():
                 h = ad.layer_norm(x, gain, bias)
-                out = _multi_head(ad.matmul(h, w_q), h, h, heads=2)
+                out = _multi_head(ad.linear(h, w_q, np.zeros(6)), h, h, heads=2)
                 return ad.sum_all(ad.mul(ad.gelu(out), ad.tanh(out)))
 
-            worst = max(worst, check_gradients(attn_loss, [w_q, gain, bias]))
-        if worst >= 1e-4:
+            worst = np.maximum(worst, check_gradients(attn_loss, [w_q, gain, bias]))
+        if not worst < 1e-4:
             return False, f"worst rel err {worst:.3e} >= 1e-4"
     return True, f"worst rel err {worst:.1e}"
 
@@ -331,12 +370,10 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 def check_conv_taps() -> tuple[bool, str]:
     """The one-call 3x3 convolutions against their tap-by-tap loops, bit for
-    bit. Both rest on numpy and BLAS behaviour a library upgrade could
-    change: ``np.add.reduce`` over the leading axis adds the slabs one after
-    another, and a stacked ``np.matmul`` runs the GEMM ``np.tensordot`` runs.
-    Shapes are the flows' (batch 1 and 8, one-channel subnets included) and
-    the encoder's, default and small; inputs carry zeros, -0.0 and
-    denormals."""
+    bit: a numpy or BLAS upgrade could change the summation order that
+    ``autodiff._dw3x3_forward`` states, or the stride-2 conv's GEMMs. Shapes
+    are the flows' (batch 1 and 8, one-channel subnets included) and the
+    encoder's, default and small; inputs carry zeros, -0.0 and denormals."""
     rng = np.random.default_rng(29)
 
     def sample(shape, dtype):

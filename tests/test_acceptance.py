@@ -19,11 +19,10 @@ from dualflow.autodiff import Tape, Tensor, using_dtype
 from dualflow.checkpoint import save_checkpoint
 from dualflow.config import default_run_config
 from dualflow.flow import FlowConfig, FlowStack
-from dualflow.gradcheck import check_gradients
 from dualflow.metrics import au_pro, auroc, spro
 from dualflow.optim import AdamW
 from dualflow.scoring import anomaly_map
-from dualflow.selftest import (_perturbed_stack, check_metric_oracles,
+from dualflow.selftest import (_perturbed_stack, check_gradients, check_metric_oracles,
                                numeric_jacobian)
 
 # thresholds

@@ -1,6 +1,8 @@
 """Tape engine tests: hand-computed examples, finite-difference oracles for
 every differentiable primitive, and determinism of backward."""
 
+import ast
+import pathlib
 import tracemalloc
 import weakref
 
@@ -13,9 +15,8 @@ from dualflow import autodiff as ad
 from dualflow.autodiff import Tape, Tensor
 from dualflow.errors import ContractError, ShapeError
 from dualflow.flow import CouplingLayer
-from dualflow.gradcheck import check_gradients, finite_difference_grads, max_rel_error
 from dualflow.optim import AdamW, adamw_step
-from dualflow.selftest import dw3x3_loop
+from dualflow.selftest import check_gradients, dw3x3_loop, finite_difference_grads, max_rel_error
 
 
 def t64(data, requires_grad=False):
@@ -44,10 +45,6 @@ def test_matmul_backward_matches_transpose_rule(f64):
 
 def test_matmul_and_softmax_over_leading_axes_match_per_index_loops(f64):
     rng = np.random.default_rng(2)
-    x, w = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(5, 6))
-    rows = ad.matmul(Tensor(x), Tensor(w)).data
-    assert rows.shape == (2, 3, 4, 6)
-    np.testing.assert_array_equal(rows, (x.reshape(-1, 5) @ w).reshape(2, 3, 4, 6))
     a, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2))
     stacked = ad.matmul(Tensor(a), Tensor(b)).data
     soft = ad.softmax_rows(Tensor(a)).data
@@ -128,8 +125,11 @@ def test_shape_mismatch_raises():
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError):  # batched operands with different leading axes
         ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
-    with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+    for x, w in (((3,), (3, 2)),         # a vector is not a row stack
+                 ((2, 4, 6), (6, 6)),    # a stack times one matrix is ``linear``'s
+                 ((2, 3), (3,))):        # nor is a vector the right operand
+        with pytest.raises(ShapeError):
+            ad.matmul(Tensor(np.ones(x)), Tensor(np.ones(w)))
     for x, w, b in (((2, 3), (4, 5), (5,)),      # inner axes differ
                     ((3,), (3, 5), (5,)),        # a vector is not a row stack
                     ((2, 3), (2, 3, 5), (5,)),   # the weight is one matrix
@@ -195,8 +195,7 @@ def test_conv2d_depthwise_delta_kernel_is_identity(f64, rng):
     x = rng.normal(size=(6, 7, 4))
     k = np.zeros((3, 3, 4))
     k[1, 1, :] = 1.0
-    out = ad.depthwise_conv3x3(Tensor(x), Tensor(k), Tensor(np.zeros(4))).data
-    np.testing.assert_array_equal(out, x)
+    np.testing.assert_array_equal(ad._dw3x3_forward(x, k), x)
 
 
 def test_conv2d_depthwise_matches_direct_sum(rng):
@@ -207,8 +206,7 @@ def test_conv2d_depthwise_matches_direct_sum(rng):
         x = rng.normal(size=shape).astype(dtype)
         k = rng.normal(size=(3, 3, shape[-1])).astype(dtype)
         bias = rng.normal(size=shape[-1]).astype(dtype)
-        with ad.using_dtype(dtype):
-            out = ad.depthwise_conv3x3(Tensor(x), Tensor(k), Tensor(bias)).data
+        out = ad._dw3x3_forward(x, k) + bias
         xb, ob = x.reshape((-1,) + x.shape[-3:]), out.reshape((-1,) + x.shape[-3:])
         n, hh, ww, cc = xb.shape
         for b in range(n):
@@ -224,21 +222,16 @@ def test_conv2d_depthwise_matches_direct_sum(rng):
 
 
 def test_conv2d_batched_matches_loop(f64, rng):
-    x = rng.normal(size=(3, 5, 5, 4))
-    k, bias = Tensor(rng.normal(size=(3, 3, 4))), Tensor(rng.normal(size=4))
-    batched = ad.depthwise_conv3x3(Tensor(x), k, bias).data
+    x, g = rng.normal(size=(3, 5, 5, 4)), rng.normal(size=(3, 5, 5, 4))
+    k, bias = rng.normal(size=(3, 3, 4)), rng.normal(size=4)
+    batched = ad._dw3x3_forward(x, k) + bias
+    batched_gx = ad._dw3x3_vjp(g, x, k)[0]
     for b in range(3):
-        single = ad.depthwise_conv3x3(Tensor(x[b]), k, bias).data
-        np.testing.assert_allclose(batched[b], single, atol=1e-12)
+        np.testing.assert_allclose(batched[b], ad._dw3x3_forward(x[b], k) + bias, atol=1e-12)
+        np.testing.assert_allclose(batched_gx[b], ad._dw3x3_vjp(g[b], x[b], k)[0], atol=1e-12)
 
 
 def test_conv2d_channel_mismatch_raises():
-    with pytest.raises(ShapeError):
-        ad.depthwise_conv3x3(Tensor(np.ones((4, 4, 3))), Tensor(np.ones((3, 3, 2))),
-                             Tensor(np.ones(3)))
-    with pytest.raises(ShapeError):  # one bias per channel
-        ad.depthwise_conv3x3(Tensor(np.ones((4, 4, 3))), Tensor(np.ones((3, 3, 3))),
-                             Tensor(np.ones(2)))
     with pytest.raises(ShapeError):  # a 1x1 layer is a linear over the channel axis
         ad.linear(Tensor(np.ones((4, 4, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
 
@@ -270,10 +263,11 @@ def leaky_relu_two_where(xd, slope=0.01):
 @pytest.mark.parametrize("shape", [(7, 9, 4), (3, 6, 5, 8), (2, 4, 5, 1)])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_depthwise_conv3x3_matches_np_pad_form_bit_for_bit(shape, dtype):
-    """The one-call forward and input gradient equal the tap-by-tap
-    ``np.pad`` loop, the bias added after the nine taps, bit for bit; the
-    kernel gradient equals its own tap loop, the bias gradient the sum of
-    the output gradient over every axis but the channels."""
+    """The one-call forward (``_dw3x3_forward``, then the bias added in
+    place, as the flow subnet adds it) and the input gradient equal the
+    tap-by-tap ``np.pad`` loop, the bias added after the nine taps, bit for
+    bit; the kernel gradient equals its own tap loop, the bias gradient the
+    sum of the output gradient over every axis but the channels."""
     rng = np.random.default_rng(sum(shape))
     xd = with_specials(rng, shape, dtype)
     kd = with_specials(rng, (3, 3, shape[-1]), dtype, finite_only=True)
@@ -284,16 +278,13 @@ def test_depthwise_conv3x3_matches_np_pad_form_bit_for_bit(shape, dtype):
     xd[..., 0] = -0.0
     kd[..., 0] = np.abs(kd[..., 0])
     bd[0] = -0.0
-    with ad.using_dtype(dtype):
-        x, k = Tensor(xd, requires_grad=True), Tensor(kd, requires_grad=True)
-        b = Tensor(bd, requires_grad=True)
-        with Tape() as tape:
-            out = ad.depthwise_conv3x3(x, k, b)
-            tape.backward(ad.sum_all(ad.mul(out, gd)))
-    assert_same_bits(out.data, dw3x3_loop(xd, kd) + bd)
-    assert_same_bits(x.grad, dw3x3_loop(gd, kd[::-1, ::-1]))
-    assert_same_bits(k.grad, dw3x3_kernel_grad_np_pad(xd, kd, gd))
-    assert_same_bits(b.grad, gd.sum(axis=tuple(range(gd.ndim - 1))))
+    out = ad._dw3x3_forward(xd, kd)
+    out += bd
+    gx, gk, gb = ad._dw3x3_vjp(gd, xd, kd)
+    assert_same_bits(out, dw3x3_loop(xd, kd) + bd)
+    assert_same_bits(gx, dw3x3_loop(gd, kd[::-1, ::-1]))
+    assert_same_bits(gk, dw3x3_kernel_grad_np_pad(xd, kd, gd))
+    assert_same_bits(gb, gd.sum(axis=tuple(range(gd.ndim - 1))))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -348,7 +339,7 @@ def test_taped_ops_hold_no_backward_only_arrays():
     rebuild, nothing more, and the tape holds no op output: once the caller
     drops the output, ``leaky_relu`` holds no new array (backward rebuilds
     the sign mask from the input), ``gelu`` its ``cdf`` (backward computes
-    ``pdf``), ``exp`` and ``tanh`` their output, and ``add``, a constant
+    ``pdf``), ``tanh`` its output, and ``add``, a constant
     ``mul``, ``take_last`` and ``linear`` nothing (``linear`` reads only its
     input and weight, not its product). A flow coupling holds the seven
     half-width maps its op chain's vjps held (its two input halves, the conv
@@ -364,8 +355,8 @@ def test_taped_ops_hold_no_backward_only_arrays():
     coupling = CouplingLayer(16, 2.0, False, np.random.default_rng(0),
                              perm=np.random.default_rng(1).permutation(16))
     x_maps = Tensor(x.data.reshape(4, n // 8, n // 8, 16), requires_grad=True)
-    ops = (("leaky_relu", ad.leaky_relu, 0), ("gelu", ad.gelu, 1), ("exp", ad.exp, 1),
-           ("tanh", ad.tanh, 1), ("add", lambda t: ad.add(t, t), 0),
+    ops = (("leaky_relu", ad.leaky_relu, 0), ("gelu", ad.gelu, 1), ("tanh", ad.tanh, 1),
+           ("add", lambda t: ad.add(t, t), 0),
            ("mul", lambda t: ad.mul(t, 2.0), 0), ("take_last", lambda t: ad.take_last(t, 1, n), 0),
            ("linear", lambda t: ad.linear(t, w, b), 0),
            ("coupling", lambda t: coupling.forward(x_maps), 7 / 2))
@@ -388,7 +379,7 @@ def test_outputs_no_vjp_reads_are_freed_during_the_forward():
     soon as the forward drops it, with the tape still alive: a shifted map
     (a constant ``add``) split by two ``take_last``s, an ``add`` scaled by a
     constant ``mul``.
-    An output a vjp reads (``exp``'s) stays until the tape goes, and the
+    An output a vjp reads (``tanh``'s) stays until the tape goes, and the
     gradients are those of the whole graph."""
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
@@ -397,19 +388,20 @@ def test_outputs_no_vjp_reads_are_freed_during_the_forward():
         a, b = ad.take_last(shifted, 0, 3), ad.take_last(shifted, 3, 6)
         summed = ad.add(a, b)
         scaled = ad.mul(summed, 2.0)
-        e = ad.exp(scaled)
+        t = ad.tanh(scaled)
         refs = {name: weakref.ref(t.data) for name, t in
-                (("shifted", shifted), ("add", summed), ("exp", e))}
-        del shifted, summed, e
+                (("shifted", shifted), ("add", summed), ("tanh", t))}
+        del shifted, summed, t
         assert refs["shifted"]() is None and refs["add"]() is None
-        assert refs["exp"]() is not None
+        assert refs["tanh"]() is not None
         tape.backward(ad.sum_all(scaled))
-        tape.backward(ad.sum_all(ad.exp(scaled)))
+        tape.backward(ad.sum_all(ad.tanh(scaled)))
     xs = x.data + 1.0
-    want = np.concatenate([2.0 + 2.0 * np.exp(2.0 * (xs[:, :3] + xs[:, 3:]))] * 2, axis=1)
+    th = np.tanh(2.0 * (xs[:, :3] + xs[:, 3:]))
+    want = np.concatenate([2.0 + 2.0 * (1.0 - th * th)] * 2, axis=1)
     np.testing.assert_allclose(x.grad, want, rtol=1e-6)
     del tape
-    assert refs["exp"]() is None
+    assert refs["tanh"]() is None
 
 
 def test_keys_route_gradients_only_within_their_tape():
@@ -534,9 +526,6 @@ def _primitive_cases(seed):
     ]
     m1, m2 = p((3, 5)), p((5, 2))
     cases.append(("matmul", lambda: ad.sum_all(ad.tanh(ad.matmul(m1, m2))), [m1, m2]))
-    mr_x, mr_w = p((2, 4, 3)), p((3, 5), scale=0.5)
-    cases.append(("matmul_rows", lambda: ad.sum_all(ad.tanh(ad.matmul(mr_x, mr_w))),
-                  [mr_x, mr_w]))
     mb_a, mb_b = p((2, 3, 4)), p((2, 4, 5))
     cases.append(("matmul_batched", lambda: ad.sum_all(ad.tanh(ad.matmul(mb_a, mb_b))),
                   [mb_a, mb_b]))
@@ -550,19 +539,12 @@ def _primitive_cases(seed):
                   lambda: ad.sum_all(ad.mul(ad.layer_norm(ln_x, ln_g, ln_b),
                                             ad.layer_norm(ln_x, ln_g, ln_b))),
                   [ln_x, ln_g, ln_b]))
-    e = p((3, 3), scale=0.5)
-    cases.append(("exp", lambda: ad.sum_all(ad.exp(e)), [e]))
     th = p((3, 3))
     cases.append(("tanh", lambda: ad.sum_all(ad.mul(ad.tanh(th), th)), [th]))
     lr = p((4, 4))
     cases.append(("leaky_relu", lambda: ad.sum_all(ad.mul(ad.leaky_relu(lr), lr)), [lr]))
     ge = p((4, 4))
     cases.append(("gelu", lambda: ad.sum_all(ad.mul(ad.gelu(ge), ge)), [ge]))
-    dw_x, dw_k, dw_b = p((4, 5, 3)), p((3, 3, 3), scale=0.5), p((3,))
-    cases.append(("depthwise_conv3x3",
-                  lambda: ad.sum_all(ad.mul(ad.depthwise_conv3x3(dw_x, dw_k, dw_b),
-                                            ad.depthwise_conv3x3(dw_x, dw_k, dw_b))),
-                  [dw_x, dw_k, dw_b]))
     li_x, li_w, li_b = p((3, 4, 5)), p((5, 2), scale=0.5), p((2,))
     cases.append(("linear", lambda: ad.sum_all(ad.tanh(ad.linear(li_x, li_w, li_b))),
                   [li_x, li_w, li_b]))
@@ -634,6 +616,75 @@ def test_finite_difference_helper_on_quadratic(f64):
     x = Tensor([1.0, -2.0], requires_grad=True)
     (g,) = finite_difference_grads(lambda: ad.sum_all(ad.mul(x, x)), [x])
     np.testing.assert_allclose(g, 2.0 * x.data, atol=1e-6)
+
+
+def test_check_gradients_leaves_each_parameter_as_it_found_it(f64):
+    """The central differences rebind ``p.data`` to perturbed copies: after
+    ``check_gradients``, and after a forward that raises midway, each
+    parameter holds its own array object again, with its bits, and no
+    gradient."""
+    rng = np.random.default_rng(4)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 3)))
+    arrays = [w.data, b.data]
+    copies = [a.copy() for a in arrays]
+    calls = []
+
+    def f():
+        calls.append(None)
+        if len(calls) == 20:  # inside the first parameter's differences
+            raise RuntimeError("forward failed")
+        return ad.sum_all(ad.tanh(ad.linear(x, w, b)))
+
+    with pytest.raises(RuntimeError):
+        check_gradients(f, [w, b])
+    assert w.data is arrays[0] and b.data is arrays[1]
+    assert check_gradients(f, [w, b]) < 1e-6
+    for p, arr, copy in zip((w, b), arrays, copies):
+        assert p.data is arr and p.grad is None
+        assert_same_bits(arr, copy)
+
+
+def test_check_gradients_reports_a_nan_gradient_as_nan():
+    """A NaN tape gradient reads as a NaN error, which fails every
+    ``err < tol`` gate, whichever parameter it belongs to."""
+    x, y = t64([1.0, 2.0], requires_grad=True), t64([3.0], requires_grad=True)
+
+    def nan_grad(t):
+        return ad._emit(t.data * 1.0, (t,), lambda g: (g * np.nan,))
+
+    def f():
+        return ad.add(ad.sum_all(ad.mul(y, y)), ad.sum_all(nan_grad(x)))
+
+    with ad.using_dtype(np.float64):
+        for params in ([x, y], [y, x]):
+            assert np.isnan(check_gradients(f, params))
+
+
+def test_every_public_autodiff_function_has_a_caller_in_the_package():
+    """Each public function of ``autodiff.py`` is named by another module of
+    the package, imported from ``autodiff`` or read as an attribute of the
+    imported module: an op that only the tests call is dead code."""
+    pkg = pathlib.Path(ad.__file__).parent
+    tree = ast.parse((pkg / "autodiff.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for path in pkg.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        aliases = set()
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                aliases.update(alias.asname or alias.name for alias in node.names
+                               if alias.name == "autodiff")
+        used.update(node.attr for node in nodes if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases)
+    assert sorted(public - used) == []
 
 
 # ---------------------------------------------------------------------------

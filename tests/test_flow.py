@@ -12,6 +12,7 @@ from dualflow.autodiff import Tensor, reset_grads, using_dtype
 from dualflow.errors import ContractError, NumericError, ShapeError
 from dualflow.flow import (FLOW_VARIANTS, CouplingLayer, FlowConfig, FlowStack, StandardizeStage,
                            per_location_stats)
+from dualflow.selftest import numeric_jacobian
 
 
 def log_likelihood(z: np.ndarray, logdet: np.ndarray) -> np.ndarray:
@@ -40,19 +41,6 @@ def perturb(stack: FlowStack, rng, scale=0.1):
     for name, p in stack.params().items():
         p.data = p.data + rng.normal(0.0, scale, size=p.data.shape).astype(p.data.dtype)
     return stack
-
-
-def numeric_jacobian(f, x0: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of a flat vector map, column by column."""
-    d = x0.size
-    jac = np.zeros((d, d))
-    for k in range(d):
-        hi = x0.copy()
-        hi[k] += eps
-        lo = x0.copy()
-        lo[k] -= eps
-        jac[:, k] = (f(hi) - f(lo)) / (2.0 * eps)
-    return jac
 
 
 def test_identity_at_init(rng):
@@ -117,7 +105,7 @@ def test_logdet_matches_numeric_jacobian(seed):
 
         _, fields = stack.forward(Tensor(u0))
         logdet = stack.log_det(fields)
-        jac = numeric_jacobian(flat_forward, u0.reshape(-1))
+        jac = numeric_jacobian(flat_forward, u0.reshape(-1), eps=1e-5)
         _, ref = np.linalg.slogdet(jac)
         rel = abs(logdet.data[0] - ref) / max(abs(ref), 1.0)
         assert rel < 1e-3, f"seed {seed}: analytic {logdet.data[0]:.6f} vs jacobian {ref:.6f}"
@@ -141,7 +129,7 @@ def test_odd_width_forward_inverse_and_log_det():
         def flat_forward(flat):
             return stack.forward(Tensor(flat.reshape(shape)))[0].data.reshape(-1)
 
-        _, ref = np.linalg.slogdet(numeric_jacobian(flat_forward, u0.reshape(-1)))
+        _, ref = np.linalg.slogdet(numeric_jacobian(flat_forward, u0.reshape(-1), eps=1e-5))
         got = stack.log_det(fields).data[0]
         assert abs(got - ref) / max(abs(ref), 1.0) < 1e-3
 
@@ -331,12 +319,26 @@ def gather_last(x, idx):
     return ad._emit(np.take(x.data, idx, axis=-1), (x,), vjp)
 
 
+def chain_exp(x):
+    """``exp`` as one tape op whose vjp reads its output."""
+    out = np.exp(x.data)
+    return ad._emit(out, (x,), lambda g: (g * out,))
+
+
+def chain_conv(x, kernel, bias):
+    """The subnet's depthwise 3x3 conv plus its bias as one tape op."""
+    xd, kd = x.data, kernel.data
+    out = ad._dw3x3_forward(xd, kd)
+    out += bias.data
+    return ad._emit(out, (x, kernel, bias), lambda g: ad._dw3x3_vjp(g, xd, kd))
+
+
 def scale_shift_chain(layer, a):
     """The clamped log-scale and the shift predicted from ``a``, as tape ops:
     the subnet (conv, 1x1, leaky ReLU, 1x1), the two output halves, then
     ``clamp * tanh(raw / clamp)``."""
     net, n = layer.net, layer.n_out
-    h = ad.depthwise_conv3x3(a, net.dw_k, net.dw_b)
+    h = chain_conv(a, net.dw_k, net.dw_b)
     out = ad.linear(ad.leaky_relu(ad.linear(h, net.pw1_w, net.pw1_b)), net.pw2_w, net.pw2_b)
     raw, t = ad.take_last(out, 0, n), ad.take_last(out, n, 2 * n)
     return ad.mul(ad.tanh(ad.mul(raw, 1.0 / layer.clamp)), layer.clamp), t
@@ -354,7 +356,7 @@ def coupling_forward_permute_then_slice(layer, x):
     x = gather_last(x, layer.perm)
     a, b = (ad.take_last(x, h.start, h.stop) for h in (layer.half_a, layer.half_b))
     s, t = scale_shift_chain(layer, a)
-    return join_chain(layer, a, ad.add(ad.mul(b, ad.exp(s)), t)), s
+    return join_chain(layer, a, ad.add(ad.mul(b, chain_exp(s)), t)), s
 
 
 def coupling_inverse_slice_then_permute(layer, y, permuted):
@@ -363,7 +365,7 @@ def coupling_inverse_slice_then_permute(layer, y, permuted):
     drawn one."""
     a, y_b = (ad.take_last(y, h.start, h.stop) for h in (layer.half_a, layer.half_b))
     s, t = scale_shift_chain(layer, a)
-    x = join_chain(layer, a, ad.mul(ad.sub(y_b, t), ad.exp(ad.mul(s, -1.0))))
+    x = join_chain(layer, a, ad.mul(ad.sub(y_b, t), chain_exp(ad.mul(s, -1.0))))
     return gather_last(x, layer.inv) if permuted else x
 
 

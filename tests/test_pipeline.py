@@ -19,9 +19,9 @@ from dualflow.config import default_run_config
 from dualflow.encoder import EncoderConfig, PatchEmbedConfig
 from dualflow.errors import CheckpointError, ContractError, NumericError, ShapeError
 from dualflow.flow import FlowConfig, FlowStack, Subnet
-from dualflow.gradcheck import check_gradients, max_rel_error
 from dualflow.pipeline import (TrainConfig, build_model, collect_joints, loss_flow, recon_loss,
                                train, train_flow, train_transformer)
+from dualflow.selftest import check_gradients, max_rel_error
 from test_acceptance import GRAD_REL
 
 
