@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, default_dtype
-from .encoder import position_encoding, unpatchify
+from .encoder import affine_params, head_params, merged_params, position_encoding, unpatchify
 from .errors import ContractError, ShapeError
 
 
@@ -44,16 +44,10 @@ class DualAttnConfig:
             raise ContractError("mlp_ratio must be >= 1")
 
 
-def _linear_params(rng, d_in, d_out, dt):
-    w = Tensor(rng.normal(0.0, 0.02, size=(d_in, d_out)).astype(dt), requires_grad=True)
-    b = Tensor(np.zeros(d_out, dtype=dt), requires_grad=True)
-    return w, b
-
-
-def _ln_params(d, dt):
-    g = Tensor(np.ones(d, dtype=dt), requires_grad=True)
-    b = Tensor(np.zeros(d, dtype=dt), requires_grad=True)
-    return g, b
+def _ln_params(d):
+    dt = default_dtype()
+    return (Tensor(np.ones(d, dtype=dt), requires_grad=True),
+            Tensor(np.zeros(d, dtype=dt), requires_grad=True))
 
 
 def _multi_head(q, k, v, heads):
@@ -84,26 +78,19 @@ class _Block:
 
     def __init__(self, cfg: DualAttnConfig, rng, norms):
         d = cfg.token_dim
-        dt = default_dtype()
         self.heads = cfg.heads
-        self.norms = {name: _ln_params(d, dt) for name in norms}
-        self.wq = _linear_params(rng, d, d, dt)
-        self.wk = _linear_params(rng, d, d, dt)
-        self.wv = _linear_params(rng, d, d, dt)
-        self.wo = _linear_params(rng, d, d, dt)
-        self.ln2 = _ln_params(d, dt)
+        self.norms = {name: _ln_params(d) for name in norms}
+        self.wq, self.wk, self.wv, self.wo = (affine_params(rng, d, d) for _ in range(4))
+        self.ln2 = _ln_params(d)
         hidden = d * cfg.mlp_ratio
-        self.mlp1 = _linear_params(rng, d, hidden, dt)
-        self.mlp2 = _linear_params(rng, hidden, d, dt)
+        self.mlp1 = affine_params(rng, d, hidden)
+        self.mlp2 = affine_params(rng, hidden, d)
 
     def params(self):
         named = [*self.norms.items(), ("wq", self.wq), ("wk", self.wk), ("wv", self.wv),
                  ("wo", self.wo), ("ln2", self.ln2), ("mlp1", self.mlp1), ("mlp2", self.mlp2)]
-        out = {}
-        for name, (weight, bias) in named:
-            out[f"{name}.g" if name.startswith("ln") else f"{name}.w"] = weight
-            out[f"{name}.b"] = bias
-        return out
+        return {f"{name}.{part}": t for name, pair in named
+                for part, t in zip("gb" if name.startswith("ln") else "wb", pair)}
 
     def _attend(self, qn: Tensor, kvn: Tensor, stream: Tensor) -> Tensor:
         q, k, v = ad.linear(qn, *self.wq), ad.linear(kvn, *self.wk), ad.linear(kvn, *self.wv)
@@ -161,16 +148,9 @@ class DualAttention:
                        for _ in range(n_mem)]
 
     def params(self):
-        out = {}
-        for i, blk in enumerate(self.self_blocks):
-            for k, v in blk.params().items():
-                out[f"block{i}.self.{k}"] = v
-        for i, blk in enumerate(self.mem_blocks):
-            for k, v in blk.params().items():
-                out[f"block{i}.mem.{k}"] = v
-        for i, m in enumerate(self.memory):
-            out[f"memory{i}"] = m
-        return out
+        out = merged_params(*((f"block{i}.self", b) for i, b in enumerate(self.self_blocks)),
+                            *((f"block{i}.mem", b) for i, b in enumerate(self.mem_blocks)))
+        return out | {f"memory{i}": m for i, m in enumerate(self.memory)}
 
     def __call__(self, tokens: Tensor):
         if tokens.shape[-2] != self.length:
@@ -199,20 +179,11 @@ class OutputHeads:
         self.width = token_dim // n
         self.patch_sizes = tuple(patch_sizes)
         self.map_shapes = [(s, s, c) for s, c in zip(map_sizes, stage_channels)]
-        dt = default_dtype()
-        self.heads = []
-        for c, p in zip(stage_channels, patch_sizes):
-            w = Tensor(rng.normal(0.0, 0.02, size=(self.width, c * p * p)).astype(dt),
-                       requires_grad=True)
-            b = Tensor(np.zeros(c * p * p, dtype=dt), requires_grad=True)
-            self.heads.append((w, b))
+        self.heads = [affine_params(rng, self.width, c * p * p)
+                      for c, p in zip(stage_channels, patch_sizes)]
 
     def params(self):
-        out = {}
-        for i, (w, b) in enumerate(self.heads):
-            out[f"{i}.w"] = w
-            out[f"{i}.b"] = b
-        return out
+        return head_params(self.heads)
 
     def __call__(self, tokens: Tensor) -> list:
         maps = []

@@ -161,8 +161,7 @@ def load_checkpoint(path):
     try:
         model.set_image_norm(arrays["norm.mean"], arrays["norm.std"])
         for i, stack in enumerate(model.flows):
-            stack.standardize.set_stats(arrays[f"flow.{i}.in_mean"].astype(dt),
-                                        arrays[f"flow.{i}.in_std"].astype(dt))
+            stack.standardize.set_stats(arrays[f"flow.{i}.in_mean"], arrays[f"flow.{i}.in_std"])
     except ContractError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     model.transformer_trained = state.get("transformer_trained", False)

@@ -1,8 +1,10 @@
 """Run configuration: one INI file mirroring every dataclass knob.
 
-Unknown sections or keys are rejected rather than ignored, so a typo cannot
-silently fall back to a default. Rendering is deterministic: fixed section
-and key order, ``repr``-style floats.
+Unknown sections (``[DEFAULT]`` among them) or keys are rejected rather
+than ignored, so a typo cannot silently fall back to a default. File keys
+and ``section.key=value`` overrides go through one parser, in any order.
+Rendering is deterministic: fixed section and key order, ``repr``-style
+floats.
 """
 
 from __future__ import annotations
@@ -56,49 +58,48 @@ _SCHEMA = {section: {f.name: _PARSERS[typing.get_type_hints(cls)[f.name]]
            for section, cls in typing.get_type_hints(RunConfig).items()}
 
 
-def _section_values(rc: RunConfig, section: str) -> dict:
-    sub = getattr(rc, section)
-    return {key: getattr(sub, key) for key in _SCHEMA[section]}
-
-
 def render_run_config(rc: RunConfig) -> str:
     lines = []
-    for section in _SCHEMA:
-        lines.append(f"[{section}]")
-        for key, value in _section_values(rc, section).items():
-            lines.append(f"{key} = {_fmt(value)}")
-        lines.append("")
+    for section, keys in _SCHEMA.items():
+        sub = getattr(rc, section)
+        lines += [f"[{section}]", *(f"{key} = {_fmt(getattr(sub, key))}" for key in keys), ""]
     return "\n".join(lines)
 
 
+def _with_values(rc: RunConfig, items) -> RunConfig:
+    """``rc`` with raw (section, key, raw) values applied, in any order: the
+    one path of the INI reader and of ``--set``. Each section is built, and
+    so validated, once, attention's token width set from ``patch_embed``."""
+    updates = {section: {} for section in _SCHEMA}
+    for section, key, raw in items:
+        if key not in _SCHEMA.get(section, ()):
+            raise ContractError(f"unknown config key {section}.{key}")
+        try:
+            updates[section][key] = _SCHEMA[section][key](raw.strip())
+        except ValueError as exc:
+            raise ContractError(f"bad value for {section}.{key}: {raw!r}") from exc
+    built = {}
+    for section, kv in updates.items():  # patch_embed comes before attention
+        if section == "attention":
+            kv["token_dim"] = built["patch_embed"].token_dim
+        built[section] = dataclasses.replace(getattr(rc, section), **kv)
+    return RunConfig(**built)
+
+
 def parse_run_config(text: str) -> RunConfig:
-    """Config from INI text; omitted keys keep their defaults, unknown keys
-    are contract errors. The attention token width always mirrors
-    ``patch_embed.token_dim``."""
-    cp = configparser.ConfigParser(interpolation=None)
+    """Config from INI text; omitted keys keep their defaults, unknown
+    sections (``[DEFAULT]`` too) and keys are contract errors."""
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    cp.optionxform = str  # keys keep their case, as in ``--set``
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ContractError(f"malformed config: {exc}") from exc
-    values = {section: {} for section in _SCHEMA}
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ContractError(f"unknown config section [{section}]")
-        for key, raw in cp.items(section):
-            if key not in _SCHEMA[section]:
-                raise ContractError(f"unknown config key {section}.{key}")
-            try:
-                values[section][key] = _SCHEMA[section][key](raw)
-            except ValueError as exc:
-                raise ContractError(f"bad value for {section}.{key}: {raw!r}") from exc
-    enc = EncoderConfig(**values["encoder"])
-    emb = PatchEmbedConfig(**values["patch_embed"])
-    attn = DualAttnConfig(token_dim=emb.token_dim, **values["attention"])
-    flow = FlowConfig(**values["flow"])
-    train = TrainConfig(**values["train"])
-    scoring = ScoringConfig(**values["scoring"])
-    return RunConfig(encoder=enc, patch_embed=emb, attention=attn, flow=flow,
-                     train=train, scoring=scoring)
+    return _with_values(default_run_config(), ((section, key, raw) for section in cp.sections()
+                                               for key, raw in cp.items(section)))
 
 
 def load_run_config(path) -> RunConfig:
@@ -108,22 +109,10 @@ def load_run_config(path) -> RunConfig:
 
 def apply_overrides(rc: RunConfig, pairs) -> RunConfig:
     """Apply ``section.key=value`` strings on top of a config."""
-    updates: dict[str, dict] = {}
+    items = []
     for pair in pairs:
         if "=" not in pair or "." not in pair.split("=", 1)[0]:
             raise ContractError(f"override must look like section.key=value, got {pair!r}")
         dotted, raw = pair.split("=", 1)
-        section, key = dotted.strip().split(".", 1)
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ContractError(f"unknown config key {section}.{key}")
-        try:
-            updates.setdefault(section, {})[key] = _SCHEMA[section][key](raw.strip())
-        except ValueError as exc:
-            raise ContractError(f"bad value for {section}.{key}: {raw!r}") from exc
-    for section, kv in updates.items():
-        sub = dataclasses.replace(getattr(rc, section), **kv)
-        rc = dataclasses.replace(rc, **{section: sub})
-    if "patch_embed" in updates:
-        attn = dataclasses.replace(rc.attention, token_dim=rc.patch_embed.token_dim)
-        rc = dataclasses.replace(rc, attention=attn)
-    return rc
+        items.append((*dotted.strip().split(".", 1), raw))
+    return _with_values(rc, items)

@@ -291,16 +291,11 @@ def generate(spec: DatasetSpec, out_dir) -> str:
     for sub in ("train", "test", "masks"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
     lines = []
-    for i in range(spec.n_train):
-        img = make_normal(spec, _sample_rng(spec, 0, i))
-        rel = f"train/{i:04d}.ppm"
-        write_ppm(os.path.join(out_dir, rel), img)
-        lines.append(f"{rel}\t0\t-\t1.0")
-    for i in range(spec.n_test_normal):
-        img = make_normal(spec, _sample_rng(spec, 1, i))
-        rel = f"test/{i:04d}.ppm"
-        write_ppm(os.path.join(out_dir, rel), img)
-        lines.append(f"{rel}\t0\t-\t1.0")
+    for code, split, count in ((0, "train", spec.n_train), (1, "test", spec.n_test_normal)):
+        for i in range(count):
+            rel = f"{split}/{i:04d}.ppm"
+            write_ppm(os.path.join(out_dir, rel), make_normal(spec, _sample_rng(spec, code, i)))
+            lines.append(f"{rel}\t0\t-\t1.0")
     for i in range(spec.n_test_anomalous):
         rng = _sample_rng(spec, 2, i)
         kind = spec.anomaly_kinds[i % len(spec.anomaly_kinds)]

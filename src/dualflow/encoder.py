@@ -66,25 +66,21 @@ class FrozenEncoder:
         rng = np.random.default_rng(np.random.SeedSequence(0))
         c1, c2, c3 = cfg.stage_channels
         dt = default_dtype()
-        plans = [(3, c1), (c1, c1), (c1, c2), (c2, c3)]
         self.weights = []
-        for cin, cout in plans:
-            std = math.sqrt(2.0 / (9 * cin))
-            w = rng.normal(0.0, std, size=(3, 3, cin, cout)).astype(dt)
-            b = rng.normal(0.0, 0.1, size=cout).astype(dt)
-            self.weights.append((w, b))
+        for cin, cout in [(3, c1), (c1, c1), (c1, c2), (c2, c3)]:
+            w = rng.normal(0.0, math.sqrt(2.0 / (9 * cin)), size=(3, 3, cin, cout)).astype(dt)
+            self.weights.append((w, rng.normal(0.0, 0.1, size=cout).astype(dt)))
 
     def __call__(self, image: np.ndarray) -> list:
         s = self.cfg.in_size
         if image.shape != (s, s, 3):
             raise ShapeError(f"encoder expects image of shape ({s}, {s}, 3), got {image.shape}")
         x = np.asarray(image, dtype=default_dtype())
-        (w0, b0), (w1, b1), (w2, b2), (w3, b3) = self.weights
-        x = ad.leaky_relu(_conv3x3_s2(x, w0, b0)).data
-        f1 = ad.leaky_relu(_conv3x3_s2(x, w1, b1)).data
-        f2 = ad.leaky_relu(_conv3x3_s2(f1, w2, b2)).data
-        f3 = ad.leaky_relu(_conv3x3_s2(f2, w3, b3)).data
-        return [f1, f2, f3]
+        maps = []
+        for w, b in self.weights:
+            x = ad.leaky_relu(_conv3x3_s2(x, w, b)).data
+            maps.append(x)
+        return maps[1:]  # the taps at strides 4, 8 and 16
 
 
 @dataclass(frozen=True)
@@ -139,17 +135,28 @@ def position_encoding(length: int, dim: int) -> np.ndarray:
     half = dim // 2
     n_freq = half // 2
     freqs = 1.0 / (10000.0 ** (np.arange(n_freq) / n_freq))
-
-    def axis_table(pos):
-        ang = np.outer(pos, freqs)
-        return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-
-    coords = np.arange(g, dtype=np.float64)
-    table_y = axis_table(coords)
-    table_x = axis_table(coords)
+    ang = np.outer(np.arange(g, dtype=np.float64), freqs)
+    table = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)  # both axes' table
     gy, gx = np.divmod(np.arange(length), g)
-    pe = np.concatenate([table_y[gy], table_x[gx]], axis=1)
+    pe = np.concatenate([table[gy], table[gx]], axis=1)
     return pe.astype(default_dtype())
+
+
+def affine_params(rng, d_in: int, d_out: int):
+    """A fresh affine layer's leaves: (d_in, d_out) w ~ N(0, 0.02^2), zero b."""
+    dt = default_dtype()
+    w = Tensor(rng.normal(0.0, 0.02, size=(d_in, d_out)).astype(dt), requires_grad=True)
+    return w, Tensor(np.zeros(d_out, dtype=dt), requires_grad=True)
+
+
+def head_params(heads) -> dict:
+    """``params()`` of a list of per-scale (w, b) heads: ``{i}.w``, ``{i}.b``."""
+    return {f"{i}.{name}": t for i, wb in enumerate(heads) for name, t in zip("wb", wb)}
+
+
+def merged_params(*named) -> dict:
+    """The ``params()`` of (prefix, module) pairs, in order, as ``prefix.name``."""
+    return {f"{prefix}.{k}": v for prefix, module in named for k, v in module.params().items()}
 
 
 class PatchEmbed:
@@ -164,13 +171,11 @@ class PatchEmbed:
         self.cfg = cfg
         self.n_scales = len(cfg.patch_sizes)
         self.width = cfg.token_dim // self.n_scales
-        dt = default_dtype()
-        self.heads = []
-        for c, p in zip(stage_channels, cfg.patch_sizes):
-            w = Tensor(rng.normal(0.0, 0.02, size=(c * p * p, self.width)).astype(dt),
-                       requires_grad=True)
-            b = Tensor(np.zeros(self.width, dtype=dt), requires_grad=True)
-            self.heads.append((w, b))
+        self.heads = [affine_params(rng, c * p * p, self.width)
+                      for c, p in zip(stage_channels, cfg.patch_sizes)]
+
+    def params(self):
+        return head_params(self.heads)
 
     def __call__(self, pyramid) -> Tensor:
         """Tokens of a pyramid of (..., H, W, C) maps whose leading axes agree

@@ -205,6 +205,18 @@ class CouplingLayer:
         return Tensor._wrap(np.take(x, self.inv, axis=-1), None)
 
 
+def checked_stats(what: str, mean: np.ndarray, std: np.ndarray, dtype):
+    """Fitted (mean, std) statistics cast to ``dtype``, and checked as cast:
+    both finite (else ``NumericError``), every std positive (else
+    ``ContractError``)."""
+    mean, std = mean.astype(dtype), std.astype(dtype)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise NumericError(f"{what} mean and std must be finite")
+    if np.any(std <= 0):
+        raise ContractError(f"{what} std must be positive")
+    return mean, std
+
+
 class StandardizeStage:
     """Fixed per-channel affine (x - mean) / std. Identity until stats are
     fitted. Contributes -sum(log std) to the log-determinant at every
@@ -218,12 +230,7 @@ class StandardizeStage:
         self.std = np.ones(channels, dtype=dt)
 
     def set_stats(self, mean: np.ndarray, std: np.ndarray) -> None:
-        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-            raise NumericError("standardization mean and std must be finite")
-        if np.any(std <= 0):
-            raise ContractError("standardization std must be positive")
-        self.mean = mean.astype(self.mean.dtype)
-        self.std = std.astype(self.std.dtype)
+        self.mean, self.std = checked_stats("standardization", mean, std, self.mean.dtype)
 
     def local_logdet(self) -> float:
         return float(-np.log(self.std.astype(np.float64)).sum())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, reset_grads
 from .errors import ContractError
 
 
@@ -43,8 +43,7 @@ class AdamW:
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        reset_grads(self.params)
 
     def step(self) -> None:
         self.t += 1

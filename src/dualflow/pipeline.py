@@ -17,9 +17,10 @@ import numpy as np
 from . import autodiff as ad
 from .attention import DualAttention, DualAttnConfig, OutputHeads
 from .autodiff import Tape, Tensor, default_dtype
-from .encoder import STAGE_STRIDES, EncoderConfig, FrozenEncoder, PatchEmbed, PatchEmbedConfig
+from .encoder import (STAGE_STRIDES, EncoderConfig, FrozenEncoder, PatchEmbed, PatchEmbedConfig,
+                      merged_params)
 from .errors import ContractError, NumericError, ShapeError
-from .flow import FLOW_VARIANTS, FlowConfig, FlowStack
+from .flow import FLOW_VARIANTS, FlowConfig, FlowStack, checked_stats
 from .optim import AdamW
 
 
@@ -74,10 +75,9 @@ class Model:
 
         self.embed = PatchEmbed(channels, emb_cfg, rng(0))
         self.attn = DualAttention(attn_cfg, length, rng(1))
-        self.heads_self = OutputHeads(channels, emb_cfg.patch_sizes, map_sizes,
-                                      emb_cfg.token_dim, rng(2))
-        self.heads_mem = OutputHeads(channels, emb_cfg.patch_sizes, map_sizes,
-                                     emb_cfg.token_dim, rng(3))
+        self.heads_self, self.heads_mem = (
+            OutputHeads(channels, emb_cfg.patch_sizes, map_sizes, emb_cfg.token_dim, rng(k))
+            for k in (2, 3))
         n_branch = len(FLOW_VARIANTS[self.variant])
         self.flows = [FlowStack(c * n_branch, flow_cfg, rng(4, i))
                       for i, c in enumerate(channels)]
@@ -91,29 +91,14 @@ class Model:
     # -- parameter bookkeeping ------------------------------------------------
 
     def transformer_parameters(self) -> dict:
-        out = {}
-        for i, (w, b) in enumerate(self.embed.heads):
-            out[f"embed.{i}.w"] = w
-            out[f"embed.{i}.b"] = b
-        for k, v in self.attn.params().items():
-            out[f"attn.{k}"] = v
-        for k, v in self.heads_self.params().items():
-            out[f"head.self.{k}"] = v
-        for k, v in self.heads_mem.params().items():
-            out[f"head.mem.{k}"] = v
-        return out
+        return merged_params(("embed", self.embed), ("attn", self.attn),
+                             ("head.self", self.heads_self), ("head.mem", self.heads_mem))
 
     def flow_parameters(self) -> dict:
-        out = {}
-        for i, stack in enumerate(self.flows):
-            for k, v in stack.params().items():
-                out[f"flow.{i}.{k}"] = v
-        return out
+        return merged_params(*((f"flow.{i}", stack) for i, stack in enumerate(self.flows)))
 
     def parameters(self) -> dict:
-        out = self.transformer_parameters()
-        out.update(self.flow_parameters())
-        return out
+        return self.transformer_parameters() | self.flow_parameters()
 
     def buffers(self) -> dict:
         out = {"norm.mean": self.norm_mean, "norm.std": self.norm_std}
@@ -125,13 +110,8 @@ class Model:
     # -- forward pieces --------------------------------------------------------
 
     def set_image_norm(self, mean: np.ndarray, std: np.ndarray) -> None:
-        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-            raise NumericError("image normalization mean and std must be finite")
-        if np.any(std <= 0):
-            raise ContractError("image normalization std must be positive")
-        dt = default_dtype()
-        self.norm_mean = mean.astype(dt)
-        self.norm_std = std.astype(dt)
+        self.norm_mean, self.norm_std = checked_stats("image normalization", mean, std,
+                                                      default_dtype())
 
     def prior_features(self, image: np.ndarray) -> list:
         """Frozen feature pyramid of a [0, 1] image, normalized per channel
@@ -234,6 +214,17 @@ def _fit(params: dict, n: int, batch_loss, cfg: TrainConfig, log, *, stage: str,
             log(stage, epoch, *(s / count for s in sums))
 
 
+def _check_images(model: Model, images) -> None:
+    """Both training stages' input check: one or more images of the model's shape."""
+    if len(images) == 0:
+        raise ContractError("training needs at least one image")
+    want = (model.enc_cfg.in_size, model.enc_cfg.in_size, 3)
+    for i, image in enumerate(images):
+        if np.shape(image) != want:  # before np.stack, which raises ValueError
+            raise ShapeError(f"training image {i} has shape {np.shape(image)}, "
+                             f"the model expects {want}")
+
+
 def _stacked_pyramids(model: Model, images) -> list:
     """The frozen pyramids of ``images``, one image at a time, stacked per
     scale into (N, H, W, C) arrays."""
@@ -244,13 +235,7 @@ def train_transformer(model: Model, images, cfg: TrainConfig, log=None) -> None:
     """Stage 1. Caches the frozen pyramids once, stacked per scale as
     (N, H, W, C) arrays, then fits both branches with one taped forward of
     each (B, H, W, C) batch."""
-    if len(images) == 0:
-        raise ContractError("training needs at least one image")
-    want = (model.enc_cfg.in_size, model.enc_cfg.in_size, 3)
-    for i, image in enumerate(images):
-        if np.shape(image) != want:  # before np.stack, which raises ValueError
-            raise ShapeError(f"training image {i} has shape {np.shape(image)}, "
-                             f"the model expects {want}")
+    _check_images(model, images)
     model.set_image_norm(*flow_input_stats([np.stack(images)])[0])
     stacked = _stacked_pyramids(model, images)
 
@@ -290,6 +275,7 @@ def collect_joints(model: Model, images) -> list:
     """Per-scale joint features of a list of images as (N, H, W, C) arrays,
     no gradients: the frozen pyramids one image at a time, then one
     reconstruction of the stacked batch."""
+    _check_images(model, images)
     pyramids = _stacked_pyramids(model, images)
     recon_s, recon_m = model.reconstruct(pyramids)
     return model.joint_arrays(pyramids, recon_s, recon_m)
@@ -339,7 +325,6 @@ def switch_variant(model: Model, rc, variant: str) -> Model:
         raise ContractError("transformer parameter sets differ between models")
     for k in src:
         dst[k].data = src[k].data.copy()
-    out.norm_mean = model.norm_mean.copy()
-    out.norm_std = model.norm_std.copy()
+    out.set_image_norm(model.norm_mean, model.norm_std)
     out.transformer_trained = model.transformer_trained
     return out

@@ -11,7 +11,9 @@ from helpers import replace_with_symlink
 from dualflow import data
 from dualflow.checkpoint import load_checkpoint, save_checkpoint
 from dualflow.cli import main
-from dualflow.config import apply_overrides, default_run_config, render_run_config
+from dualflow.config import (apply_overrides, default_run_config, parse_run_config,
+                             render_run_config)
+from dualflow.errors import ContractError
 
 TINY_CONFIG = """\
 [encoder]
@@ -302,15 +304,20 @@ def test_train_help_embeds_default_config(capsys):
     assert "[encoder]" in text and "stage_channels = 16,32,64" in text
 
 
-def test_config_surface_is_pinned():
-    """Every knob of the run config; adding or retiring one edits this list."""
+def _config_keys() -> list:
+    """``section.key`` of every line of the rendered default config."""
     keys, section = [], None
     for line in render_run_config(default_run_config()).splitlines():
         if line.startswith("["):
             section = line.strip("[]")
         elif line:
             keys.append(f"{section}.{line.split(' = ')[0]}")
-    assert keys == [
+    return keys
+
+
+def test_config_surface_is_pinned():
+    """Every knob of the run config; adding or retiring one edits this list."""
+    assert _config_keys() == [
         "encoder.in_size", "encoder.stage_channels",
         "patch_embed.patch_sizes", "patch_embed.token_dim",
         "attention.depth", "attention.heads", "attention.mlp_ratio",
@@ -318,3 +325,60 @@ def test_config_surface_is_pinned():
         "train.lr", "train.batch_size", "train.stage1_epochs", "train.stage2_epochs",
         "train.seed", "train.weight_decay",
         "scoring.mode", "scoring.smooth_sigma", "scoring.fuse_weight", "scoring.fpr_limit"]
+
+
+# a valid value other than the default for every config key
+NON_DEFAULT = {
+    "encoder.in_size": "128", "encoder.stage_channels": "8,16,32",
+    "patch_embed.patch_sizes": "8,4,2", "patch_embed.token_dim": "120",
+    "attention.depth": "3", "attention.heads": "8", "attention.mlp_ratio": "2",
+    "flow.variant": "P-M", "flow.n_blocks": "4", "flow.clamp": "1.5",
+    "flow.hidden_ratio": "0.5", "train.lr": "0.001", "train.batch_size": "4",
+    "train.stage1_epochs": "5", "train.stage2_epochs": "7", "train.seed": "3",
+    "train.weight_decay": "0.01", "scoring.mode": "recon_mem",
+    "scoring.smooth_sigma": "2.5", "scoring.fuse_weight": "0.25", "scoring.fpr_limit": "0.05"}
+
+
+@pytest.mark.parametrize("key", _config_keys())
+def test_every_config_key_round_trips(key):
+    """A config file and ``--set`` build the same config from one key, and
+    rendering it, then parsing the text back, gives it again."""
+    section, name = key.split(".")
+    raw = NON_DEFAULT[key]
+    rc = parse_run_config(f"[{section}]\n{name} = {raw}\n")
+    assert rc != default_run_config()
+    assert apply_overrides(default_run_config(), [f"{key}={raw}"]) == rc
+    text = render_run_config(rc)
+    assert f"[{section}]" in text and f"\n{name} = {raw}\n" in text
+    assert parse_run_config(text) == rc
+
+
+def test_override_order_does_not_matter():
+    """The attention heads are checked against the token width the same
+    call sets, whichever comes first, in a file or in ``--set`` flags."""
+    want = parse_run_config("[patch_embed]\ntoken_dim = 120\n[attention]\nheads = 5\n")
+    assert (want.attention.heads, want.attention.token_dim) == (5, 120)
+    assert parse_run_config("[attention]\nheads = 5\n[patch_embed]\ntoken_dim = 120\n") == want
+    pairs = ["patch_embed.token_dim=120", "attention.heads=5"]
+    assert apply_overrides(default_run_config(), pairs) == want
+    assert apply_overrides(default_run_config(), pairs[::-1]) == want
+
+
+def test_config_keys_are_case_sensitive_in_both_forms():
+    """A file once lower-cased its keys, which ``--set`` never did."""
+    with pytest.raises(ContractError, match="unknown config key train.LR"):
+        parse_run_config("[train]\nLR = 0.001\n")
+    with pytest.raises(ContractError, match="unknown config key train.LR"):
+        apply_overrides(default_run_config(), ["train.LR=0.001"])
+
+
+def test_default_section_is_rejected(tmp_path, capsys):
+    """configparser's [DEFAULT] is no config section: its keys were once
+    silently ignored."""
+    with pytest.raises(ContractError, match=r"unknown config section \[DEFAULT\]"):
+        parse_run_config("[DEFAULT]\nbogus = 1\n")
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("[DEFAULT]\nbogus = 1\n", encoding="ascii")
+    assert main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.ckpt"),
+                 "--config", str(cfg)]) == 1
+    assert "unknown config section [DEFAULT]" in capsys.readouterr().err

@@ -222,7 +222,8 @@ def test_mixed_size_training_images_raise_shape_error():
     with pytest.raises(ShapeError, match=r"training image 3 has shape \(16, 16, 3\)"):
         train_transformer(model, images, rc.train)
     train_transformer(model, images[:3], rc.train)
-    with pytest.raises(ShapeError, match="encoder expects image of shape"):
+    # stage 2 runs the same check
+    with pytest.raises(ShapeError, match=r"training image 3 has shape \(16, 16, 3\)"):
         train_flow(model, images, rc.train)
 
 
@@ -560,6 +561,9 @@ def test_checkpoint_bad_config_echo_rejected(tmp_path):
                               "bad config echo"),
                              (b"smooth_sigma = 4.0\n", b"smooth_sigma = 1e8\n",
                               "bad config echo"),
+                             # configparser's [DEFAULT] is no config section
+                             (b"[encoder]\n", b"[DEFAULT]\n",
+                              r"bad config echo: unknown config section \[DEFAULT\]"),
                              (b"flow_trained = false", b"flow_trained = yes!!", "malformed")):
         assert blob.count(good) == 1 and len(good) == len(bad)
         (tmp_path / "cfg.ckpt").write_bytes(blob.replace(good, bad))
@@ -594,6 +598,51 @@ def test_checkpoint_with_retired_key_rejected(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
+# Every array name of ``tiny_run_config()``'s model in checkpoint order, the
+# order of ``parameters()`` then ``buffers()``: the checkpoint's byte layout.
+TINY_ARRAY_ORDER = """
+    embed.0.w embed.0.b embed.1.w embed.1.b embed.2.w embed.2.b
+    attn.block0.self.ln1.g attn.block0.self.ln1.b attn.block0.self.wq.w
+    attn.block0.self.wq.b attn.block0.self.wk.w attn.block0.self.wk.b
+    attn.block0.self.wv.w attn.block0.self.wv.b attn.block0.self.wo.w
+    attn.block0.self.wo.b attn.block0.self.ln2.g attn.block0.self.ln2.b
+    attn.block0.self.mlp1.w attn.block0.self.mlp1.b attn.block0.self.mlp2.w
+    attn.block0.self.mlp2.b
+    attn.block0.mem.lnq.g attn.block0.mem.lnq.b attn.block0.mem.lnkv.g
+    attn.block0.mem.lnkv.b attn.block0.mem.wq.w attn.block0.mem.wq.b
+    attn.block0.mem.wk.w attn.block0.mem.wk.b attn.block0.mem.wv.w attn.block0.mem.wv.b
+    attn.block0.mem.wo.w attn.block0.mem.wo.b attn.block0.mem.ln2.g
+    attn.block0.mem.ln2.b attn.block0.mem.mlp1.w attn.block0.mem.mlp1.b
+    attn.block0.mem.mlp2.w attn.block0.mem.mlp2.b
+    attn.memory0
+    head.self.0.w head.self.0.b head.self.1.w head.self.1.b head.self.2.w head.self.2.b
+    head.mem.0.w head.mem.0.b head.mem.1.w head.mem.1.b head.mem.2.w head.mem.2.b
+    flow.0.layer0.dw.k flow.0.layer0.dw.b flow.0.layer0.pw1.w flow.0.layer0.pw1.b
+    flow.0.layer0.pw2.w flow.0.layer0.pw2.b
+    flow.0.layer1.dw.k flow.0.layer1.dw.b flow.0.layer1.pw1.w flow.0.layer1.pw1.b
+    flow.0.layer1.pw2.w flow.0.layer1.pw2.b
+    flow.1.layer0.dw.k flow.1.layer0.dw.b flow.1.layer0.pw1.w flow.1.layer0.pw1.b
+    flow.1.layer0.pw2.w flow.1.layer0.pw2.b
+    flow.1.layer1.dw.k flow.1.layer1.dw.b flow.1.layer1.pw1.w flow.1.layer1.pw1.b
+    flow.1.layer1.pw2.w flow.1.layer1.pw2.b
+    flow.2.layer0.dw.k flow.2.layer0.dw.b flow.2.layer0.pw1.w flow.2.layer0.pw1.b
+    flow.2.layer0.pw2.w flow.2.layer0.pw2.b
+    flow.2.layer1.dw.k flow.2.layer1.dw.b flow.2.layer1.pw1.w flow.2.layer1.pw1.b
+    flow.2.layer1.pw2.w flow.2.layer1.pw2.b
+    norm.mean norm.std flow.0.in_mean flow.0.in_std flow.1.in_mean flow.1.in_std
+    flow.2.in_mean flow.2.in_std
+""".split()
+
+
+def test_checkpoint_array_order_is_pinned(tmp_path):
+    rc = tiny_run_config()
+    model = build_model(rc)
+    assert [*model.parameters(), *model.buffers()] == TINY_ARRAY_ORDER
+    blob = _saved(model, rc, tmp_path).read_bytes()
+    positions = [blob.index(struct.pack("<H", len(n)) + n.encode()) for n in TINY_ARRAY_ORDER]
+    assert positions == sorted(positions)
+
+
 def test_checkpoint_with_two_subnet_couplings_rejected(tmp_path, capsys, monkeypatch):
     """A checkpoint written while each coupling had a scale and a shift
     subnet names their arrays ``layerK.s.*`` and ``layerK.t.*``."""
@@ -624,6 +673,7 @@ def test_checkpoint_non_positive_std_rejected(tmp_path):
     _assert_rejected(_saved(model, rc, tmp_path), match="std must be positive")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 def test_fit_rejects_non_finite_statistics(tmp_path):
     # one NaN image used to give NaN norm and flow statistics, and a
     # checkpoint that load_checkpoint refuses
@@ -645,9 +695,29 @@ def test_fit_rejects_non_finite_statistics(tmp_path):
             stack.standardize.set_stats(ones * bad, ones)
         with pytest.raises(NumericError):
             stack.standardize.set_stats(ones, ones * bad)
+    # statistics are checked as cast to the model's float32: 1e39 is inf
+    # there, and 1e-50 is 0
+    with pytest.raises(NumericError):
+        stack.standardize.set_stats(ones * 1e39, ones)
+    with pytest.raises(ContractError, match="image normalization std must be positive"):
+        model.set_image_norm(np.full(3, 0.5), np.full(3, 1e-50))
     # a finite 0-epoch fit still writes a checkpoint that loads
     save_checkpoint(train(tiny_images(2), rc), rc, tmp_path / "m.ckpt")
     load_checkpoint(tmp_path / "m.ckpt")
+
+
+def test_both_training_stages_refuse_an_empty_image_list():
+    """Stage 2 and its joint collection run stage 1's image check; an empty
+    list once reached the patch embedding as a pyramid of no maps."""
+    rc = tiny_run_config(stage1_epochs=1)
+    model = build_model(rc)
+    with pytest.raises(ContractError, match="training needs at least one image"):
+        train_transformer(model, [], rc.train)
+    train_transformer(model, tiny_images(2), rc.train)
+    with pytest.raises(ContractError, match="training needs at least one image"):
+        train_flow(model, [], rc.train)
+    with pytest.raises(ContractError, match="training needs at least one image"):
+        collect_joints(model, [])
 
 
 def test_fit_rejects_non_finite_loss():
