@@ -521,13 +521,18 @@ def _dw3x3_forward(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
 def _dw3x3_vjp(g: np.ndarray, xd: np.ndarray, kd: np.ndarray) -> tuple:
     """The gradients (input, kernel, bias) of ``_dw3x3_forward`` plus a
     per-channel bias, for output gradient ``g``: the input's is the flipped
-    kernel's convolution, the kernel's is summed tap by tap (a single
-    nine-tap reduction sums a one-channel map in another order)."""
-    lead = tuple(range(xd.ndim - 3))
+    kernel's convolution. The kernel's takes one pass per kernel row: one
+    ``np.multiply`` writes the row's three products into one (3, ...)
+    buffer, and one sum over its (3, rows, C) view reduces each tap's rows
+    in the order a per-tap ``(g * tap).sum`` over every axis but the
+    channels uses: one row after another when C > 1, pairwise when C = 1.
+    So it gives that loop's bits, which ``dualflow selftest`` checks."""
+    c = xd.shape[-1]
     gx = _dw3x3_forward(g, kd[::-1, ::-1])
     taps = tap_view(zero_pad_hw(xd), xd.shape, 1)
+    row = np.empty((3,) + xd.shape, dtype=np.result_type(g, xd))
     gk = np.empty_like(kd)
     for dy in range(3):
-        for dx in range(3):
-            gk[dy, dx] = (g * taps[dy, dx]).sum(axis=lead + (-3, -2))
+        np.multiply(g, taps[dy], out=row)
+        gk[dy] = row.reshape(3, -1, c).sum(axis=1)
     return (gx, gk, g.sum(axis=tuple(range(g.ndim - 1))))

@@ -87,16 +87,20 @@ class Subnet:
                 "pw1.w": self.pw1_w, "pw1.b": self.pw1_b,
                 "pw2.w": self.pw2_w, "pw2.b": self.pw2_b}
 
+    @classmethod
+    def leaky_relu(cls, h1: np.ndarray) -> np.ndarray:
+        """The hidden map after the leaky ReLU, as ``leaky_relu`` computes it."""
+        return np.maximum(h1, h1 * h1.dtype.type(cls.SLOPE))
+
     def forward(self, a: np.ndarray):
         """The subnet on the array ``a``, with no tape: the conv output (the
-        bias added after ``_dw3x3_forward``), the hidden map before and after
-        the leaky ReLU, and the output, computed as ``linear`` and
-        ``leaky_relu`` compute them."""
+        bias added after ``_dw3x3_forward``), the hidden map before the leaky
+        ReLU, and the output, computed as ``linear`` and ``leaky_relu``
+        compute them."""
         h0 = ad._dw3x3_forward(a, self.dw_k.data)
         h0 += self.dw_b.data
         h1 = ad._linear_forward(h0, self.pw1_w.data, self.pw1_b.data)
-        h2 = np.maximum(h1, h1 * h1.dtype.type(self.SLOPE))
-        return h0, h1, h2, ad._linear_forward(h2, self.pw2_w.data, self.pw2_b.data)
+        return h0, h1, ad._linear_forward(self.leaky_relu(h1), self.pw2_w.data, self.pw2_b.data)
 
 
 class CouplingLayer:
@@ -141,24 +145,27 @@ class CouplingLayer:
         and the permutation adds nothing to it. Forward and vjp do the op
         chain's arithmetic in its order (the two gathers, the subnet's ops,
         ``clamp * tanh(raw / clamp)``, ``b * exp(s) + shift``, the join), so
-        they give its bits, and keep what its vjps read: the two halves, the
-        conv output, the hidden maps, ``tanh``'s and ``exp``'s outputs."""
+        they give its bits. The vjp keeps the two halves, the conv output,
+        the hidden map before the leaky ReLU and ``tanh``'s output; it
+        recomputes ``exp(s)`` and the leaky ReLU's output with the forward's
+        own ops, which is exact and keeps a third less per coupling."""
         xd, n, net = x.data, self.n_out, self.net
         a, b = np.take(xd, self.idx_a, axis=-1), np.take(xd, self.idx_b, axis=-1)
-        h0, h1, h2, out = net.forward(a)
+        h0, h1, out = net.forward(a)
         dt, x_shape, out_shape = out.dtype.type, xd.shape, out.shape
         th = np.tanh(out[..., :n] * dt(1.0 / self.clamp))
         s = th * dt(self.clamp)
-        e = np.exp(s)
         # the shift copied out contiguous, as ``take_last`` gave it: which of
         # two NaN terms a sum keeps depends on the operands' memory layout
-        y_b = b * e + np.ascontiguousarray(out[..., n:])
+        y_b = b * np.exp(s) + np.ascontiguousarray(out[..., n:])
         del out
         y = np.concatenate((y_b, a) if self.flip else (a, y_b), axis=-1)
         params = tuple(net.params().values())
         kd, w1, w2 = params[0].data, params[2].data, params[4].data
 
         def vjp(gy, gs):
+            # a local, so that the forward's ``exp(s)`` is not kept
+            e = np.exp(th * dt(self.clamp))
             if gy is not None:
                 gy_b = gy[..., self.half_b]
                 g_e = gy_b * b
@@ -173,7 +180,7 @@ class CouplingLayer:
             del gs, g_raw
             if gy is not None:
                 g_out[..., n:] = gy_b
-            g_h, g_w2, g_b2 = ad._linear_vjp(g_out, h2, w2)
+            g_h, g_w2, g_b2 = ad._linear_vjp(g_out, Subnet.leaky_relu(h1), w2)
             del g_out
             g_h *= np.maximum(h1 >= 0, h1.dtype.type(Subnet.SLOPE))
             g_h, g_w1, g_b1 = ad._linear_vjp(g_h, h0, w1)

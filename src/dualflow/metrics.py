@@ -28,12 +28,17 @@ from .scoring import ScoringConfig, anomaly_map
 
 
 def auroc(scores, labels) -> float:
-    """Probability a positive outranks a negative, ties counted half."""
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    labels = np.asarray(labels).reshape(-1)
+    """Probability a positive outranks a negative, ties counted half.
+    Scores and labels must be numbers, the labels 0 or 1."""
+    try:
+        scores, labels = (np.asarray(a, dtype=np.float64).reshape(-1) for a in (scores, labels))
+    except (TypeError, ValueError):
+        raise ContractError("AUROC scores and labels must be numbers") from None
     if scores.shape != labels.shape:
         raise ShapeError("scores and labels must have the same length")
     pos = labels == 1
+    if not (pos | (labels == 0)).all():
+        raise ContractError("AUROC labels must be 0 or 1")
     n_pos = int(pos.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:

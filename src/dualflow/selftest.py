@@ -202,6 +202,17 @@ def dw3x3_loop(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
     return out
 
 
+def dw3x3_kernel_grad_loop(xd: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The kernel gradient of ``dw3x3_loop`` for output gradient ``g``, one
+    tap at a time: ``g`` times the tap's shift of the ``np.pad``-ed map,
+    summed over every axis but the channels."""
+    h, w = xd.shape[-3], xd.shape[-2]
+    xp = np.pad(xd, [(0, 0)] * (xd.ndim - 3) + [(1, 1), (1, 1), (0, 0)])
+    axes = tuple(range(xd.ndim - 1))
+    return np.stack([(g * xp[..., dy:dy + h, dx:dx + w, :]).sum(axis=axes)
+                     for dy in range(3) for dx in range(3)]).reshape((3, 3, xd.shape[-1]))
+
+
 def conv3x3_s2_loop(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stride-2 3x3 convolution with zero padding 1 of an (H, W, Cin) map,
     (3, 3, Cin, Cout) weights: the bias, then one ``np.tensordot`` per tap
@@ -369,10 +380,12 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def check_conv_taps() -> tuple[bool, str]:
-    """The one-call 3x3 convolutions against their tap-by-tap loops, bit for
-    bit: a numpy or BLAS upgrade could change the summation order that
-    ``autodiff._dw3x3_forward`` states, or the stride-2 conv's GEMMs. Shapes
-    are the flows' (batch 1 and 8, one-channel subnets included) and the
+    """The one-call 3x3 convolutions and the depthwise conv's row-pass
+    kernel gradient against their tap-by-tap loops, bit for bit: a numpy or
+    BLAS upgrade could change the summation orders that
+    ``autodiff._dw3x3_forward`` and ``autodiff._dw3x3_vjp`` state, or the
+    stride-2 conv's GEMMs. Shapes are the flows' (batch 1 and 8, one-channel
+    subnets included, one of them summing more than 128 rows) and the
     encoder's, default and small; inputs carry zeros, -0.0 and denormals."""
     rng = np.random.default_rng(29)
 
@@ -383,15 +396,20 @@ def check_conv_taps() -> tuple[bool, str]:
         flat[rng.choice(flat.size, size=4, replace=False)] = [0.0, -0.0, tiny, -tiny]
         return x
 
-    n = 0
+    n = n_gk = 0
     for dtype in (np.float32, np.float64):
         for shape in ((1, 16, 16, 24), (8, 16, 16, 24), (1, 8, 8, 48), (8, 4, 4, 96),
-                      (7, 9, 4), (2, 5, 6, 1)):
+                      (7, 9, 4), (2, 5, 6, 1), (8, 16, 16, 1)):
             x, k = sample(shape, dtype), sample((3, 3, shape[-1]), dtype)
             for kernel in (k, k[::-1, ::-1]):  # the forward's and the input gradient's
                 n += 1
                 if not _same_bits(ad._dw3x3_forward(x, kernel), dw3x3_loop(x, kernel)):
                     return False, f"depthwise {shape} {dtype.__name__} differs from the tap loop"
+            g = sample(shape, dtype)
+            n_gk += 1
+            if not _same_bits(ad._dw3x3_vjp(g, x, k)[1], dw3x3_kernel_grad_loop(x, g)):
+                return False, f"depthwise kernel gradient {shape} {dtype.__name__} " \
+                              "differs from the tap loop"
         for size, cin, cout in ((64, 3, 16), (32, 16, 16), (16, 16, 32), (8, 32, 64),
                                 (32, 3, 4), (16, 4, 4), (8, 4, 6), (4, 6, 8)):
             x = sample((size, size, cin), dtype)
@@ -400,7 +418,7 @@ def check_conv_taps() -> tuple[bool, str]:
             if not _same_bits(_conv3x3_s2(x, w, b), conv3x3_s2_loop(x, w, b)):
                 return False, f"stride-2 conv {(size, size, cin, cout)} {dtype.__name__} " \
                               "differs from the tap loop"
-    return True, f"{n} convolutions bit-equal"
+    return True, f"{n} convolutions and {n_gk} kernel gradients bit-equal"
 
 
 CHECKS = (

@@ -16,7 +16,8 @@ from dualflow.autodiff import Tape, Tensor
 from dualflow.errors import ContractError, ShapeError
 from dualflow.flow import CouplingLayer
 from dualflow.optim import AdamW, adamw_step
-from dualflow.selftest import check_gradients, dw3x3_loop, finite_difference_grads, max_rel_error
+from dualflow.selftest import (check_gradients, dw3x3_kernel_grad_loop, dw3x3_loop,
+                               finite_difference_grads, max_rel_error)
 
 
 def t64(data, requires_grad=False):
@@ -240,18 +241,6 @@ def test_conv2d_channel_mismatch_raises():
 # the flow kernels against the numpy forms they replaced, bit for bit
 
 
-def dw3x3_kernel_grad_np_pad(xd, kd, g):
-    """The kernel gradient as it was written with ``np.pad``."""
-    h, w = xd.shape[-3], xd.shape[-2]
-    xp = np.pad(xd, [(0, 0)] * (xd.ndim - 3) + [(1, 1), (1, 1), (0, 0)])
-    lead = tuple(range(xd.ndim - 3))
-    gk = np.empty_like(kd)
-    for dy in range(3):
-        for dx in range(3):
-            gk[dy, dx] = (g * xp[..., dy:dy + h, dx:dx + w, :]).sum(axis=lead + (-3, -2))
-    return gk
-
-
 def leaky_relu_two_where(xd, slope=0.01):
     """The leaky ReLU forward and derivative as they were written with two
     ``np.where`` passes."""
@@ -260,14 +249,17 @@ def leaky_relu_two_where(xd, slope=0.01):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(7, 9, 4), (3, 6, 5, 8), (2, 4, 5, 1)])
+@pytest.mark.parametrize("shape", [(7, 9, 4), (3, 6, 5, 8), (2, 4, 5, 1), (8, 16, 16, 24),
+                                   (8, 16, 16, 1)])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_depthwise_conv3x3_matches_np_pad_form_bit_for_bit(shape, dtype):
     """The one-call forward (``_dw3x3_forward``, then the bias added in
     place, as the flow subnet adds it) and the input gradient equal the
     tap-by-tap ``np.pad`` loop, the bias added after the nine taps, bit for
     bit; the kernel gradient equals its own tap loop, the bias gradient the
-    sum of the output gradient over every axis but the channels."""
+    sum of the output gradient over every axis but the channels. The
+    (8, 16, 16, ·) maps are a flow's: with one channel, each tap sums 2048
+    rows, which numpy adds pairwise; with more, it adds them in order."""
     rng = np.random.default_rng(sum(shape))
     xd = with_specials(rng, shape, dtype)
     kd = with_specials(rng, (3, 3, shape[-1]), dtype, finite_only=True)
@@ -283,8 +275,12 @@ def test_depthwise_conv3x3_matches_np_pad_form_bit_for_bit(shape, dtype):
     gx, gk, gb = ad._dw3x3_vjp(gd, xd, kd)
     assert_same_bits(out, dw3x3_loop(xd, kd) + bd)
     assert_same_bits(gx, dw3x3_loop(gd, kd[::-1, ::-1]))
-    assert_same_bits(gk, dw3x3_kernel_grad_np_pad(xd, kd, gd))
+    assert_same_bits(gk, dw3x3_kernel_grad_loop(xd, gd))
     assert_same_bits(gb, gd.sum(axis=tuple(range(gd.ndim - 1))))
+    # finite inputs, whose kernel gradient shows a sum's rounding order in
+    # its bits (with a one-channel map above, every tap sums a NaN or -0.0s)
+    xd, gd = (with_specials(rng, shape, dtype, finite_only=True) for _ in range(2))
+    assert_same_bits(ad._dw3x3_vjp(gd, xd, kd)[1], dw3x3_kernel_grad_loop(xd, gd))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -28,6 +28,7 @@ def test_auroc_hand_examples():
     assert auroc([0.1, 0.9], [1, 0]) == 0.0
     assert auroc([0.5, 0.5], [1, 0]) == 0.5
     assert auroc([0.8, 0.4, 0.6, 0.2], [1, 0, 0, 1]) == 0.5
+    assert auroc([0.1, 0.9], [False, True]) == 1.0
 
 
 def test_auroc_errors():
@@ -39,6 +40,24 @@ def test_auroc_errors():
         auroc([1.0, 2.0], [0, 1, 1])
     with pytest.raises(NumericError):
         auroc([np.nan, 0.2, 0.5, np.inf], [1, 0, 1, 0])
+
+
+@pytest.mark.parametrize("scores, labels", [
+    ([0.1, "a"], [0, 1]),
+    ([0.1, 0.2], [0, "b"]),
+    ([0.1, [0.2]], [0, 1]),
+    ([0.1, {}], [0, 1]),
+])
+def test_auroc_rejects_non_numeric_input(scores, labels):
+    with pytest.raises(ContractError, match="must be numbers"):
+        auroc(scores, labels)
+
+
+@pytest.mark.parametrize("labels", [[0, 2, 1], [0, -1, 1], [0, 0.5, 1], [0, np.nan, 1]])
+def test_auroc_rejects_labels_other_than_0_and_1(labels):
+    """A label 2 was counted as a negative, and 0.5 or NaN as well."""
+    with pytest.raises(ContractError, match="0 or 1"):
+        auroc([0.1, 0.2, 0.3], labels)
 
 
 def test_auroc_matches_pairwise_oracle_exactly():
