@@ -50,24 +50,49 @@ def _ln_params(d):
             Tensor(np.zeros(d, dtype=dt), requires_grad=True))
 
 
-def _multi_head(q, k, v, heads):
-    """Scaled dot-product attention on (..., L, dim) tensors with the heads
-    as an axis after the leading (batch) axes: (..., H, L, dh) queries and
-    values, (..., H, dh, L) keys, one op each for logits, softmax and
-    weighted values; returns the heads side by side. Samples of a batch never
-    mix: every product runs per leading index."""
+def _multi_head(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Scaled dot-product attention on (..., L, dim) tensors as one tape op
+    from (q, k, v) to the heads side by side. The heads are an axis after
+    the leading (batch) axes: (..., H, L, dh) queries and values and
+    (..., H, dh, L) keys, each a view of its input. Then come the logits
+    ``q @ k`` times ``1 / sqrt(dh)``, a max-shifted softmax over each row,
+    and the weighted values. Samples of a batch never mix: every product
+    runs per leading index. Forward and vjp do the arithmetic of the op
+    chain this replaced, in its order and on its memory layouts, so they
+    give its bits; ``tests/test_attention.py`` keeps that chain as the
+    oracle. The vjp keeps q, k, v and the attention weights, not the
+    logits, their ``exp`` or the output."""
     *lead, length, dim = q.shape
     n = len(lead)
     dh = dim // heads
+    axes_q, axes_k = (*range(n), n + 1, n, n + 2), (*range(n), n + 1, n + 2, n)
 
-    def split(t, axes):
-        return ad.permute(ad.reshape(t, (*lead, t.shape[-2], heads, dh)),
-                          (*range(n), *(n + a for a in axes)))
+    def split(a, axes):
+        return a.reshape(*lead, a.shape[-2], heads, dh).transpose(axes)
 
-    qh, kt, vh = split(q, (1, 0, 2)), split(k, (1, 2, 0)), split(v, (1, 0, 2))
-    logits = ad.mul(ad.matmul(qh, kt), 1.0 / np.sqrt(dh))
-    out = ad.matmul(ad.softmax_rows(logits), vh)
-    return ad.reshape(ad.permute(out, (*range(n), n + 1, n, n + 2)), (*lead, length, dim))
+    def unsplit(g, axes):
+        return np.ascontiguousarray(g.transpose(np.argsort(axes)))
+
+    qh, kt, vh = split(q.data, axes_q), split(k.data, axes_k), split(v.data, axes_q)
+    logits = qh @ kt
+    scale = logits.dtype.type(1.0 / np.sqrt(dh))
+    logits *= scale
+    logits -= logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits)
+    weights = e / e.sum(axis=-1, keepdims=True)
+    out = (weights @ vh).transpose(axes_q).reshape(*lead, length, dim)
+    shapes = q.shape, k.shape, v.shape
+
+    def vjp(g):
+        g = unsplit(g.reshape(*lead, length, heads, dh), axes_q)
+        g_w, g_vh = g @ np.swapaxes(vh, -1, -2), np.swapaxes(weights, -1, -2) @ g
+        g_l = weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True))
+        g_l *= scale
+        g_qh, g_kt = g_l @ np.swapaxes(kt, -1, -2), np.swapaxes(qh, -1, -2) @ g_l
+        return tuple(unsplit(gi, axes).reshape(shape) for gi, axes, shape
+                     in zip((g_qh, g_kt, g_vh), (axes_q, axes_k, axes_q), shapes))
+
+    return ad._emit(out, (q, k, v), vjp)
 
 
 class _Block:

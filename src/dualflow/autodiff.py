@@ -248,23 +248,6 @@ def tanh(x) -> Tensor:
     return _emit(out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
-def leaky_relu(x, slope: float = 0.01) -> Tensor:
-    """``x`` where ``x >= 0``, else ``slope * x``, computed in one pass as
-    ``max(x, slope * x)``: for a slope in [0, 1] that picks the same bits,
-    -0.0 and NaN included. The derivative at exactly 0 is 1. The tape keeps
-    no mask: backward builds ``x >= 0`` from the input and expands it to 1
-    or ``slope`` with ``max(mask, slope)``, branch-free like the forward (a
-    masked ``np.where`` or ``np.copyto`` is many times slower on maps of
-    mixed signs)."""
-    if not 0.0 <= slope <= 1.0:
-        raise ContractError(f"leaky_relu slope must lie in [0, 1], got {slope}")
-    x = _as_tensor(x)
-    xd = x.data
-    s = xd.dtype.type(slope)
-    out = np.maximum(xd, xd * s)
-    return _emit(out, (x,), lambda g: (g * np.maximum(xd >= 0, s),))
-
-
 def gelu(x) -> Tensor:
     """Exact erf-based GELU. The tape keeps the input and the normal ``cdf``;
     backward computes the normal ``pdf`` from the input."""
@@ -283,26 +266,6 @@ def gelu(x) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # shape and indexing
-
-
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.data.size:
-        raise ShapeError(f"reshape: cannot view {x.data.shape} as {shape}")
-    in_shape = x.data.shape
-    return _emit(x.data.reshape(shape), (x,), lambda g: (g.reshape(in_shape),))
-
-
-def permute(x, axes) -> Tensor:
-    x = _as_tensor(x)
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(x.data.ndim)):
-        raise ShapeError(f"permute: {axes} is not a permutation of axes of rank {x.data.ndim}")
-    # a strided view here would reach later reductions (a bias gradient)
-    # in another memory order and change their float sums
-    return _emit(x.data.transpose(axes), (x,),
-                 lambda g: (np.ascontiguousarray(g.transpose(np.argsort(axes))),))
 
 
 def broadcast_lead(x, shape) -> Tensor:
@@ -388,18 +351,6 @@ def sum_batch(x) -> Tensor:
 # linear algebra
 
 
-def matmul(a, b) -> Tensor:
-    """``(..., M, K) @ (..., K, N)``, one product per leading index (sample
-    and head); both operands have the same leading axes."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
-    if (ad.ndim < 2 or ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]
-            or ad.shape[-1] != bd.shape[-2]):
-        raise ShapeError(f"matmul: operands {ad.shape} @ {bd.shape} do not agree")
-    return _emit(ad @ bd, (a, b),
-                 lambda g: (g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g))
-
-
 def linear(x, w, b) -> Tensor:
     """An affine layer over the last axis, ``x @ w + b`` with ``w`` (K, N)
     and ``b`` (N,), as one op: the (rows, K) @ (K, N) product over the
@@ -427,20 +378,6 @@ def _linear_vjp(g: np.ndarray, xd: np.ndarray, wd: np.ndarray) -> tuple:
     gf = g.reshape(-1, wd.shape[1])
     return ((gf @ wd.T).reshape(xd.shape), xd.reshape(-1, wd.shape[0]).T @ gf,
             g.sum(axis=tuple(range(g.ndim - 1))))
-
-
-def softmax_rows(x) -> Tensor:
-    """Softmax over the last axis, computed with a max shift."""
-    x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _emit(out, (x,), vjp)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:

@@ -23,6 +23,7 @@ from .errors import ContractError, ShapeError
 
 
 STAGE_STRIDES = (4, 8, 16)
+LEAKY_SLOPE = 0.01  # of every leaky ReLU: the frozen encoder's and the flow subnets'
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,15 @@ def _conv3x3_s2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(buf, axis=0).reshape(ho, wo, cout)
 
 
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    """``x`` where ``x >= 0``, else ``LEAKY_SLOPE * x``, computed in one pass
+    as ``max(x, slope * x)``, which picks the same bits, -0.0 and NaN
+    included. Its derivative, 1 at exactly 0, is ``max(x >= 0, slope)``:
+    branch-free like the forward (a masked ``np.where`` is many times
+    slower on maps of mixed signs)."""
+    return np.maximum(x, x * x.dtype.type(LEAKY_SLOPE))
+
+
 class FrozenEncoder:
     """Four 3x3 stride-2 convs with Kaiming-style weights drawn from one
     fixed seed, like one fixed pretrained backbone. Feature taps sit at
@@ -78,7 +88,7 @@ class FrozenEncoder:
         x = np.asarray(image, dtype=default_dtype())
         maps = []
         for w, b in self.weights:
-            x = ad.leaky_relu(_conv3x3_s2(x, w, b)).data
+            x = leaky_relu(_conv3x3_s2(x, w, b))
             maps.append(x)
         return maps[1:]  # the taps at strides 4, 8 and 16
 
@@ -115,13 +125,16 @@ def patchify(fmap: np.ndarray, p: int) -> np.ndarray:
 
 
 def unpatchify(rows: Tensor, p: int, h: int, w: int, c: int) -> Tensor:
-    """Tape-op inverse of ``patchify``: (..., L, p*p*C) -> (..., H, W, C)."""
+    """The inverse of ``patchify`` as one tape op: (..., L, p*p*C) rows to
+    the (..., H, W, C) map. It only moves data, so its vjp is ``patchify``
+    and keeps nothing; ``tests/test_encoder.py`` holds both to the
+    reshape, permute and reshape chain they replaced."""
     lead = rows.shape[:-2]
     n = len(lead)
     gy, gx = h // p, w // p
-    x = ad.reshape(rows, lead + (gy, gx, p, p, c))
-    x = ad.permute(x, (*range(n), n, n + 2, n + 1, n + 3, n + 4))
-    return ad.reshape(x, lead + (h, w, c))
+    x = rows.data.reshape(lead + (gy, gx, p, p, c)).transpose(*range(n), n, n + 2, n + 1,
+                                                                n + 3, n + 4)
+    return ad._emit(x.reshape(lead + (h, w, c)), (rows,), lambda g: (patchify(g, p),))
 
 
 def position_encoding(length: int, dim: int) -> np.ndarray:

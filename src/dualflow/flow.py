@@ -35,6 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, default_dtype
+from .encoder import LEAKY_SLOPE, leaky_relu
 from .errors import ContractError, NumericError, ShapeError
 
 FLOW_VARIANTS = {
@@ -70,8 +71,6 @@ class Subnet:
     coupling's one subnet outputs its raw log-scale and its shift side by
     side. A 1x1 layer is an affine map over the channel axis."""
 
-    SLOPE = 0.01  # of the leaky ReLU
-
     def __init__(self, c_in: int, c_out: int, rng, hidden: int):
         dt = default_dtype()
         self.dw_k = Tensor(rng.normal(0.0, 0.1, size=(3, 3, c_in)).astype(dt), requires_grad=True)
@@ -87,20 +86,15 @@ class Subnet:
                 "pw1.w": self.pw1_w, "pw1.b": self.pw1_b,
                 "pw2.w": self.pw2_w, "pw2.b": self.pw2_b}
 
-    @classmethod
-    def leaky_relu(cls, h1: np.ndarray) -> np.ndarray:
-        """The hidden map after the leaky ReLU, as ``leaky_relu`` computes it."""
-        return np.maximum(h1, h1 * h1.dtype.type(cls.SLOPE))
-
     def forward(self, a: np.ndarray):
         """The subnet on the array ``a``, with no tape: the conv output (the
         bias added after ``_dw3x3_forward``), the hidden map before the leaky
-        ReLU, and the output, computed as ``linear`` and ``leaky_relu``
-        compute them."""
+        ReLU, and the output, each 1x1 layer computed as ``linear`` computes
+        it."""
         h0 = ad._dw3x3_forward(a, self.dw_k.data)
         h0 += self.dw_b.data
         h1 = ad._linear_forward(h0, self.pw1_w.data, self.pw1_b.data)
-        return h0, h1, ad._linear_forward(self.leaky_relu(h1), self.pw2_w.data, self.pw2_b.data)
+        return h0, h1, ad._linear_forward(leaky_relu(h1), self.pw2_w.data, self.pw2_b.data)
 
 
 class CouplingLayer:
@@ -180,9 +174,9 @@ class CouplingLayer:
             del gs, g_raw
             if gy is not None:
                 g_out[..., n:] = gy_b
-            g_h, g_w2, g_b2 = ad._linear_vjp(g_out, Subnet.leaky_relu(h1), w2)
+            g_h, g_w2, g_b2 = ad._linear_vjp(g_out, leaky_relu(h1), w2)
             del g_out
-            g_h *= np.maximum(h1 >= 0, h1.dtype.type(Subnet.SLOPE))
+            g_h *= np.maximum(h1 >= 0, h1.dtype.type(LEAKY_SLOPE))
             g_h, g_w1, g_b1 = ad._linear_vjp(g_h, h0, w1)
             g_a, g_k, g_dwb = ad._dw3x3_vjp(g_h, a, kd)
             del g_h

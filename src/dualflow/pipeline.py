@@ -115,10 +115,14 @@ class Model:
 
     def prior_features(self, image: np.ndarray) -> list:
         """Frozen feature pyramid of a [0, 1] image, normalized per channel
-        with the training-set statistics."""
+        with the training-set statistics. Every image enters the model here,
+        so a non-finite value in it (or one that the cast and the
+        normalization make non-finite) fails here, as ``NumericError``."""
         if image.ndim != 3 or image.shape[-1] != 3:
             raise ShapeError(f"expected (H, W, 3) image, got {image.shape}")
         x = (np.asarray(image, dtype=default_dtype()) - self.norm_mean) / self.norm_std
+        if not np.isfinite(x).all():
+            raise NumericError("the image holds non-finite values after normalization")
         return self.encoder(x)
 
     def reconstruct(self, pyramid):

@@ -285,8 +285,9 @@ def check_flow_logdet() -> tuple[bool, str]:
 
 def check_gradcheck() -> tuple[bool, str]:
     """Finite-difference check of a composite touching every primitive family:
-    conv subnet, coupling layer, two-head attention through the production
-    ``_multi_head`` (one sequence, and a batch of two), layer norm."""
+    conv subnet, coupling layer, the two-head attention op ``_multi_head``
+    (one sequence, and a batch of two; its key and value are one tensor),
+    layer norm."""
     with using_dtype(np.float64):
         rng = np.random.default_rng(3)
         stack = _perturbed_stack(6, rng)

@@ -1,13 +1,16 @@
 """Small shared fixtures: a fast model configuration, toy image sets,
-inputs and checks for bit-for-bit comparisons, and dataset symlinks."""
+inputs and checks for bit-for-bit comparisons, dataset symlinks, and the
+generic tape ops that the one-op attention, ``unpatchify`` and the flow
+coupling replaced, kept as their oracles."""
 
 import shutil
 
 import numpy as np
 
+from dualflow import autodiff as ad
 from dualflow.attention import DualAttnConfig
 from dualflow.config import RunConfig
-from dualflow.encoder import EncoderConfig, PatchEmbedConfig
+from dualflow.encoder import LEAKY_SLOPE, EncoderConfig, PatchEmbedConfig, leaky_relu
 from dualflow.flow import FlowConfig
 from dualflow.pipeline import TrainConfig
 from dualflow.scoring import ScoringConfig
@@ -63,3 +66,46 @@ def replace_with_symlink(path, target):
     else:
         path.unlink()
     path.symlink_to(target)
+
+
+# ---------------------------------------------------------------------------
+# the op chains' generic ops, each one tape op as ``autodiff`` once had it
+
+
+def leaky_relu_op(x):
+    """``encoder.leaky_relu`` as a tape op; the vjp rebuilds the derivative
+    ``max(x >= 0, slope)`` from the input."""
+    xd = x.data
+    slope = xd.dtype.type(LEAKY_SLOPE)
+    return ad._emit(leaky_relu(xd), (x,), lambda g: (g * np.maximum(xd >= 0, slope),))
+
+
+def reshape(x, shape):
+    in_shape = x.data.shape
+    return ad._emit(x.data.reshape(shape), (x,), lambda g: (g.reshape(in_shape),))
+
+
+def permute(x, axes):
+    """A transposed view; the gradient is made contiguous, as the op made it."""
+    return ad._emit(x.data.transpose(axes), (x,),
+                    lambda g: (np.ascontiguousarray(g.transpose(np.argsort(axes))),))
+
+
+def matmul(a, b):
+    """``(..., M, K) @ (..., K, N)``, one product per leading index."""
+    x, y = a.data, b.data
+    return ad._emit(x @ y, (a, b),
+                    lambda g: (g @ np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2) @ g))
+
+
+def softmax_rows(x):
+    """Softmax over the last axis, computed with a max shift."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return (out * (g - dot),)
+
+    return ad._emit(out, (x,), vjp)

@@ -1,10 +1,14 @@
-"""Dual-attention behavior: the fused heads against a per-head loop,
-stochastic attention rows, permutation equivariance, memory-stream
-isolation, and an independent pseudo-inverse oracle for the output heads."""
+"""Dual-attention behavior: the one-op attention against the op chain it
+replaced and a per-head loop, stochastic attention rows, permutation
+equivariance, memory-stream isolation, and an independent pseudo-inverse
+oracle for the output heads."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from helpers import assert_same_bits, matmul, permute, reshape, softmax_rows, with_specials
 
+from dualflow import attention
 from dualflow import autodiff as ad
 from dualflow.autodiff import Tape, Tensor, using_dtype
 from dualflow.attention import (DualAttention, DualAttnConfig, MemorialBlock, OutputHeads,
@@ -16,26 +20,49 @@ from dualflow.errors import ContractError
 CFG = DualAttnConfig(depth=2, heads=4, token_dim=96)
 
 
+def multi_head_chain(q, k, v, heads, softmax=softmax_rows):
+    """The op chain the one-op ``_multi_head`` replaced, and its oracle:
+    three reshape-then-permute head splits, a ``matmul`` and a ``mul`` for
+    the logits, ``softmax``, a ``matmul`` for the weighted values, then a
+    permute and a reshape to merge the heads."""
+    *lead, length, dim = q.shape
+    n = len(lead)
+    dh = dim // heads
+
+    def split(t, axes):
+        return permute(reshape(t, (*lead, t.shape[-2], heads, dh)),
+                       (*range(n), *(n + a for a in axes)))
+
+    qh, kt, vh = split(q, (1, 0, 2)), split(k, (1, 2, 0)), split(v, (1, 0, 2))
+    logits = ad.mul(matmul(qh, kt), 1.0 / np.sqrt(dh))
+    out = matmul(softmax(logits), vh)
+    return reshape(permute(out, (*range(n), n + 1, n, n + 2)), (*lead, length, dim))
+
+
+def chain_attention(monkeypatch, softmax) -> None:
+    """Run every attention block's heads as the op chain, with ``softmax``
+    in place of the chain's softmax op."""
+    monkeypatch.setattr(attention, "_multi_head",
+                        lambda q, k, v, heads: multi_head_chain(q, k, v, heads, softmax))
+
+
 def record_attention(monkeypatch) -> list:
     """Collect the weights of every attention softmax into the returned list."""
-    softmax = ad.softmax_rows
     weights = []
 
     def recording(logits):
-        out = softmax(logits)
+        out = softmax_rows(logits)
         weights.append(out.data.copy())
         return out
 
-    monkeypatch.setattr(ad, "softmax_rows", recording)
+    chain_attention(monkeypatch, recording)
     return weights
 
 
 def freeze_attention(monkeypatch) -> None:
     """Replace every attention's logits by the constant 0 (uniform weights,
     no path back to the logits)."""
-    softmax = ad.softmax_rows
-    monkeypatch.setattr(ad, "softmax_rows",
-                        lambda logits: softmax(Tensor(np.zeros_like(logits.data))))
+    chain_attention(monkeypatch, lambda logits: softmax_rows(Tensor(np.zeros_like(logits.data))))
 
 
 def make_tokens(rng, length=16, dim=96):
@@ -52,8 +79,8 @@ def multi_head_loop(q, k, v, heads):
     for h in range(heads):
         lo, hi = h * dh, (h + 1) * dh
         qh, kh, vh = (ad.take_last(t, lo, hi) for t in (q, k, v))
-        logits = ad.mul(ad.matmul(qh, ad.permute(kh, (1, 0))), scale)
-        outs.append(ad.matmul(ad.softmax_rows(logits), vh))
+        logits = ad.mul(matmul(qh, permute(kh, (1, 0))), scale)
+        outs.append(matmul(softmax_rows(logits), vh))
     return ad.concat_last(outs)
 
 
@@ -95,6 +122,55 @@ def test_batched_heads_match_per_sample_loop_bit_for_bit(rng):
         single = attend(*(d[b] for d in data), cotangent[b])
         for got, want, name in zip(batched, single, ("out", "dq", "dk", "dv")):
             assert np.array_equal(got[b], want), (b, name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(16, 96), (1, 16, 96), (8, 16, 96), (3, 2, 16, 96), (16, 24)])
+def test_attention_op_matches_op_chain_bit_for_bit(shape, dtype):
+    """The one-op ``_multi_head`` gives the output and the q, k and v
+    gradients of the op chain it replaced, bit for bit: at (L, D), (B, L, D)
+    and (B, S, L, D), at the default width and a narrow one, in float32 and
+    float64, on inputs with zeros, -0.0 and denormals."""
+    rng = np.random.default_rng(sum(shape))
+    data = [with_specials(rng, shape, dtype, finite_only=True) for _ in range(3)]
+    cotangent = with_specials(rng, shape, dtype, finite_only=True)
+    results = []
+    with using_dtype(dtype):
+        for attend in (_multi_head, multi_head_chain):
+            q, k, v = (Tensor(d, requires_grad=True) for d in data)
+            with Tape() as tape:
+                out = attend(q, k, v, CFG.heads)
+                tape.backward(ad.sum_all(ad.mul(out, cotangent)))
+            results.append([out.data, q.grad, k.grad, v.grad])
+    for fused, chained in zip(*results):
+        assert_same_bits(fused, chained)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.floats(-50.0, 50.0))
+def test_attention_logit_row_shift_invariant(seed, c):
+    """Adding one vector to every key shifts each query's row of logits by
+    a constant, which the softmax's max shift absorbs."""
+    rng = np.random.default_rng(seed)
+    with using_dtype(np.float64):
+        q, k, v = (rng.normal(size=(2, 5, 8)) for _ in range(3))
+        a = _multi_head(Tensor(q), Tensor(k), Tensor(v), 2).data
+        b = _multi_head(Tensor(q), Tensor(k + c * rng.normal(size=8)), Tensor(v), 2).data
+    np.testing.assert_allclose(a, b, atol=1e-6)
+
+
+def test_attention_extreme_logits_stay_finite():
+    """Logit rows of [1e4, -1e4, 0] and [-1e4, 1e4, 0] in float32, far
+    beyond ``exp``'s range, give finite weights and gradients: each query takes the value of
+    the key it favours, and an all-zero row averages the values."""
+    q = Tensor(np.array([[100.0], [-100.0], [0.0]], dtype=np.float32), requires_grad=True)
+    k = Tensor(np.array([[100.0], [-100.0], [0.0]], dtype=np.float32), requires_grad=True)
+    v = Tensor(np.array([[1.0], [2.0], [3.0]], dtype=np.float32), requires_grad=True)
+    with Tape() as tape:
+        out = _multi_head(q, k, v, 1)
+        tape.backward(ad.sum_all(ad.mul(out, out)))
+    np.testing.assert_allclose(out.data, [[1.0], [2.0], [2.0]], rtol=1e-6)
+    assert all(np.isfinite(t.grad).all() for t in (q, k, v))
 
 
 def test_config_validation():
@@ -197,8 +273,7 @@ def test_memorial_value_path_carries_no_input_gradient(rng, monkeypatch):
     with using_dtype(np.float64):
         blk = MemorialBlock(DualAttnConfig(depth=1, heads=2, token_dim=8),
                             np.random.default_rng(5))
-        softmax = ad.softmax_rows
-        monkeypatch.setattr(ad, "softmax_rows", lambda logits: softmax(Tensor(logits.data)))
+        chain_attention(monkeypatch, lambda logits: softmax_rows(Tensor(logits.data)))
         q = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         mem = Tensor(rng.normal(size=(4, 8)))
         with Tape() as tape:
@@ -250,17 +325,18 @@ def test_forward_deterministic_and_branches_differ(rng):
         assert np.abs(outs[0][0].data - outs[0][1].data).max() > 1e-6
 
 
-def test_batch_forward_records_100_tape_ops():
+def test_batch_forward_records_56_tape_ops():
     """The position table is added to the input tokens once, the memorial
-    queries reuse the feature stream and each projection is one ``linear``
-    with its bias: a taped batch forward at depth 2 records 100 ops (124
+    queries reuse the feature stream, each projection is one ``linear``
+    with its bias, and each attention core is one op: a taped batch forward
+    at depth 2 records 56 ops (100 with each core an op chain of 12, 124
     with a bias op per projection)."""
     model = DualAttention(CFG, 16, np.random.default_rng(0))
     tokens = Tensor(np.random.default_rng(1).normal(size=(8, 16, 96)).astype(np.float32),
                     requires_grad=True)
     with Tape() as tape:
         model(tokens)
-    assert len(tape) == 100
+    assert len(tape) == 56
 
 
 def test_memory_tokens_are_learnable_and_per_level():

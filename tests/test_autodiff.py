@@ -8,11 +8,12 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from helpers import assert_same_bits, with_specials
+from helpers import assert_same_bits, leaky_relu_op, with_specials
 
 from dualflow import autodiff as ad
+from dualflow.attention import _multi_head
 from dualflow.autodiff import Tape, Tensor
+from dualflow.encoder import leaky_relu, unpatchify
 from dualflow.errors import ContractError, ShapeError
 from dualflow.flow import CouplingLayer
 from dualflow.optim import AdamW, adamw_step
@@ -23,35 +24,6 @@ from dualflow.selftest import (check_gradients, dw3x3_kernel_grad_loop, dw3x3_lo
 def t64(data, requires_grad=False):
     with ad.using_dtype(np.float64):
         return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
-
-
-def test_matmul_forward_example():
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    out = ad.matmul(a, b)
-    np.testing.assert_allclose(out.data, [[19.0, 22.0], [43.0, 50.0]])
-
-
-def test_matmul_backward_matches_transpose_rule(f64):
-    rng = np.random.default_rng(1)
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    with Tape() as tape:
-        out = ad.sum_all(ad.matmul(a, b))
-        tape.backward(out)
-    g = np.ones((3, 2))
-    np.testing.assert_allclose(a.grad, g @ b.data.T)
-    np.testing.assert_allclose(b.grad, a.data.T @ g)
-
-
-def test_matmul_and_softmax_over_leading_axes_match_per_index_loops(f64):
-    rng = np.random.default_rng(2)
-    a, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2))
-    stacked = ad.matmul(Tensor(a), Tensor(b)).data
-    soft = ad.softmax_rows(Tensor(a)).data
-    for i in range(3):
-        np.testing.assert_array_equal(stacked[i], ad.matmul(Tensor(a[i]), Tensor(b[i])).data)
-        np.testing.assert_array_equal(soft[i], ad.softmax_rows(Tensor(a[i])).data)
 
 
 def test_sum_of_squares_gradient_is_2x(f64):
@@ -103,15 +75,16 @@ def test_no_tape_means_no_graph():
 
 
 def test_backward_determinism(f64):
-    rng = np.random.default_rng(7)
+    """Two runs of one forward program, through a ``linear`` and an attention
+    op whose query is also its value, give bit-equal gradients."""
     grads = []
     for _ in range(2):
-        w = Tensor(rng.normal(size=(4, 4)).copy(), requires_grad=True)
         rng = np.random.default_rng(7)
         w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        x = Tensor(np.arange(12, dtype=np.float64).reshape(3, 4))
+        x = Tensor(np.arange(12, dtype=np.float64).reshape(3, 4) / 12)
         with Tape() as tape:
-            h = ad.tanh(ad.matmul(x, w))
+            q = ad.linear(x, w, np.zeros(4))
+            h = ad.tanh(_multi_head(q, x, q, 2))
             tape.backward(ad.sum_all(ad.mul(h, h)))
         grads.append(w.grad.copy())
     np.testing.assert_array_equal(grads[0], grads[1])
@@ -122,15 +95,6 @@ def test_shape_mismatch_raises():
         ad.add(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0]]))
     with pytest.raises(ShapeError):  # sub takes two tensors, no scalar
         ad.sub(Tensor([1.0, 2.0]), 1.0)
-    with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-    with pytest.raises(ShapeError):  # batched operands with different leading axes
-        ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
-    for x, w in (((3,), (3, 2)),         # a vector is not a row stack
-                 ((2, 4, 6), (6, 6)),    # a stack times one matrix is ``linear``'s
-                 ((2, 3), (3,))):        # nor is a vector the right operand
-        with pytest.raises(ShapeError):
-            ad.matmul(Tensor(np.ones(x)), Tensor(np.ones(w)))
     for x, w, b in (((2, 3), (4, 5), (5,)),      # inner axes differ
                     ((3,), (3, 5), (5,)),        # a vector is not a row stack
                     ((2, 3), (2, 3, 5), (5,)),   # the weight is one matrix
@@ -151,32 +115,7 @@ def test_shape_mismatch_raises():
 
 
 # ---------------------------------------------------------------------------
-# softmax and layer norm
-
-
-def test_softmax_rows_sum_to_one(rng):
-    x = Tensor(rng.normal(size=(5, 9)))
-    out = ad.softmax_rows(x).data
-    np.testing.assert_allclose(out.sum(axis=1), np.ones(5), atol=1e-6)
-    assert (out >= 0).all()
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.floats(-50.0, 50.0))
-def test_softmax_rows_shift_invariant(seed, c):
-    rng = np.random.default_rng(seed)
-    with ad.using_dtype(np.float64):
-        x = rng.normal(size=(3, 6))
-        a = ad.softmax_rows(Tensor(x)).data
-        b = ad.softmax_rows(Tensor(x + c)).data
-    np.testing.assert_allclose(a, b, atol=1e-6)
-
-
-def test_softmax_extreme_logits_stay_finite():
-    x = Tensor(np.array([[1e4, -1e4, 0.0]], dtype=np.float32))
-    out = ad.softmax_rows(x).data
-    assert np.isfinite(out).all()
-    np.testing.assert_allclose(out.sum(), 1.0, atol=1e-6)
+# layer norm
 
 
 def test_layer_norm_rows_standardized(f64, rng):
@@ -310,38 +249,41 @@ def test_linear_matches_matmul_plus_bias_form_bit_for_bit(shape, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_leaky_relu_matches_two_where_form_bit_for_bit(dtype):
+    """``encoder.leaky_relu`` and the tests' tape op over it (whose vjp is
+    the derivative the flow coupling's vjp uses) equal the two-``np.where``
+    form, forward and gradient, bit for bit."""
     rng = np.random.default_rng(5)
     xd = with_specials(rng, (6, 7, 5), dtype)
     gd = with_specials(rng, (6, 7, 5), dtype)
     with ad.using_dtype(dtype):
-        out = ad.leaky_relu(Tensor(xd))  # no tape
         x = Tensor(xd, requires_grad=True)
         with Tape() as tape:
-            taped = ad.leaky_relu(x)
+            taped = leaky_relu_op(x)
             tape.backward(ad.sum_all(ad.mul(taped, gd)))
         want, deriv = leaky_relu_two_where(xd)
-        assert_same_bits(out.data, want)
+        assert_same_bits(leaky_relu(xd), want)
         assert_same_bits(taped.data, want)
         assert_same_bits(x.grad, gd * deriv)
         # the derivative at exactly 0, of either sign, is 1
         z = Tensor(np.array([0.0, -0.0, -2.0], dtype=dtype), requires_grad=True)
         with Tape() as tape:
-            tape.backward(ad.sum_all(ad.leaky_relu(z)))
+            tape.backward(ad.sum_all(leaky_relu_op(z)))
         assert_same_bits(z.grad, np.array([1.0, 1.0, 0.01], dtype=dtype))
 
 
 def test_taped_ops_hold_no_backward_only_arrays():
     """After its forward a taped op holds what its vjp reads and cannot
     rebuild, nothing more, and the tape holds no op output: once the caller
-    drops the output, ``leaky_relu`` holds no new array (backward rebuilds
-    the sign mask from the input), ``gelu`` its ``cdf`` (backward computes
-    ``pdf``), ``tanh`` its output, and ``add``, a constant
-    ``mul``, ``take_last`` and ``linear`` nothing (``linear`` reads only its
-    input and weight, not its product). A flow coupling holds the seven
-    half-width maps its op chain's vjps held (its two input halves, the conv
-    output, the hidden map before and after the leaky ReLU, ``tanh``'s and
-    ``exp``'s outputs), and not its output, its subnet's output or its
-    log-scale field."""
+    drops the output, ``gelu`` holds its ``cdf`` (backward computes
+    ``pdf``), ``tanh`` its output, and ``add``, a constant ``mul``,
+    ``take_last``, ``linear`` and ``unpatchify`` nothing (``linear`` reads
+    only its input and weight, not its product). The attention op holds its
+    weights besides q, k and v, which are the caller's: not its logits,
+    their ``exp`` or its output. A flow coupling holds five half-width maps
+    (its two input halves, the conv output, the hidden map before the leaky
+    ReLU and ``tanh``'s output), and not its output, its subnet's output,
+    its log-scale field, ``exp(s)`` or the leaky ReLU's output, which its
+    vjp recomputes."""
     n = 2 ** 10
     x = Tensor(np.linspace(-3.0, 3.0, n * n, dtype=np.float32).reshape(n, n),
                requires_grad=True)
@@ -351,11 +293,15 @@ def test_taped_ops_hold_no_backward_only_arrays():
     coupling = CouplingLayer(16, 2.0, False, np.random.default_rng(0),
                              perm=np.random.default_rng(1).permutation(16))
     x_maps = Tensor(x.data.reshape(4, n // 8, n // 8, 16), requires_grad=True)
-    ops = (("leaky_relu", ad.leaky_relu, 0), ("gelu", ad.gelu, 1), ("tanh", ad.tanh, 1),
+    # 16 heads of width 64 over 64 tokens: the weights are as large as ``x``
+    tokens = Tensor(x.data.reshape(16, 64, n), requires_grad=True)
+    ops = (("gelu", ad.gelu, 1), ("tanh", ad.tanh, 1),
            ("add", lambda t: ad.add(t, t), 0),
            ("mul", lambda t: ad.mul(t, 2.0), 0), ("take_last", lambda t: ad.take_last(t, 1, n), 0),
            ("linear", lambda t: ad.linear(t, w, b), 0),
-           ("coupling", lambda t: coupling.forward(x_maps), 7 / 2))
+           ("unpatchify", lambda t: unpatchify(t, 4, 128, 128, 64), 0),
+           ("attention", lambda t: _multi_head(tokens, tokens, tokens, 16), 1),
+           ("coupling", lambda t: coupling.forward(x_maps), 5 / 2))
     for name, op, n_arrays in ops:
         tracemalloc.start()
         try:
@@ -498,12 +444,6 @@ def test_sum_batch_backward_builds_no_full_size_gradient():
     assert peak <= x.data.nbytes + 64 * 1024, peak
 
 
-def test_leaky_relu_slope_outside_unit_interval_rejected():
-    for slope in (-0.1, 1.5, float("nan")):
-        with pytest.raises(ContractError):
-            ad.leaky_relu(Tensor(np.ones(3)), slope=slope)
-
-
 # ---------------------------------------------------------------------------
 # finite-difference oracle for every differentiable primitive
 
@@ -520,16 +460,12 @@ def _primitive_cases(seed):
         ("sub", lambda: ad.sum_all(ad.mul(ad.sub(a, b), ad.sub(a, b))), [a, b]),
         ("mul", lambda: ad.sum_all(ad.mul(a, b)), [a, b]),
     ]
-    m1, m2 = p((3, 5)), p((5, 2))
-    cases.append(("matmul", lambda: ad.sum_all(ad.tanh(ad.matmul(m1, m2))), [m1, m2]))
-    mb_a, mb_b = p((2, 3, 4)), p((2, 4, 5))
-    cases.append(("matmul_batched", lambda: ad.sum_all(ad.tanh(ad.matmul(mb_a, mb_b))),
-                  [mb_a, mb_b]))
-    x = p((4, 6))
-    cases.append(("softmax_rows", lambda: ad.sum_all(ad.mul(ad.softmax_rows(x), x)), [x]))
-    x3 = p((2, 3, 5))
-    cases.append(("softmax_rows_rank3", lambda: ad.sum_all(ad.mul(ad.softmax_rows(x3), x3)),
-                  [x3]))
+    for shape in ((2, 4, 6), (2, 2, 3, 4)):  # one leading axis, and two
+        qkv = [p(shape) for _ in range(3)]
+        cases.append((f"attention{shape}",
+                      lambda qkv=qkv: ad.sum_all(ad.mul(ad.tanh(_multi_head(*qkv, 2)),
+                                                        qkv[0])),
+                      qkv))
     ln_x, ln_g, ln_b = p((3, 8)), p((8,)), p((8,))
     cases.append(("layer_norm",
                   lambda: ad.sum_all(ad.mul(ad.layer_norm(ln_x, ln_g, ln_b),
@@ -537,8 +473,6 @@ def _primitive_cases(seed):
                   [ln_x, ln_g, ln_b]))
     th = p((3, 3))
     cases.append(("tanh", lambda: ad.sum_all(ad.mul(ad.tanh(th), th)), [th]))
-    lr = p((4, 4))
-    cases.append(("leaky_relu", lambda: ad.sum_all(ad.mul(ad.leaky_relu(lr), lr)), [lr]))
     ge = p((4, 4))
     cases.append(("gelu", lambda: ad.sum_all(ad.mul(ad.gelu(ge), ge)), [ge]))
     li_x, li_w, li_b = p((3, 4, 5)), p((5, 2), scale=0.5), p((2,))
@@ -560,11 +494,11 @@ def _primitive_cases(seed):
         return ad.add(ad.sum_all(ad.mul(y, y)), ad.sum_all(ad.mul(s, s)))
 
     cases.append(("coupling", coupling_loss, [cp_x] + cp_params))
-    rs = p((2, 3, 4))
-    cases.append(("reshape_permute",
-                  lambda: ad.sum_all(ad.mul(ad.permute(ad.reshape(rs, (2, 12)), (1, 0)),
-                                            ad.permute(ad.reshape(rs, (2, 12)), (1, 0)))),
-                  [rs]))
+    up = p((2, 4, 12))
+    cases.append(("unpatchify",
+                  lambda: ad.sum_all(ad.mul(ad.tanh(unpatchify(up, 2, 4, 4, 3)),
+                                            unpatchify(up, 2, 4, 4, 3))),
+                  [up]))
     cx, c1, c2 = p((2, 3, 5)), rng.normal(size=5), rng.normal(size=(3, 5))
     cases.append(("constant_operands",
                   lambda: ad.sum_all(ad.mul(ad.mul(ad.add(ad.add(cx, c1), c2), c1), cx)), [cx]))
@@ -594,9 +528,8 @@ def test_composite_gradient_matches_finite_differences(f64):
     x = Tensor(rng.normal(size=(5, 6)))
 
     def f():
-        h = ad.layer_norm(x, g, bmat)
-        h = ad.gelu(ad.linear(h, w1, b1))
-        out = ad.softmax_rows(ad.matmul(h, w2))
+        h = ad.gelu(ad.linear(ad.layer_norm(x, g, bmat), w1, b1))
+        out = ad.linear(_multi_head(h, h, h, 2), w2, np.zeros(4))
         return ad.sum_all(ad.mul(out, out))
 
     err = check_gradients(f, [w1, b1, w2, g, bmat])

@@ -3,10 +3,10 @@ oracle derived independently from the conv stack geometry."""
 
 import numpy as np
 import pytest
-from helpers import assert_same_bits, with_specials
+from helpers import assert_same_bits, permute, reshape, with_specials
 
 from dualflow import autodiff as ad
-from dualflow.autodiff import Tensor, using_dtype
+from dualflow.autodiff import Tape, Tensor, using_dtype
 from dualflow.encoder import (EncoderConfig, FrozenEncoder, PatchEmbed, PatchEmbedConfig,
                               _conv3x3_s2, patchify, position_encoding, unpatchify)
 from dualflow.errors import ContractError, ShapeError
@@ -115,6 +115,38 @@ def test_unpatchify_tape_op_matches_numpy(rng):
         rows = rng.random((16, 12))
         out = unpatchify(Tensor(rows), 2, 8, 8, 3)
         np.testing.assert_array_equal(out.data, unpatchify_np(rows, 2, 8, 8, 3))
+
+
+def unpatchify_chain(rows, p, h, w, c):
+    """The op chain the one-op ``unpatchify`` replaced, and its oracle."""
+    lead = rows.shape[:-2]
+    n = len(lead)
+    x = reshape(rows, lead + (h // p, w // p, p, p, c))
+    x = permute(x, (*range(n), n, n + 2, n + 1, n + 3, n + 4))
+    return reshape(x, lead + (h, w, c))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_unpatchify_matches_op_chain_bit_for_bit(lead, dtype):
+    """The one-op ``unpatchify`` and its ``patchify`` vjp give the chain's
+    map and row gradient bit for bit, NaN payloads and -0.0 included, for
+    the default heads' patch sizes and with leading (batch) axes."""
+    rng = np.random.default_rng(len(lead))
+    for p, size, c in ((4, 16, 5), (2, 8, 3), (1, 4, 2)):
+        rows = with_specials(rng, lead + ((size // p) ** 2, p * p * c), dtype)
+        cotangent = with_specials(rng, lead + (size, size, c), dtype)
+        got = []
+        with using_dtype(dtype):
+            for fn in (unpatchify, unpatchify_chain):
+                x = Tensor(rows, requires_grad=True)
+                with Tape() as tape:
+                    out = fn(x, p, size, size, c)
+                    tape.backward(ad.sum_all(ad.mul(out, cotangent)))
+                got.append((out.data, x.grad))
+        for fused, chained in zip(*got):
+            assert_same_bits(fused, chained)
 
 
 def test_patchify_rejects_indivisible():

@@ -5,7 +5,7 @@ normalization by quadrature, and per-location bookkeeping."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from helpers import assert_same_bits, with_specials
+from helpers import assert_same_bits, leaky_relu_op, with_specials
 
 from dualflow import autodiff as ad
 from dualflow.autodiff import Tensor, reset_grads, using_dtype
@@ -339,7 +339,7 @@ def scale_shift_chain(layer, a):
     ``clamp * tanh(raw / clamp)``."""
     net, n = layer.net, layer.n_out
     h = chain_conv(a, net.dw_k, net.dw_b)
-    out = ad.linear(ad.leaky_relu(ad.linear(h, net.pw1_w, net.pw1_b)), net.pw2_w, net.pw2_b)
+    out = ad.linear(leaky_relu_op(ad.linear(h, net.pw1_w, net.pw1_b)), net.pw2_w, net.pw2_b)
     raw, t = ad.take_last(out, 0, n), ad.take_last(out, n, 2 * n)
     return ad.mul(ad.tanh(ad.mul(raw, 1.0 / layer.clamp)), layer.clamp), t
 

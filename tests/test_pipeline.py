@@ -110,6 +110,22 @@ def test_default_loss_flow_records_95_tape_ops():
     assert len(tape) == 95
 
 
+def test_default_stage1_loss_records_102_tape_ops():
+    """Stage 1's loss on a default batch of 8, ``reconstruct`` then both
+    ``recon_loss`` terms and their mean, records 102 ops: 78 for
+    ``reconstruct``, whose four attention cores and six ``unpatchify`` calls
+    are one op each, 11 per loss term, and an ``add`` and a ``mul``. It
+    recorded 158 with each core an op chain of 12 and each ``unpatchify`` a
+    chain of 3. The count does not depend on the pyramid's values."""
+    model = build_model(default_run_config())
+    pyramid = model.prior_features(np.zeros((model.enc_cfg.in_size,) * 2 + (3,)))
+    targets = [np.stack([m] * 8) for m in pyramid]
+    with Tape() as tape:
+        recon_s, recon_m = model.reconstruct(targets)
+        ad.mul(ad.add(recon_loss(targets, recon_s), recon_loss(targets, recon_m)), 1.0 / 8)
+    assert len(tape) == 102
+
+
 def _default_batch_joints(model):
     rng = np.random.default_rng(0)
     maps = model.prior_features(np.zeros((model.enc_cfg.in_size,) * 2 + (3,)))

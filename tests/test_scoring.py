@@ -8,7 +8,7 @@ import pytest
 from helpers import tiny_images, tiny_run_config
 
 from dualflow import autodiff as ad, metrics, pipeline
-from dualflow.errors import ContractError, ShapeError
+from dualflow.errors import ContractError, NumericError, ShapeError
 from dualflow.metrics import evaluate
 from dualflow.scoring import (MAX_SMOOTH_SIGMA, MODES, ScoringConfig, anomaly_map,
                               bilinear_upsample, raw_scale_maps)
@@ -255,6 +255,19 @@ def test_every_mode_runs(model, probe):
         out = anomaly_map(model, probe, mode)
         assert np.isfinite(out.scores).all()
         assert np.isfinite(out.image_score)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_every_mode_rejects_a_non_finite_image(model, probe, bad):
+    """One non-finite pixel, or one the float32 cast makes infinite, fails
+    as ``NumericError`` in every mode, where the reconstruction modes gave a
+    NaN image score and the flow modes failed only at flow stage 0."""
+    image = probe.copy()
+    image[3, 5, 1] = bad
+    for mode in MODES:
+        with pytest.raises(NumericError, match="non-finite"):
+            anomaly_map(model, image, mode)
 
 
 def test_smoothing_toggle_changes_map_but_not_order_of_magnitude(model, probe):
