@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, default_dtype
 from .encoder import affine_params, head_params, merged_params, position_encoding, unpatchify
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class DualAttnConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
+        check_field_types(self)
         if self.depth < 0:
             raise ContractError("depth must be >= 0")
         if self.heads < 1 or self.token_dim < 1 or self.token_dim % self.heads != 0:

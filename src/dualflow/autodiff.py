@@ -307,14 +307,10 @@ def concat_last(parts) -> Tensor:
     for p in parts:
         if p.data.shape[:-1] != lead:
             raise ShapeError("concat_last: leading shapes differ")
-    widths = [p.data.shape[-1] for p in parts]
+    cuts = np.cumsum([p.data.shape[-1] for p in parts])[:-1]
 
     def vjp(g):
-        outs, off = [], 0
-        for w in widths:
-            outs.append(g[..., off:off + w])
-            off += w
-        return tuple(outs)
+        return tuple(np.split(g, cuts, axis=-1))
 
     return _emit(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), vjp)
 
@@ -380,19 +376,18 @@ def _linear_vjp(g: np.ndarray, xd: np.ndarray, wd: np.ndarray) -> tuple:
             g.sum(axis=tuple(range(g.ndim - 1))))
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalize over the last axis (1e-5 added to the variance), then scale
+    and shift."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
-    if eps <= 0:
-        raise ContractError("layer_norm: eps must be positive")
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + xd.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + xd.dtype.type(1e-5))
     xh = xc * inv
     out = xh * gain.data + bias.data
     gd = gain.data

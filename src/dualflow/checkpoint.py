@@ -61,9 +61,7 @@ def _write_entry(fh, name: str, arr: np.ndarray) -> None:
     raw_name = name.encode("utf-8")
     fh.write(struct.pack("<H", len(raw_name)))
     fh.write(raw_name)
-    fh.write(struct.pack("<BB", code, arr.ndim))
-    for dim in arr.shape:
-        fh.write(struct.pack("<Q", dim))
+    fh.write(struct.pack(f"<BB{arr.ndim}Q", code, arr.ndim, *arr.shape))
     fh.write(np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code]).tobytes())
 
 

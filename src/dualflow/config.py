@@ -52,9 +52,9 @@ def _fmt(value) -> str:
 # dataclass: its fields in order, parsed by their annotated type.
 # attention.token_dim is no key: it always mirrors patch_embed.token_dim.
 _PARSERS = {int: int, float: float, str: str, tuple: _int_tuple}
-_SCHEMA = {section: {f.name: _PARSERS[typing.get_type_hints(cls)[f.name]]
-                     for f in dataclasses.fields(cls)
-                     if (section, f.name) != ("attention", "token_dim")}
+_SCHEMA = {section: {name: _PARSERS[typing.get_origin(hint) or hint]
+                     for name, hint in typing.get_type_hints(cls).items()
+                     if (section, name) != ("attention", "token_dim")}
            for section, cls in typing.get_type_hints(RunConfig).items()}
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, default_dtype
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, check_field_types
 
 
 STAGE_STRIDES = (4, 8, 16)
@@ -29,9 +29,10 @@ LEAKY_SLOPE = 0.01  # of every leaky ReLU: the frozen encoder's and the flow sub
 @dataclass(frozen=True)
 class EncoderConfig:
     in_size: int = 64
-    stage_channels: tuple = (16, 32, 64)
+    stage_channels: tuple[int, ...] = (16, 32, 64)
 
     def __post_init__(self):
+        check_field_types(self)
         if len(self.stage_channels) != 3:
             raise ContractError("encoder uses exactly 3 stages")
         if min(self.stage_channels) < 1:
@@ -95,10 +96,11 @@ class FrozenEncoder:
 
 @dataclass(frozen=True)
 class PatchEmbedConfig:
-    patch_sizes: tuple = (4, 2, 1)
+    patch_sizes: tuple[int, ...] = (4, 2, 1)
     token_dim: int = 96
 
     def __post_init__(self):
+        check_field_types(self)
         if len(self.patch_sizes) == 0 or any(p <= 0 for p in self.patch_sizes):
             raise ContractError("patch_sizes must be positive")
         if self.token_dim < 1:

@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, default_dtype
 from .encoder import LEAKY_SLOPE, leaky_relu
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ShapeError, check_field_types
 
 FLOW_VARIANTS = {
     "P": ("prior",),
@@ -54,6 +54,7 @@ class FlowConfig:
     hidden_ratio: float = 2.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.variant not in FLOW_VARIANTS:
             raise ContractError(f"variant must be one of {sorted(FLOW_VARIANTS)}, "
                                 f"got {self.variant!r}")

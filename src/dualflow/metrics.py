@@ -94,7 +94,10 @@ def region_overlap_curve(maps, masks, saturations=None):
     region_sizes = []
     region_sats = []
     for amap, mask, sat in zip(maps, masks, saturations):
-        amap = np.asarray(amap, dtype=np.float64)
+        try:
+            amap = np.asarray(amap, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ContractError("localization maps must be numbers") from None
         mask = np.asarray(mask, dtype=bool)
         if amap.shape != mask.shape:
             raise ShapeError(f"map {amap.shape} and mask {mask.shape} differ")

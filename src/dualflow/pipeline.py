@@ -19,7 +19,7 @@ from .attention import DualAttention, DualAttnConfig, OutputHeads
 from .autodiff import Tape, Tensor, default_dtype
 from .encoder import (STAGE_STRIDES, EncoderConfig, FrozenEncoder, PatchEmbed, PatchEmbedConfig,
                       merged_params)
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ShapeError, check_field_types
 from .flow import FLOW_VARIANTS, FlowConfig, FlowStack, checked_stats
 from .optim import AdamW
 
@@ -31,13 +31,11 @@ class TrainConfig:
     stage1_epochs: int = 50
     stage2_epochs: int = 30
     seed: int = 0
-    weight_decay: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.batch_size < 1 or not (math.isfinite(self.lr) and self.lr > 0):
             raise ContractError("batch_size must be >= 1 and lr finite and positive")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ContractError("weight_decay must be finite and non-negative")
         if min(self.stage1_epochs, self.stage2_epochs, self.seed) < 0:
             raise ContractError("epoch counts and seed must be non-negative")
 
@@ -199,7 +197,7 @@ def _fit(params: dict, n: int, batch_loss, cfg: TrainConfig, log, *, stage: str,
     check, backward and a step. Each epoch ends with
     ``log(stage, epoch, *means)``: the values averaged over the batches,
     summed as Python floats in batch order."""
-    opt = AdamW(list(params.values()), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(list(params.values()), lr=cfg.lr)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(spawn,)))
     for epoch in range(epochs):
         sums = None

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .autodiff import Tensor
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, check_field_types
 from .flow import per_location_stats
 
 MODES = ("likelihood", "latent_norm", "recon_self", "recon_mem", "recon_fused")
@@ -40,6 +40,7 @@ class ScoringConfig:
     fpr_limit: float = 0.3
 
     def __post_init__(self):
+        check_field_types(self)
         if self.mode not in MODES:
             raise ContractError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not (0 <= self.smooth_sigma <= MAX_SMOOTH_SIGMA):

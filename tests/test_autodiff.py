@@ -16,7 +16,7 @@ from dualflow.autodiff import Tape, Tensor
 from dualflow.encoder import leaky_relu, unpatchify
 from dualflow.errors import ContractError, ShapeError
 from dualflow.flow import CouplingLayer
-from dualflow.optim import AdamW, adamw_step
+from dualflow.optim import AdamW
 from dualflow.selftest import (check_gradients, dw3x3_kernel_grad_loop, dw3x3_loop,
                                finite_difference_grads, max_rel_error)
 
@@ -621,19 +621,43 @@ def test_every_public_autodiff_function_has_a_caller_in_the_package():
 
 
 def test_adamw_single_step_example(f64):
-    p = np.array([1.0])
-    m = np.zeros(1)
-    v = np.zeros(1)
-    adamw_step(p, np.array([1.0]), m, v, t=1, lr=0.1)
-    np.testing.assert_allclose(p, [0.9], atol=1e-6)
-
-
-def test_adamw_decay_only_scales_param(f64):
-    p = Tensor([2.0], requires_grad=True)
-    opt = AdamW([p], lr=0.1, weight_decay=0.01)
-    p.grad = np.zeros(1)
+    p = Tensor([1.0], requires_grad=True)
+    opt = AdamW([p], lr=0.1)
+    p.grad = np.array([1.0])
     opt.step()
-    np.testing.assert_allclose(p.data, [2.0 * (1 - 0.1 * 0.01)], rtol=1e-12)
+    np.testing.assert_allclose(p.data, [0.9], atol=1e-6)
+
+
+def _adam_update(param, grad, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8):
+    """One Adam update in place, in the order of the former standalone
+    ``adamw_step`` with no weight decay: the oracle of ``AdamW.step``."""
+    b1, b2 = betas
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adamw_step_matches_written_out_update_bit_for_bit():
+    """Seeded float32 parameters over six steps, gradients spread over six
+    orders of magnitude; the second parameter never gets a gradient."""
+    rng = np.random.default_rng(7)
+    shapes = [(4, 3), (5,), (2, 3, 2)]
+    params = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes]
+    refs = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+    opt = AdamW(params, lr=3e-3)
+    for t in range(1, 7):
+        for i, p in enumerate(params):
+            scale = 10.0 ** rng.uniform(-3, 3, size=p.shape)
+            p.grad = None if i == 1 else (rng.normal(size=p.shape) * scale).astype(np.float32)
+        opt.step()
+        for p, (ref, m, v) in zip(params, refs):
+            grad = p.grad if p.grad is not None else np.zeros_like(ref)
+            _adam_update(ref, grad, m, v, t, 3e-3)
+            assert_same_bits(p.data, ref)
 
 
 def test_adamw_descends_quadratic(f64):

@@ -229,7 +229,7 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("override", [
     "train.lr=nan", "train.lr=inf", "flow.clamp=nan", "flow.clamp=inf",
-    "flow.hidden_ratio=-1", "train.weight_decay=-1", "scoring.smooth_sigma=nan",
+    "flow.hidden_ratio=-1", "scoring.smooth_sigma=nan",
     "scoring.smooth_sigma=-2", "scoring.smooth_sigma=1e8", "patch_embed.token_dim=0",
     "train.stage1_epochs=-3"])
 def test_malformed_config_value_exits_1(workspace, tmp_path, capsys, override):
@@ -323,7 +323,7 @@ def test_config_surface_is_pinned():
         "attention.depth", "attention.heads", "attention.mlp_ratio",
         "flow.variant", "flow.n_blocks", "flow.clamp", "flow.hidden_ratio",
         "train.lr", "train.batch_size", "train.stage1_epochs", "train.stage2_epochs",
-        "train.seed", "train.weight_decay",
+        "train.seed",
         "scoring.mode", "scoring.smooth_sigma", "scoring.fuse_weight", "scoring.fpr_limit"]
 
 
@@ -335,7 +335,7 @@ NON_DEFAULT = {
     "flow.variant": "P-M", "flow.n_blocks": "4", "flow.clamp": "1.5",
     "flow.hidden_ratio": "0.5", "train.lr": "0.001", "train.batch_size": "4",
     "train.stage1_epochs": "5", "train.stage2_epochs": "7", "train.seed": "3",
-    "train.weight_decay": "0.01", "scoring.mode": "recon_mem",
+    "scoring.mode": "recon_mem",
     "scoring.smooth_sigma": "2.5", "scoring.fuse_weight": "0.25", "scoring.fpr_limit": "0.05"}
 
 

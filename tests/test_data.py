@@ -1,6 +1,7 @@
 """Synthetic defect benchmark: determinism, defect structure, file formats."""
 
 import dataclasses
+import hashlib
 import os
 import shutil
 
@@ -198,6 +199,33 @@ def test_generate_is_byte_deterministic(dataset, tmp_path):
     generate(SMALL, again)
     for rel in sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file()):
         assert (again / rel).read_bytes() == (root / rel).read_bytes(), rel
+
+
+def _tree_digest(root):
+    """sha256 over each file's relative path and sha256, in path order."""
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
+        digest.update(rel.encode() + b"\0" + hashlib.sha256((root / rel).read_bytes()).digest())
+    return digest.hexdigest()
+
+
+# The bytes of the default tree and of one small tree per texture (every
+# anomaly kind once). Reruns of one tree cannot tell a refactor that moves
+# the bytes; these digests can.
+TREE_DIGESTS = {
+    "default": "ce4acbaa672bdbfb37ca49b9b3a21b996d0683b57ae5b632113f2138dc9a15b5",
+    "stripes": "8a7f8fe89c6ae0748236fb7f41954609a9493475b7a08068c51b828e134ea66d",
+    "checker": "23137c33aa5de8fbf2d3fbad7eaf192e2552f841c429ea3776f3239f5b1b3f9b",
+    "blobs": "272a5ea1871c9bb744aeccee4be951fbb63472318b561451812334641021c28d",
+}
+
+
+@pytest.mark.parametrize("name", TREE_DIGESTS)
+def test_generated_bytes_are_pinned(tmp_path, name):
+    spec = DatasetSpec() if name == "default" else DatasetSpec(
+        texture=name, n_train=2, n_test_normal=1, n_test_anomalous=3, seed=7)
+    generate(spec, tmp_path)
+    assert _tree_digest(tmp_path) == TREE_DIGESTS[name]
 
 
 def test_manifest_structure(dataset):

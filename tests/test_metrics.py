@@ -49,8 +49,15 @@ def test_auroc_errors():
     ([0.1, {}], [0, 1]),
 ])
 def test_auroc_rejects_non_numeric_input(scores, labels):
+    """AUROC, and AU-PRO and sPRO on a map of the two rows, which holds a
+    non-number in every case: the maps once failed as a raw ValueError."""
     with pytest.raises(ContractError, match="must be numbers"):
         auroc(scores, labels)
+    amap, mask = [scores, labels], [[False, True], [False, False]]
+    with pytest.raises(ContractError, match="must be numbers"):
+        au_pro([amap], [mask])
+    with pytest.raises(ContractError, match="must be numbers"):
+        spro([amap], [mask], [0.5])
 
 
 @pytest.mark.parametrize("labels", [[0, 2, 1], [0, -1, 1], [0, 0.5, 1], [0, np.nan, 1]])

@@ -15,12 +15,14 @@ from dualflow.attention import DualAttnConfig
 from dualflow.autodiff import Tape, Tensor, reset_grads, using_dtype
 from dualflow.checkpoint import load_checkpoint, save_checkpoint
 from dualflow.cli import main
-from dualflow.config import default_run_config
+from dualflow.config import default_run_config, render_run_config
+from dualflow.data import DatasetSpec
 from dualflow.encoder import EncoderConfig, PatchEmbedConfig
 from dualflow.errors import CheckpointError, ContractError, NumericError, ShapeError
 from dualflow.flow import FlowConfig, FlowStack, Subnet
 from dualflow.pipeline import (TrainConfig, build_model, collect_joints, loss_flow, recon_loss,
                                train, train_flow, train_transformer)
+from dualflow.scoring import ScoringConfig
 from dualflow.selftest import check_gradients, max_rel_error
 from test_acceptance import GRAD_REL
 
@@ -217,10 +219,10 @@ def test_stage_parameter_sets_disjoint():
 
 def test_train_config_validation():
     # zero epochs skip a stage (the benchmark's score set-up fits with (0, 0))
-    assert TrainConfig(stage1_epochs=0, stage2_epochs=0, weight_decay=0.0).stage1_epochs == 0
+    assert TrainConfig(stage1_epochs=0, stage2_epochs=0).stage1_epochs == 0
     nan, inf = float("nan"), float("inf")
     for bad in (dict(lr=nan), dict(lr=inf), dict(lr=0.0), dict(batch_size=0),
-                dict(weight_decay=-1.0), dict(weight_decay=nan), dict(stage1_epochs=-3),
+                dict(stage1_epochs=-3),
                 dict(stage2_epochs=-1), dict(seed=-1)):
         with pytest.raises(ContractError):
             TrainConfig(**bad)
@@ -597,6 +599,7 @@ RETIRED_KEYS = {
     "attention.memorial_query_source": ((b"[attention]\n",
                                          b"[attention]\nmemorial_query_source = stream\n"),),
     "encoder.seed": ((b"[encoder]\n", b"[encoder]\nseed = 0\n"),),
+    "train.weight_decay": ((b"\n\n[scoring]\n", b"\nweight_decay = 0.0\n\n[scoring]\n"),),
 }
 
 
@@ -615,6 +618,43 @@ def test_checkpoint_with_retired_key_rejected(tmp_path, capsys, key):
     capsys.readouterr()
     assert main(["eval", "--data", str(tmp_path), "--ckpt", str(path)]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", RETIRED_KEYS)
+def test_retired_key_rejected_in_config_file_and_override(tmp_path, capsys, key):
+    section, name = key.split(".")
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"[{section}]\n{name} = 0\n", encoding="ascii")
+    for args in (["--config", str(cfg)], ["--set", f"{key}=0"]):
+        assert main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.ckpt"),
+                     *args]) == 1
+        assert f"unknown config key {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, values", [
+    ("train", dict(lr=np.float64(1e-4))), ("flow", dict(clamp=np.float64(1.5))),
+    ("scoring", dict(smooth_sigma=np.float64(2.5))),
+    ("encoder", dict(stage_channels=[np.int64(4), 6, 8])),
+    ("patch_embed", dict(patch_sizes=[4, 2, 1])), ("train", dict(seed=np.int32(3)))])
+def test_numpy_and_list_config_values_round_trip(tmp_path, section, values):
+    """Such values were built, trained and saved, and then the checkpoint's
+    own echo was rejected on load."""
+    rc = tiny_run_config()
+    rc = replace(rc, **{section: replace(getattr(rc, section), **values)})
+    _, loaded = load_checkpoint(_saved(build_model(rc), rc, tmp_path))
+    assert loaded == rc and render_run_config(loaded) == render_run_config(rc)
+
+
+@pytest.mark.parametrize("cls, values", [
+    (TrainConfig, dict(seed=True)), (TrainConfig, dict(batch_size=2.5)),
+    (TrainConfig, dict(lr="a")), (FlowConfig, dict(n_blocks=2.5)),
+    (FlowConfig, dict(variant=["D"])), (DualAttnConfig, dict(depth=1.5)),
+    (EncoderConfig, dict(in_size=64.0)), (EncoderConfig, dict(stage_channels=(16, 32.0, 64))),
+    (PatchEmbedConfig, dict(patch_sizes=4)), (ScoringConfig, dict(smooth_sigma="x")),
+    (DatasetSpec, dict(n_train=2.5)), (DatasetSpec, dict(seed=-1))])
+def test_config_values_of_a_wrong_type_rejected(cls, values):
+    with pytest.raises(ContractError):
+        cls(**values)
 
 
 # Every array name of ``tiny_run_config()``'s model in checkpoint order, the
