@@ -67,7 +67,7 @@ class DatasetSpec:
 
 @dataclass
 class Sample:
-    image: np.ndarray        # (H, W, 3) float in [0, 1]
+    image: np.ndarray        # (H, W, 3) uint8 raster as read; see image_values
     mask: np.ndarray         # (H, W) bool
     label: int               # 1 = anomalous
     saturation: float
@@ -131,7 +131,8 @@ def make_normal(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
 
 def _polyline_band(n: int, rng: np.random.Generator, thickness: float) -> np.ndarray:
     """Boolean band of the given thickness around a jittered 5-point polyline:
-    the union of disks centred along it, every disk tested at once."""
+    the union of disks centred along it, one segment's disks tested at once,
+    so the temporary is (disks per segment, n, n)."""
     n_way = 5
     ys = np.linspace(rng.uniform(6, n - 6), rng.uniform(6, n - 6), n_way)
     xs = np.linspace(4, n - 4, n_way)
@@ -139,11 +140,13 @@ def _polyline_band(n: int, rng: np.random.Generator, thickness: float) -> np.nda
     if rng.random() < 0.5:
         ys, xs = xs, ys
     steps = 3 * n
-    cy, cx = (np.concatenate([np.linspace(pts[k], pts[k + 1], steps)[:: steps // 24]
-                              for k in range(n_way - 1)]) for pts in (ys, xs))
-    dy2 = (np.arange(n)[:, None] - cy[:, None, None]) ** 2  # (disks, n, 1)
-    dx2 = (np.arange(n) - cx[:, None, None]) ** 2           # (disks, 1, n)
-    return (dy2 + dx2 <= (thickness / 2.0) ** 2).any(axis=0)
+    band = np.zeros((n, n), dtype=bool)
+    for k in range(n_way - 1):
+        cy, cx = (np.linspace(pts[k], pts[k + 1], steps)[:: steps // 24] for pts in (ys, xs))
+        dy2 = (np.arange(n)[:, None] - cy[:, None, None]) ** 2  # (disks, n, 1)
+        dx2 = (np.arange(n) - cx[:, None, None]) ** 2           # (disks, 1, n)
+        band |= (dy2 + dx2 <= (thickness / 2.0) ** 2).any(axis=0)
+    return band
 
 
 def _blend(img: np.ndarray, target, alpha: np.ndarray) -> np.ndarray:
@@ -207,8 +210,12 @@ def _write_netpbm(path, magic: str, raster: np.ndarray, maxval: int, comment: st
 
 
 def write_ppm(path, image: np.ndarray) -> None:
-    """Binary P6 with maxval 255 from a [0, 1] float image."""
-    arr = np.clip(np.asarray(image) * 255.0 + 0.5, 0, 255).astype(np.uint8)
+    """Binary P6 with maxval 255. A uint8 (H, W, 3) raster, the form
+    ``read_ppm`` returns, is written unchanged; a [0, 1] float image is
+    scaled by 255, rounded and clipped."""
+    arr = np.asarray(image)
+    if arr.dtype != np.uint8:
+        arr = np.clip(arr * 255.0 + 0.5, 0, 255).astype(np.uint8)
     _write_netpbm(path, "P6", arr, 255)
 
 
@@ -274,7 +281,17 @@ def _read_netpbm(path, what: str, magic: bytes, channels: int) -> np.ndarray:
 
 
 def read_ppm(path) -> np.ndarray:
-    return _read_netpbm(path, "image", b"P6", 3).astype(np.float64) / 255.0
+    """The (H, W, 3) uint8 raster of a binary maxval-255 P6 file, as stored:
+    8 bits a value. ``image_values`` gives the [0, 1] values the model reads."""
+    return _read_netpbm(path, "image", b"P6", 3)
+
+
+def image_values(image) -> np.ndarray:
+    """An image's values as the model reads them: a uint8 raster (or a block
+    of its rows) as float64 ``raster / 255``, a float image unchanged. The
+    one place an image is converted; rasters stay 8-bit until then."""
+    image = np.asarray(image)
+    return image.astype(np.float64) / 255.0 if image.dtype == np.uint8 else image
 
 
 def read_pgm(path) -> np.ndarray:

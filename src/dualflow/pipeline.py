@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import DualAttention, DualAttnConfig, OutputHeads
 from .autodiff import Tape, Tensor, default_dtype
+from .data import image_values
 from .encoder import (STAGE_STRIDES, EncoderConfig, FrozenEncoder, PatchEmbed, PatchEmbedConfig,
                       merged_params)
 from .errors import ContractError, NumericError, ShapeError, check_field_types
@@ -112,13 +113,18 @@ class Model:
                                                       default_dtype())
 
     def prior_features(self, image: np.ndarray) -> list:
-        """Frozen feature pyramid of a [0, 1] image, normalized per channel
-        with the training-set statistics. Every image enters the model here,
-        so a non-finite value in it (or one that the cast and the
-        normalization make non-finite) fails here, as ``NumericError``."""
+        """Frozen feature pyramid of an (H, W, 3) image, normalized per channel
+        with the training-set statistics. The image is read through
+        ``data.image_values`` (a uint8 raster as float64 ``raster / 255``, a
+        [0, 1] float image as it is), then cast to the default dtype, so a
+        raster and its float64 ``/ 255`` give the same bits. Every image
+        enters the model here, so a non-finite value in it (or one that the
+        cast and the normalization make non-finite) fails here, as
+        ``NumericError``."""
         if image.ndim != 3 or image.shape[-1] != 3:
             raise ShapeError(f"expected (H, W, 3) image, got {image.shape}")
-        x = (np.asarray(image, dtype=default_dtype()) - self.norm_mean) / self.norm_std
+        x = (np.asarray(image_values(image), dtype=default_dtype())
+             - self.norm_mean) / self.norm_std
         if not np.isfinite(x).all():
             raise NumericError("the image holds non-finite values after normalization")
         return self.encoder(x)
@@ -238,7 +244,7 @@ def train_transformer(model: Model, images, cfg: TrainConfig, log=None) -> None:
     (N, H, W, C) arrays, then fits both branches with one taped forward of
     each (B, H, W, C) batch."""
     _check_images(model, images)
-    model.set_image_norm(*flow_input_stats([np.stack(images)])[0])
+    model.set_image_norm(*flow_input_stats([images])[0])
     stacked = _stacked_pyramids(model, images)
 
     def batch_loss(batch):
@@ -255,21 +261,37 @@ def train_transformer(model: Model, images, cfg: TrainConfig, log=None) -> None:
 
 
 def flow_input_stats(stacks) -> list:
-    """Per-channel float64 (mean, std) of each (..., C) array, the std
-    floored at 1e-6: the image statistics of stage 1 (one (N, H, W, 3)
-    stack) and the flow input statistics of stage 2 (one joint stack per
-    scale). Both reduce in float64 without a float64 copy of the stack: the
-    squared deviations are summed a block of rows at a time onto the running
-    sum, row after row, as ``np.std`` sums them over two or more channels."""
+    """Per-channel float64 (mean, std) of each entry of ``stacks``, the std
+    floored at 1e-6. An entry is one (..., C) array, such as a scale's joint
+    stack in stage 2, or a list of them whose rows are pooled, such as the
+    training images in stage 1. Rows are read a block at a time through
+    ``data.image_values``, so a uint8 raster counts as its ``/ 255`` values
+    and no float64 copy of an entry is made. Both the sum and the squared
+    deviations are added row after row onto a running float64 total, as
+    numpy's axis-0 sum does over two or more channels, so the bits are those
+    of ``np.mean`` and ``np.std`` of the entry's float64 stack."""
     stats = []
-    for stacked in stacks:
-        flat = stacked.reshape(-1, stacked.shape[-1])
-        mean, rows = flat.mean(axis=0, dtype=np.float64), max(1, (1 << 15) // flat.shape[1])
-        total = np.zeros(flat.shape[1])
-        for lo in range(0, len(flat), rows):
-            d = flat[lo:lo + rows] - mean
-            total = np.vstack((total, d * d)).sum(axis=0)
-        stats.append((mean, np.maximum(np.sqrt(total / len(flat)), 1e-6)))
+    for entry in stacks:
+        arrays = [entry] if isinstance(entry, np.ndarray) else entry
+        channels = np.shape(arrays[0])[-1]
+        count = sum(np.size(a) for a in arrays) // channels
+        rows = max(1, (1 << 15) // channels)
+
+        def blocks():
+            for a in arrays:
+                flat = np.reshape(a, (-1, channels))
+                for lo in range(0, len(flat), rows):
+                    yield image_values(flat[lo:lo + rows])
+
+        def row_sum(parts):
+            total = np.full(channels, -0.0)  # -0.0 + x is x, bit for bit
+            for part in parts:
+                total = np.vstack((total, part)).sum(axis=0)
+            return total
+
+        mean = row_sum(blocks()) / count
+        var = row_sum(d * d for d in (b - mean for b in blocks())) / count
+        stats.append((mean, np.maximum(np.sqrt(var), 1e-6)))
     return stats
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,43 @@ def test_swap_preserves_histogram_exactly():
     assert mask.sum() == 2 * (img.shape[0] // 2) ** 2
 
 
+def _polyline_band_at_once(n, rng, thickness):
+    """``data._polyline_band`` as it was: all four segments' disks in one
+    (disks, n, n) test."""
+    n_way = 5
+    ys = np.linspace(rng.uniform(6, n - 6), rng.uniform(6, n - 6), n_way)
+    xs = np.linspace(4, n - 4, n_way)
+    ys += rng.normal(0.0, 2.0, size=n_way)
+    if rng.random() < 0.5:
+        ys, xs = xs, ys
+    steps = 3 * n
+    cy, cx = (np.concatenate([np.linspace(pts[k], pts[k + 1], steps)[:: steps // 24]
+                              for k in range(n_way - 1)]) for pts in (ys, xs))
+    dy2 = (np.arange(n)[:, None] - cy[:, None, None]) ** 2
+    dx2 = (np.arange(n) - cx[:, None, None]) ** 2
+    return (dy2 + dx2 <= (thickness / 2.0) ** 2).any(axis=0)
+
+
+def test_polyline_band_by_segment_equals_all_disks_at_once():
+    for n in (32, 48, 64, 100, 128):
+        for seed in range(10):
+            got = data._polyline_band(n, _rng(seed), 0.16 * n)
+            want = _polyline_band_at_once(n, _rng(seed), 0.16 * n)
+            assert got.dtype == bool and np.array_equal(got, want), (n, seed)
+
+
+def test_polyline_band_temporary_is_one_segment():
+    """At n = 128 the four segments' disks at once took a 12 MiB float64
+    temporary; one segment's take 3 MiB."""
+    tracemalloc.start()
+    try:
+        data._polyline_band(128, _rng(3), 0.16 * 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 def test_swap_saturation_below_one():
     assert 0.0 < SWAP_SATURATION < 1.0
 
@@ -126,10 +164,24 @@ def test_ppm_roundtrip_is_exact_in_bytes(tmp_path):
     p = tmp_path / "x.ppm"
     write_ppm(p, img)
     back = read_ppm(p)
-    # quantized to 8 bits on write; a second roundtrip is lossless
-    assert np.abs(back - img).max() <= 0.5 / 255 + 1e-12
+    # quantized to 8 bits on write and read back as the raster; writing the
+    # raster is lossless
+    assert back.dtype == np.uint8 and back.shape == img.shape
+    assert np.abs(back / 255.0 - img).max() <= 0.5 / 255 + 1e-12
     write_ppm(tmp_path / "y.ppm", back)
     assert (tmp_path / "y.ppm").read_bytes() == p.read_bytes()
+
+
+def test_write_ppm_keeps_a_raster_and_image_values_scale_it(tmp_path):
+    raster = np.array([[[0, 1, 2], [127, 128, 254]], [[255, 9, 0], [3, 200, 255]]],
+                      dtype=np.uint8)
+    write_ppm(tmp_path / "r.ppm", raster)
+    assert (tmp_path / "r.ppm").read_bytes() == b"P6\n2 2\n255\n" + raster.tobytes()
+    assert np.array_equal(read_ppm(tmp_path / "r.ppm"), raster)
+    values = data.image_values(raster)
+    assert values.dtype == np.float64 and np.array_equal(values, raster.astype(float) / 255.0)
+    floats = raster / 255.0
+    assert data.image_values(floats) is floats
 
 
 def test_pgm_roundtrip(tmp_path):
@@ -226,6 +278,14 @@ def test_generated_bytes_are_pinned(tmp_path, name):
         texture=name, n_train=2, n_test_normal=1, n_test_anomalous=3, seed=7)
     generate(spec, tmp_path)
     assert _tree_digest(tmp_path) == TREE_DIGESTS[name]
+
+
+def test_default_dataset_loads_as_8_bit_rasters(tmp_path):
+    generate(DatasetSpec(), tmp_path)
+    samples = load(tmp_path)
+    assert len(samples) == 232
+    assert all(s.image.dtype == np.uint8 and s.image.shape == (64, 64, 3) for s in samples)
+    assert sum(s.image.nbytes for s in samples) == 232 * 12_288
 
 
 def test_manifest_structure(dataset):

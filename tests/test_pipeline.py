@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import tiny_images, tiny_run_config
+from helpers import assert_same_bits, tiny_images, tiny_run_config, with_specials
 
 from dualflow import autodiff as ad
 from dualflow import pipeline, scoring
@@ -16,7 +16,7 @@ from dualflow.autodiff import Tape, Tensor, reset_grads, using_dtype
 from dualflow.checkpoint import load_checkpoint, save_checkpoint
 from dualflow.cli import main
 from dualflow.config import default_run_config, render_run_config
-from dualflow.data import DatasetSpec
+from dualflow.data import DatasetSpec, generate, load
 from dualflow.encoder import EncoderConfig, PatchEmbedConfig
 from dualflow.errors import CheckpointError, ContractError, NumericError, ShapeError
 from dualflow.flow import FlowConfig, FlowStack, Subnet
@@ -394,16 +394,40 @@ def test_flow_input_stats_floor_and_values():
 
 
 def test_flow_input_stats_match_a_float64_copy_bit_for_bit(rng):
-    """Reducing a float32 stack with a float64 accumulator, a block of rows
-    at a time, gives the bits of reducing its float64 copy; both shapes
-    span several blocks."""
-    for shape in [(16, 16, 16, 48), (8, 64, 64, 3)]:
-        stack = rng.normal(1.0, 2.0, size=shape).astype(np.float32)
-        (mean, std), = pipeline.flow_input_stats([stack])
-        flat = stack.reshape(-1, shape[-1]).astype(np.float64)
-        assert mean.dtype == std.dtype == np.float64
-        assert np.array_equal(mean, flat.mean(axis=0))
-        assert np.array_equal(std, np.maximum(flat.std(axis=0), 1e-6))
+    """Reducing a float32 or float64 stack a block of rows at a time onto a
+    float64 total gives the bits of numpy's whole-stack reductions. The
+    first shapes span several blocks, none a whole number of them; the last
+    is less than one block; the float64 cases hold NaN, inf and -0.0."""
+    for shape in [(16, 16, 16, 48), (8, 64, 64, 3), (24, 4, 4, 192), (7, 3, 5, 3)]:
+        for dtype in (np.float32, np.float64):
+            stack = rng.normal(1.0, 2.0, size=shape).astype(dtype)
+            if dtype == np.float64:
+                stack = with_specials(rng, shape, dtype)
+            flat = stack.reshape(-1, shape[-1])
+            with np.errstate(invalid="ignore"):
+                (mean, std), = pipeline.flow_input_stats([stack])
+                want_mean = flat.mean(axis=0, dtype=np.float64)
+                want_std = np.maximum(flat.std(axis=0, dtype=np.float64), 1e-6)
+            assert mean.dtype == std.dtype == np.float64
+            assert_same_bits(mean, want_mean)
+            assert_same_bits(std, want_std)
+
+
+def test_flow_input_stats_pool_a_list_of_images_as_their_float_stack(rng):
+    """A list of images counts as the stack of their values: uint8 rasters as
+    ``raster / 255``, float images as they are, also when the two forms mix
+    (a raw stack of such a list would read the rasters as 0 to 255)."""
+    rasters = [rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8) for _ in range(9)]
+    rasters[0][:2] = 0
+    rasters[1][:2] = 255
+    floats = [r / 255.0 for r in rasters]
+    mixed = [r if i % 2 else f for i, (r, f) in enumerate(zip(rasters, floats))]
+    (want_mean, want_std), = pipeline.flow_input_stats([np.stack(floats)])
+    for images in (rasters, floats, mixed):
+        (mean, std), = pipeline.flow_input_stats([images])
+        assert_same_bits(mean, want_mean)
+        assert_same_bits(std, want_std)
+    assert 0.4 < want_mean.min() and want_mean.max() < 0.6
 
 
 def test_flow_input_stats_hold_no_float64_copy(rng):
@@ -418,6 +442,89 @@ def test_flow_input_stats_hold_no_float64_copy(rng):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_image_statistics_hold_no_float64_stack(monkeypatch):
+    """Stage 1's image statistics over 192 default-sized images, as 8-bit
+    rasters or as float64 images, hold well under 2 MiB at their peak: the
+    float64 stack of the images they replaced was 18.9 MB."""
+    rng = np.random.default_rng(4)
+    model = build_model(default_run_config())
+    rasters = [rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8) for _ in range(192)]
+
+    class StatsDone(Exception):
+        pass
+
+    def stop(mean, std):
+        raise StatsDone
+
+    monkeypatch.setattr(model, "set_image_norm", stop)
+    for images in (rasters, [r / 255.0 for r in rasters]):
+        tracemalloc.start()
+        try:
+            with pytest.raises(StatsDone):
+                train_transformer(model, images, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+
+# ---------------------------------------------------------------------------
+# 8-bit images: a raster and its float64 ``/ 255`` give the same bits
+
+
+def test_prior_features_read_a_raster_as_its_float_values():
+    model = build_model(default_run_config())
+    model.set_image_norm(np.array([0.45, 0.5, 0.55]), np.array([0.2, 0.25, 0.3]))
+    for seed in range(3):
+        raster = np.random.default_rng(seed).integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
+        raster[0, :3] = 0
+        raster[-1, :3] = 255
+        for got, want in zip(model.prior_features(raster),
+                             model.prior_features(raster / 255.0)):
+            assert_same_bits(got, want)
+
+
+@pytest.fixture(scope="module")
+def small_loaded(tmp_path_factory):
+    """The samples of a small 32x32 generated dataset, images as 8-bit rasters."""
+    root = tmp_path_factory.mktemp("small8")
+    generate(DatasetSpec(image_size=32, n_train=6, n_test_normal=1, n_test_anomalous=3,
+                         seed=2), root)
+    return load(root)
+
+
+def test_rasters_and_mixed_lists_train_as_float_images(small_loaded, tmp_path):
+    """Training on the loaded rasters, or on a list that mixes rasters with
+    float images, gives the log rows and checkpoint bytes of training on the
+    same images all given as float."""
+    rc = tiny_run_config(stage1_epochs=1, stage2_epochs=1)
+    rasters = [s.image for s in small_loaded if s.split == "train"]
+    assert all(r.dtype == np.uint8 for r in rasters)
+    floats = [r / 255.0 for r in rasters]
+    mixed = [r if i % 2 else f for i, (r, f) in enumerate(zip(rasters, floats))]
+    runs = []
+    for name, images in (("float", floats), ("raster", rasters), ("mixed", mixed)):
+        rows = []
+        save_checkpoint(train(images, rc, log=lambda *row: rows.append(row)), rc,
+                        tmp_path / name)
+        runs.append((rows, (tmp_path / name).read_bytes()))
+    assert runs[0][0] and runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_anomaly_map_of_a_loaded_sample_matches_its_float_image(small_loaded):
+    rc = tiny_run_config(stage1_epochs=1, stage2_epochs=1)
+    model = train([s.image for s in small_loaded if s.split == "train"], rc)
+    for s in small_loaded:
+        if s.split != "test":
+            continue
+        for mode in scoring.MODES:
+            a = scoring.anomaly_map(model, s.image, mode)
+            b = scoring.anomaly_map(model, s.image / 255.0, mode)
+            for got, want in zip((a.scores, *a.per_scale), (b.scores, *b.per_scale)):
+                assert_same_bits(got, want)
+            assert a.image_score == b.image_score
 
 
 def test_batches_cover_every_index_once():
