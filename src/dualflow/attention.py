@@ -32,17 +32,12 @@ from .errors import ContractError, ShapeError, check_field_types
 class DualAttnConfig:
     depth: int = 2
     heads: int = 4
-    token_dim: int = 96
     mlp_ratio: int = 4
 
     def __post_init__(self):
         check_field_types(self)
-        if self.depth < 0:
-            raise ContractError("depth must be >= 0")
-        if self.heads < 1 or self.token_dim < 1 or self.token_dim % self.heads != 0:
-            raise ContractError(f"token_dim {self.token_dim} must divide over {self.heads} heads")
-        if self.mlp_ratio < 1:
-            raise ContractError("mlp_ratio must be >= 1")
+        if self.depth < 0 or min(self.heads, self.mlp_ratio) < 1:
+            raise ContractError("depth must be >= 0, heads and mlp_ratio >= 1")
 
 
 def _ln_params(d):
@@ -102,8 +97,9 @@ class _Block:
     normed stream, and both residuals (attention output, then MLP) land on
     the stream. ``norms`` names the input layer norms, in parameter order."""
 
-    def __init__(self, cfg: DualAttnConfig, rng, norms):
-        d = cfg.token_dim
+    def __init__(self, cfg: DualAttnConfig, d: int, rng, norms):
+        if d % cfg.heads:
+            raise ContractError(f"token_dim {d} must divide over {cfg.heads} heads")
         self.heads = cfg.heads
         self.norms = {name: _ln_params(d) for name in norms}
         self.wq, self.wk, self.wv, self.wo = (affine_params(rng, d, d) for _ in range(4))
@@ -128,8 +124,8 @@ class _Block:
 class SelfBlock(_Block):
     """Plain ViT block: x + Attn(LN(x)), then + MLP(LN(.))."""
 
-    def __init__(self, cfg: DualAttnConfig, rng):
-        super().__init__(cfg, rng, ("ln1",))
+    def __init__(self, cfg: DualAttnConfig, width: int, rng):
+        super().__init__(cfg, width, rng, ("ln1",))
 
     def __call__(self, x: Tensor) -> Tensor:
         xn = ad.layer_norm(x, *self.norms["ln1"])
@@ -141,8 +137,8 @@ class MemorialBlock(_Block):
     contributes only attention logits; there is no residual from it, so
     values, residuals and the MLP involve memory content exclusively."""
 
-    def __init__(self, cfg: DualAttnConfig, rng):
-        super().__init__(cfg, rng, ("lnq", "lnkv"))
+    def __init__(self, cfg: DualAttnConfig, width: int, rng):
+        super().__init__(cfg, width, rng, ("lnq", "lnkv"))
 
     def __call__(self, q_src: Tensor, mem: Tensor) -> Tensor:
         if q_src.shape != mem.shape:
@@ -155,23 +151,23 @@ class MemorialBlock(_Block):
 class DualAttention:
     """Runs the two streams in lockstep over ``depth`` levels and returns the
     final (self tokens, memorial tokens) pair, both shaped like the input
-    tokens (..., L, D). It owns the fixed (L, D) position table ``pos``,
-    built once here and added to the input tokens and to every level's
-    memory tokens. At every level the memorial queries read the feature
-    stream as it enters that level. The per-level memory tokens are (L, D)
-    parameters, broadcast over the leading (batch) axes of the input."""
+    tokens (..., L, D), D being ``width``. It owns the fixed (L, D) position
+    table ``pos``, built once here and added to the input tokens and to
+    every level's memory tokens. At every level the memorial queries read
+    the feature stream as it enters that level. The per-level memory tokens
+    are (L, D) parameters, broadcast over the leading (batch) axes of the
+    input."""
 
-    def __init__(self, cfg: DualAttnConfig, length: int, rng):
+    def __init__(self, cfg: DualAttnConfig, length: int, width: int, rng):
         self.cfg = cfg
         self.length = length
-        self.pos = position_encoding(length, cfg.token_dim)
+        self.pos = position_encoding(length, width)
         dt = default_dtype()
-        self.self_blocks = [SelfBlock(cfg, rng) for _ in range(cfg.depth)]
-        self.mem_blocks = [MemorialBlock(cfg, rng) for _ in range(cfg.depth)]
-        n_mem = max(cfg.depth, 1)
-        self.memory = [Tensor(rng.normal(0.0, 0.02, size=(length, cfg.token_dim)).astype(dt),
+        self.self_blocks = [SelfBlock(cfg, width, rng) for _ in range(cfg.depth)]
+        self.mem_blocks = [MemorialBlock(cfg, width, rng) for _ in range(cfg.depth)]
+        self.memory = [Tensor(rng.normal(0.0, 0.02, size=(length, width)).astype(dt),
                               requires_grad=True)
-                       for _ in range(n_mem)]
+                       for _ in range(max(cfg.depth, 1))]
 
     def params(self):
         out = merged_params(*((f"block{i}.self", b) for i, b in enumerate(self.self_blocks)),
@@ -195,14 +191,11 @@ class DualAttention:
 
 
 class OutputHeads:
-    """Affine heads mapping each scale's token slice of (..., L, D) tokens
-    back to its (..., H, W, C) feature map."""
+    """Affine heads mapping each scale's ``width``-channel token slice of
+    (..., L, D) tokens back to its (..., H, W, C) feature map."""
 
-    def __init__(self, stage_channels, patch_sizes, map_sizes, token_dim: int, rng):
-        n = len(stage_channels)
-        if token_dim % n != 0:
-            raise ContractError(f"token_dim {token_dim} must divide over {n} scales")
-        self.width = token_dim // n
+    def __init__(self, stage_channels, patch_sizes, map_sizes, width: int, rng):
+        self.width = width
         self.patch_sizes = tuple(patch_sizes)
         self.map_shapes = [(s, s, c) for s, c in zip(map_sizes, stage_channels)]
         self.heads = [affine_params(rng, self.width, c * p * p)

@@ -242,12 +242,6 @@ def mul(a, b) -> Tensor:
 # nonlinearities
 
 
-def tanh(x) -> Tensor:
-    x = _as_tensor(x)
-    out = np.tanh(x.data)
-    return _emit(out, (x,), lambda g: (g * (1.0 - out * out),))
-
-
 def gelu(x) -> Tensor:
     """Exact erf-based GELU. The tape keeps the input and the normal ``cdf``;
     backward computes the normal ``pdf`` from the input."""

@@ -50,11 +50,9 @@ def _fmt(value) -> str:
 
 # section (a RunConfig field name) -> key -> parser, read from the section's
 # dataclass: its fields in order, parsed by their annotated type.
-# attention.token_dim is no key: it always mirrors patch_embed.token_dim.
 _PARSERS = {int: int, float: float, str: str, tuple: _int_tuple}
 _SCHEMA = {section: {name: _PARSERS[typing.get_origin(hint) or hint]
-                     for name, hint in typing.get_type_hints(cls).items()
-                     if (section, name) != ("attention", "token_dim")}
+                     for name, hint in typing.get_type_hints(cls).items()}
            for section, cls in typing.get_type_hints(RunConfig).items()}
 
 
@@ -69,7 +67,7 @@ def render_run_config(rc: RunConfig) -> str:
 def _with_values(rc: RunConfig, items) -> RunConfig:
     """``rc`` with raw (section, key, raw) values applied, in any order: the
     one path of the INI reader and of ``--set``. Each section is built, and
-    so validated, once, attention's token width set from ``patch_embed``."""
+    so validated, once."""
     updates = {section: {} for section in _SCHEMA}
     for section, key, raw in items:
         if key not in _SCHEMA.get(section, ()):
@@ -78,12 +76,8 @@ def _with_values(rc: RunConfig, items) -> RunConfig:
             updates[section][key] = _SCHEMA[section][key](raw.strip())
         except ValueError as exc:
             raise ContractError(f"bad value for {section}.{key}: {raw!r}") from exc
-    built = {}
-    for section, kv in updates.items():  # patch_embed comes before attention
-        if section == "attention":
-            kv["token_dim"] = built["patch_embed"].token_dim
-        built[section] = dataclasses.replace(getattr(rc, section), **kv)
-    return RunConfig(**built)
+    return RunConfig(**{section: dataclasses.replace(getattr(rc, section), **kv)
+                        for section, kv in updates.items()})
 
 
 def parse_run_config(text: str) -> RunConfig:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import ContractError, DataError, ShapeError, check_field_types
+from .errors import ContractError, DataError, NumericError, ShapeError, check_field_types
 
 TEXTURES = ("stripes", "checker", "blobs")
 ANOMALY_KINDS = ("patch", "scratch", "swap")
@@ -212,9 +212,12 @@ def _write_netpbm(path, magic: str, raster: np.ndarray, maxval: int, comment: st
 def write_ppm(path, image: np.ndarray) -> None:
     """Binary P6 with maxval 255. A uint8 (H, W, 3) raster, the form
     ``read_ppm`` returns, is written unchanged; a [0, 1] float image is
-    scaled by 255, rounded and clipped."""
+    scaled by 255, rounded and clipped; NaN or +-inf in it is a
+    ``NumericError`` before the file is opened. Other dtypes fail in ``image_values``."""
     arr = np.asarray(image)
     if arr.dtype != np.uint8:
+        if not np.isfinite(image_values(arr)).all():
+            raise NumericError("a PPM image must hold finite values")
         arr = np.clip(arr * 255.0 + 0.5, 0, 255).astype(np.uint8)
     _write_netpbm(path, "P6", arr, 255)
 
@@ -288,9 +291,12 @@ def read_ppm(path) -> np.ndarray:
 
 def image_values(image) -> np.ndarray:
     """An image's values as the model reads them: a uint8 raster (or a block
-    of its rows) as float64 ``raster / 255``, a float image unchanged. The
-    one place an image is converted; rasters stay 8-bit until then."""
+    of its rows) as float64 ``raster / 255``, a float image unchanged, and
+    any other dtype (no known scale) a ``ContractError``. The one place an
+    image is converted; rasters stay 8-bit until then."""
     image = np.asarray(image)
+    if image.dtype != np.uint8 and image.dtype.kind != "f":
+        raise ContractError(f"an image must be uint8 or floating point, not {image.dtype}")
     return image.astype(np.float64) / 255.0 if image.dtype == np.uint8 else image
 
 

@@ -2,9 +2,10 @@
 
 Each scale owns a stack of affine coupling layers over channels-last feature
 maps: one half of the channels is transformed by scale and shift fields that
-one small conv subnet predicts together from the other half (3x3 depthwise,
+a small conv subnet predicts together from the other half (3x3 depthwise,
 1x1, leaky ReLU, then a zero-initialized 1x1 whose output holds both fields,
-so every stack starts as the identity).
+so every stack starts as the identity). The coupling holds the subnet's six
+tensors itself.
 The log scale is soft-clamped, ``alpha * tanh(s / alpha)``, which keeps the
 Jacobian bounded while leaving the log-determinant exact: a sum of the
 clamped scales. A flow step is "permute, then couple": every coupling after
@@ -13,7 +14,7 @@ affine standardization layer (fitted once on training features) runs first.
 Each coupling is one tape op with two outputs, the transformed map and the
 clamped log-scale field: its forward runs the subnet, the clamp and the
 affine map in numpy, and its one hand-written vjp returns the gradients of
-its input and of the subnet's six parameters, the same bits the op chain it
+its input and of its six parameters, the same bits the op chain it
 replaced gave (``tests/test_flow.py`` keeps that chain as the oracle). The
 inverse runs without a tape.
 
@@ -66,44 +67,13 @@ class FlowConfig:
             raise ContractError("hidden_ratio must be finite and positive")
 
 
-class Subnet:
-    """dw3x3 -> 1x1 -> LeakyReLU -> 1x1 (zero init): identity-at-init
-    predictor of per-location fields from the untouched channel half; a
-    coupling's one subnet outputs its raw log-scale and its shift side by
-    side. A 1x1 layer is an affine map over the channel axis."""
-
-    def __init__(self, c_in: int, c_out: int, rng, hidden: int):
-        dt = default_dtype()
-        self.dw_k = Tensor(rng.normal(0.0, 0.1, size=(3, 3, c_in)).astype(dt), requires_grad=True)
-        self.dw_b = Tensor(np.zeros(c_in, dtype=dt), requires_grad=True)
-        self.pw1_w = Tensor((rng.normal(0.0, 1.0, size=(c_in, hidden))
-                             * np.sqrt(2.0 / c_in)).astype(dt), requires_grad=True)
-        self.pw1_b = Tensor(np.zeros(hidden, dtype=dt), requires_grad=True)
-        self.pw2_w = Tensor(np.zeros((hidden, c_out), dtype=dt), requires_grad=True)
-        self.pw2_b = Tensor(np.zeros(c_out, dtype=dt), requires_grad=True)
-
-    def params(self):
-        return {"dw.k": self.dw_k, "dw.b": self.dw_b,
-                "pw1.w": self.pw1_w, "pw1.b": self.pw1_b,
-                "pw2.w": self.pw2_w, "pw2.b": self.pw2_b}
-
-    def forward(self, a: np.ndarray):
-        """The subnet on the array ``a``, with no tape: the conv output (the
-        bias added after ``_dw3x3_forward``), the hidden map before the leaky
-        ReLU, and the output, each 1x1 layer computed as ``linear`` computes
-        it."""
-        h0 = ad._dw3x3_forward(a, self.dw_k.data)
-        h0 += self.dw_b.data
-        h1 = ad._linear_forward(h0, self.pw1_w.data, self.pw1_b.data)
-        return h0, h1, ad._linear_forward(leaky_relu(h1), self.pw2_w.data, self.pw2_b.data)
-
-
 class CouplingLayer:
     """One flow step: a fixed channel permutation (volume preserving,
     checked once here; the identity when ``perm`` is None), then an affine
     coupling over a channel split of the permuted map. ``flip`` alternates
     which half is transformed; on an odd width the two halves differ by one
-    channel. One subnet reads the conditioning half and predicts, for the
+    channel. The coupling's subnet (dw3x3 -> 1x1 -> LeakyReLU -> 1x1, the
+    last zero-initialized) reads the conditioning half and predicts, for the
     transformed half, the raw log-scale (its first ``n_out`` output
     channels) and the shift (its last ``n_out``). ``half_a`` and ``half_b``
     are the conditioning and the transformed half as channel slices of the
@@ -129,10 +99,28 @@ class CouplingLayer:
         n_rest = channels - self.n_a
         n_in, self.n_out = (n_rest, self.n_a) if flip else (self.n_a, n_rest)
         hidden = max(1, int(round(n_in * hidden_ratio)))
-        self.net = Subnet(n_in, 2 * self.n_out, rng, hidden)
+        dt = default_dtype()
+        self.dw_k = Tensor(rng.normal(0.0, 0.1, size=(3, 3, n_in)).astype(dt), requires_grad=True)
+        self.dw_b = Tensor(np.zeros(n_in, dtype=dt), requires_grad=True)
+        self.pw1_w = Tensor((rng.normal(0.0, 1.0, size=(n_in, hidden))
+                             * np.sqrt(2.0 / n_in)).astype(dt), requires_grad=True)
+        self.pw1_b = Tensor(np.zeros(hidden, dtype=dt), requires_grad=True)
+        self.pw2_w = Tensor(np.zeros((hidden, 2 * self.n_out), dtype=dt), requires_grad=True)
+        self.pw2_b = Tensor(np.zeros(2 * self.n_out, dtype=dt), requires_grad=True)
 
     def params(self):
-        return self.net.params()
+        return {"dw.k": self.dw_k, "dw.b": self.dw_b,
+                "pw1.w": self.pw1_w, "pw1.b": self.pw1_b,
+                "pw2.w": self.pw2_w, "pw2.b": self.pw2_b}
+
+    def _subnet(self, a: np.ndarray):
+        """The subnet on the array ``a``, with no tape: the conv output (bias
+        added), the hidden map before the leaky ReLU, and the output; a 1x1
+        layer is an affine map over channels, computed as ``linear`` does."""
+        h0 = ad._dw3x3_forward(a, self.dw_k.data)
+        h0 += self.dw_b.data
+        h1 = ad._linear_forward(h0, self.pw1_w.data, self.pw1_b.data)
+        return h0, h1, ad._linear_forward(leaky_relu(h1), self.pw2_w.data, self.pw2_b.data)
 
     def forward(self, x: Tensor):
         """The output and the clamped log-scale field, as one tape op; the
@@ -144,9 +132,9 @@ class CouplingLayer:
         the hidden map before the leaky ReLU and ``tanh``'s output; it
         recomputes ``exp(s)`` and the leaky ReLU's output with the forward's
         own ops, which is exact and keeps a third less per coupling."""
-        xd, n, net = x.data, self.n_out, self.net
+        xd, n = x.data, self.n_out
         a, b = np.take(xd, self.idx_a, axis=-1), np.take(xd, self.idx_b, axis=-1)
-        h0, h1, out = net.forward(a)
+        h0, h1, out = self._subnet(a)
         dt, x_shape, out_shape = out.dtype.type, xd.shape, out.shape
         th = np.tanh(out[..., :n] * dt(1.0 / self.clamp))
         s = th * dt(self.clamp)
@@ -155,8 +143,7 @@ class CouplingLayer:
         y_b = b * np.exp(s) + np.ascontiguousarray(out[..., n:])
         del out
         y = np.concatenate((y_b, a) if self.flip else (a, y_b), axis=-1)
-        params = tuple(net.params().values())
-        kd, w1, w2 = params[0].data, params[2].data, params[4].data
+        kd, w1, w2 = self.dw_k.data, self.pw1_w.data, self.pw2_w.data
 
         def vjp(gy, gs):
             # a local, so that the forward's ``exp(s)`` is not kept
@@ -192,14 +179,14 @@ class CouplingLayer:
                 g_x += 0
             return g_x, g_k, g_dwb, g_w1, g_b1, g_w2, g_b2
 
-        return ad._emit((y, s), (x,) + params, vjp)
+        return ad._emit((y, s), (x, *self.params().values()), vjp)
 
     def inverse(self, y: Tensor) -> Tensor:
         """``forward``'s inverse, in the arithmetic of the op chain's inverse,
         and with no tape: no caller differentiates it."""
         yd, n = y.data, self.n_out
         a, y_b = (np.ascontiguousarray(yd[..., h]) for h in (self.half_a, self.half_b))
-        out = self.net.forward(a)[-1]
+        out = self._subnet(a)[-1]
         dt = out.dtype.type
         s = np.tanh(out[..., :n] * dt(1.0 / self.clamp)) * dt(self.clamp)
         b = (y_b - np.ascontiguousarray(out[..., n:])) * np.exp(s * dt(-1.0))

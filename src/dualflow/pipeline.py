@@ -51,8 +51,6 @@ class Model:
                  emb_cfg: PatchEmbedConfig = PatchEmbedConfig(),
                  attn_cfg: DualAttnConfig = DualAttnConfig(),
                  flow_cfg: FlowConfig = FlowConfig(), seed: int = 0):
-        if attn_cfg.token_dim != emb_cfg.token_dim:
-            raise ContractError("attention and embedding token widths differ")
         self.enc_cfg = enc_cfg
         self.variant = flow_cfg.variant
 
@@ -73,9 +71,9 @@ class Model:
             return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
         self.embed = PatchEmbed(channels, emb_cfg, rng(0))
-        self.attn = DualAttention(attn_cfg, length, rng(1))
+        self.attn = DualAttention(attn_cfg, length, emb_cfg.token_dim, rng(1))
         self.heads_self, self.heads_mem = (
-            OutputHeads(channels, emb_cfg.patch_sizes, map_sizes, emb_cfg.token_dim, rng(k))
+            OutputHeads(channels, emb_cfg.patch_sizes, map_sizes, self.embed.width, rng(k))
             for k in (2, 3))
         n_branch = len(FLOW_VARIANTS[self.variant])
         self.flows = [FlowStack(c * n_branch, flow_cfg, rng(4, i))
@@ -116,11 +114,11 @@ class Model:
         """Frozen feature pyramid of an (H, W, 3) image, normalized per channel
         with the training-set statistics. The image is read through
         ``data.image_values`` (a uint8 raster as float64 ``raster / 255``, a
-        [0, 1] float image as it is), then cast to the default dtype, so a
-        raster and its float64 ``/ 255`` give the same bits. Every image
-        enters the model here, so a non-finite value in it (or one that the
-        cast and the normalization make non-finite) fails here, as
-        ``NumericError``."""
+        [0, 1] float image as it is, any other dtype a ``ContractError``),
+        then cast to the default dtype, so a raster and its float64 ``/ 255``
+        give the same bits. Every image enters the model here, so a
+        non-finite value in it (or one that the cast and the normalization
+        make non-finite) fails here, as ``NumericError``."""
         if image.ndim != 3 or image.shape[-1] != 3:
             raise ShapeError(f"expected (H, W, 3) image, got {image.shape}")
         x = (np.asarray(image_values(image), dtype=default_dtype())
@@ -228,7 +226,7 @@ def _check_images(model: Model, images) -> None:
         raise ContractError("training needs at least one image")
     want = (model.enc_cfg.in_size, model.enc_cfg.in_size, 3)
     for i, image in enumerate(images):
-        if np.shape(image) != want:  # before np.stack, which raises ValueError
+        if np.shape(image) != want:  # before flow_input_stats reshapes it into rows
             raise ShapeError(f"training image {i} has shape {np.shape(image)}, "
                              f"the model expects {want}")
 

@@ -1,7 +1,8 @@
 """Small shared fixtures: a fast model configuration, toy image sets,
 inputs and checks for bit-for-bit comparisons, dataset symlinks, and the
 generic tape ops that the one-op attention, ``unpatchify`` and the flow
-coupling replaced, kept as their oracles."""
+coupling replaced, kept as their oracles (``tanh_op`` also serves the
+engine's own tests as a plain nonlinearity)."""
 
 import shutil
 
@@ -23,7 +24,7 @@ def tiny_run_config(**train_kw) -> RunConfig:
     return RunConfig(
         encoder=EncoderConfig(in_size=32, stage_channels=(4, 6, 8)),
         patch_embed=PatchEmbedConfig(token_dim=24),
-        attention=DualAttnConfig(depth=1, heads=2, token_dim=24),
+        attention=DualAttnConfig(depth=1, heads=2),
         flow=FlowConfig(n_blocks=2, hidden_ratio=1.0),
         train=TrainConfig(**train_args),
         scoring=ScoringConfig(),
@@ -70,6 +71,13 @@ def replace_with_symlink(path, target):
 
 # ---------------------------------------------------------------------------
 # the op chains' generic ops, each one tape op as ``autodiff`` once had it
+
+
+def tanh_op(x):
+    """``np.tanh`` as a tape op; the vjp reads the output,
+    ``g * (1 - out * out)``."""
+    out = np.tanh(x.data)
+    return ad._emit(out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
 def leaky_relu_op(x):

@@ -224,7 +224,7 @@ def test_criterion_04_gradient_integrity():
         model = pipeline.Model(
             enc_cfg=EncoderConfig(in_size=16, stage_channels=(2, 2, 4)),
             emb_cfg=PatchEmbedConfig(token_dim=12),
-            attn_cfg=DualAttnConfig(depth=1, heads=2, token_dim=12, mlp_ratio=1),
+            attn_cfg=DualAttnConfig(depth=1, heads=2, mlp_ratio=1),
             flow_cfg=FlowConfig(n_blocks=2, hidden_ratio=1.0), seed=0)
         model.set_image_norm(np.zeros(3), np.ones(3))
         rng = np.random.default_rng(0)

@@ -3,6 +3,8 @@ replaced and a per-head loop, stochastic attention rows, permutation
 equivariance, memory-stream isolation, and an independent pseudo-inverse
 oracle for the output heads."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,8 @@ from dualflow.encoder import patchify, position_encoding
 from dualflow.errors import ContractError
 
 
-CFG = DualAttnConfig(depth=2, heads=4, token_dim=96)
+CFG = DualAttnConfig(depth=2, heads=4)
+WIDTH = 96
 
 
 def multi_head_chain(q, k, v, heads, softmax=softmax_rows):
@@ -87,7 +90,7 @@ def multi_head_loop(q, k, v, heads):
 def test_fused_heads_match_per_head_loop_bit_for_bit(rng):
     """Output and q/k/v gradients of the fused heads equal the loop's exactly
     in the default float32 build at the default width."""
-    length, dim, heads = 16, CFG.token_dim, CFG.heads
+    length, dim, heads = 16, WIDTH, CFG.heads
     data = [rng.normal(size=(length, dim)).astype(np.float32) for _ in range(3)]
     cotangent = Tensor(rng.normal(size=(length, dim)).astype(np.float32))
     results = []
@@ -105,7 +108,7 @@ def test_fused_heads_match_per_head_loop_bit_for_bit(rng):
 def test_batched_heads_match_per_sample_loop_bit_for_bit(rng):
     """On (B, L, dim) operands the fused heads give each sample the output
     and q/k/v gradients of its own unbatched call, bit for bit in float32."""
-    batch, length, dim, heads = 5, 16, CFG.token_dim, CFG.heads
+    batch, length, dim, heads = 5, 16, WIDTH, CFG.heads
     data = [rng.normal(size=(batch, length, dim)).astype(np.float32) for _ in range(3)]
     cotangent = rng.normal(size=(batch, length, dim)).astype(np.float32)
 
@@ -175,18 +178,26 @@ def test_attention_extreme_logits_stay_finite():
 
 def test_config_validation():
     with pytest.raises(ContractError):
-        DualAttnConfig(heads=5, token_dim=96)
-    with pytest.raises(ContractError):
-        DualAttnConfig(heads=0, token_dim=96)
-    with pytest.raises(ContractError):
-        DualAttnConfig(heads=4, token_dim=0)
+        DualAttnConfig(heads=0)
     with pytest.raises(ContractError):
         DualAttnConfig(mlp_ratio=0)
+    with pytest.raises(ContractError):
+        DualAttnConfig(depth=-1)
+    assert [f.name for f in dataclasses.fields(DualAttnConfig)] == ["depth", "heads", "mlp_ratio"]
+
+
+@pytest.mark.parametrize("block", [SelfBlock, MemorialBlock])
+def test_heads_must_divide_the_token_width(block):
+    """The width comes from the model, so the heads are checked where a
+    block is built."""
+    with pytest.raises(ContractError, match="must divide over 5 heads"):
+        block(DualAttnConfig(heads=5), 96, np.random.default_rng(0))
+    block(DualAttnConfig(heads=4), 96, np.random.default_rng(0))
 
 
 def test_attention_rows_stochastic_everywhere(rng, monkeypatch):
     with using_dtype(np.float64):
-        model = DualAttention(CFG, 16, np.random.default_rng(0))
+        model = DualAttention(CFG, 16, WIDTH, np.random.default_rng(0))
         weights = record_attention(monkeypatch)
         model(make_tokens(rng))
         # one (heads, L, L) weight stack per block of both branches
@@ -199,7 +210,7 @@ def test_attention_rows_stochastic_everywhere(rng, monkeypatch):
 
 def test_self_block_permutation_equivariance(rng):
     with using_dtype(np.float64):
-        blk = SelfBlock(DualAttnConfig(depth=1, heads=2, token_dim=8), np.random.default_rng(1))
+        blk = SelfBlock(DualAttnConfig(depth=1, heads=2), 8, np.random.default_rng(1))
         x = rng.normal(size=(4, 8))
         perm = np.array([2, 0, 3, 1])
         out = blk(Tensor(x)).data
@@ -209,7 +220,7 @@ def test_self_block_permutation_equivariance(rng):
 
 def test_self_block_identity_with_zero_output_projections(rng):
     with using_dtype(np.float64):
-        blk = SelfBlock(DualAttnConfig(depth=1, heads=2, token_dim=8), np.random.default_rng(1))
+        blk = SelfBlock(DualAttnConfig(depth=1, heads=2), 8, np.random.default_rng(1))
         blk.wo[0].data[:] = 0.0
         blk.wo[1].data[:] = 0.0
         blk.mlp2[0].data[:] = 0.0
@@ -222,8 +233,7 @@ def test_memorial_output_in_convex_hull_of_normed_memory(rng, monkeypatch):
     """With identity value/output projections and a zeroed MLP, each update
     row must equal attention-weighted rows of LN(memory)."""
     with using_dtype(np.float64):
-        cfg = DualAttnConfig(depth=1, heads=1, token_dim=8)
-        blk = MemorialBlock(cfg, np.random.default_rng(2))
+        blk = MemorialBlock(DualAttnConfig(depth=1, heads=1), 8, np.random.default_rng(2))
         eye = np.eye(8)
         blk.wv[0].data[:] = eye
         blk.wv[1].data[:] = 0.0
@@ -247,7 +257,7 @@ def test_memorial_query_shift_invariance(rng):
     """Adding a constant to every entry of the query source is absorbed by
     its layer norm."""
     with using_dtype(np.float64):
-        blk = MemorialBlock(DualAttnConfig(depth=1, heads=2, token_dim=8),
+        blk = MemorialBlock(DualAttnConfig(depth=1, heads=2), 8,
                             np.random.default_rng(3))
         q = rng.normal(size=(4, 8))
         mem = Tensor(rng.normal(size=(4, 8)))
@@ -260,7 +270,7 @@ def test_memorial_independent_of_input_with_frozen_attention(rng, monkeypatch):
     """Clamping attention logits to a constant severs the only path from the
     feature stream into the memorial output."""
     with using_dtype(np.float64):
-        model = DualAttention(CFG, 16, np.random.default_rng(4))
+        model = DualAttention(CFG, 16, WIDTH, np.random.default_rng(4))
         freeze_attention(monkeypatch)
         _, mem_a = model(make_tokens(np.random.default_rng(10)))
         _, mem_b = model(make_tokens(np.random.default_rng(11)))
@@ -271,7 +281,7 @@ def test_memorial_value_path_carries_no_input_gradient(rng, monkeypatch):
     """With detached logits the memorial output still varies with the input
     only through attention; its gradient w.r.t. the input must vanish."""
     with using_dtype(np.float64):
-        blk = MemorialBlock(DualAttnConfig(depth=1, heads=2, token_dim=8),
+        blk = MemorialBlock(DualAttnConfig(depth=1, heads=2), 8,
                             np.random.default_rng(5))
         chain_attention(monkeypatch, lambda logits: softmax_rows(Tensor(logits.data)))
         q = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
@@ -286,7 +296,7 @@ def test_memorial_query_gradient_flows_only_through_logits(rng, monkeypatch):
     """Unpatched, the query does receive gradient, and freezing attention to
     uniform weights removes it entirely."""
     with using_dtype(np.float64):
-        blk = MemorialBlock(DualAttnConfig(depth=1, heads=2, token_dim=8),
+        blk = MemorialBlock(DualAttnConfig(depth=1, heads=2), 8,
                             np.random.default_rng(6))
         q = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         mem = Tensor(rng.normal(size=(4, 8)))
@@ -304,8 +314,8 @@ def test_memorial_query_gradient_flows_only_through_logits(rng, monkeypatch):
 
 def test_depth_zero_degenerates_to_inputs(rng):
     with using_dtype(np.float64):
-        cfg = DualAttnConfig(depth=0, heads=4, token_dim=96)
-        model = DualAttention(cfg, 16, np.random.default_rng(7))
+        model = DualAttention(DualAttnConfig(depth=0, heads=4), 16, WIDTH,
+                              np.random.default_rng(7))
         tokens = make_tokens(rng)
         t_s, t_m = model(tokens)
         np.testing.assert_array_equal(model.pos, position_encoding(16, 96))
@@ -318,7 +328,7 @@ def test_forward_deterministic_and_branches_differ(rng):
         tokens = make_tokens(rng)
         outs = []
         for _ in range(2):
-            model = DualAttention(CFG, 16, np.random.default_rng(8))
+            model = DualAttention(CFG, 16, WIDTH, np.random.default_rng(8))
             outs.append(model(tokens))
         np.testing.assert_array_equal(outs[0][0].data, outs[1][0].data)
         np.testing.assert_array_equal(outs[0][1].data, outs[1][1].data)
@@ -331,7 +341,7 @@ def test_batch_forward_records_56_tape_ops():
     with its bias, and each attention core is one op: a taped batch forward
     at depth 2 records 56 ops (100 with each core an op chain of 12, 124
     with a bias op per projection)."""
-    model = DualAttention(CFG, 16, np.random.default_rng(0))
+    model = DualAttention(CFG, 16, WIDTH, np.random.default_rng(0))
     tokens = Tensor(np.random.default_rng(1).normal(size=(8, 16, 96)).astype(np.float32),
                     requires_grad=True)
     with Tape() as tape:
@@ -340,7 +350,7 @@ def test_batch_forward_records_56_tape_ops():
 
 
 def test_memory_tokens_are_learnable_and_per_level():
-    model = DualAttention(CFG, 16, np.random.default_rng(0))
+    model = DualAttention(CFG, 16, WIDTH, np.random.default_rng(0))
     assert len(model.memory) == 2
     assert all(m.requires_grad for m in model.memory)
     assert model.memory[0].shape == (16, 96)
@@ -352,7 +362,7 @@ def test_memory_tokens_are_learnable_and_per_level():
 
 def test_unproject_shapes_and_zero_tokens_give_bias_maps():
     with using_dtype(np.float64):
-        heads = OutputHeads((16, 32, 64), (4, 2, 1), (16, 8, 4), 96, np.random.default_rng(1))
+        heads = OutputHeads((16, 32, 64), (4, 2, 1), (16, 8, 4), 32, np.random.default_rng(1))
         maps = heads(Tensor(np.zeros((16, 96))))
         assert [m.shape for m in maps] == [(16, 16, 16), (8, 8, 32), (4, 4, 64)]
         for (w, b), m, p in zip(heads.heads, maps, (4, 2, 1)):
@@ -364,7 +374,7 @@ def test_unproject_pseudo_inverse_roundtrip(rng):
     of each head must recover the token slice exactly (heads are injective
     token -> patch maps at these widths)."""
     with using_dtype(np.float64):
-        heads = OutputHeads((16, 32, 64), (4, 2, 1), (16, 8, 4), 96, np.random.default_rng(2))
+        heads = OutputHeads((16, 32, 64), (4, 2, 1), (16, 8, 4), 32, np.random.default_rng(2))
         tokens = rng.normal(size=(16, 96))
         maps = heads(Tensor(tokens))
         for i, ((w, b), m, p) in enumerate(zip(heads.heads, maps, (4, 2, 1))):

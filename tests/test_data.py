@@ -17,7 +17,7 @@ from dualflow.data import (ANOMALY_KINDS, SWAP_SATURATION, TEXTURES,
                            DatasetSpec, apply_anomaly, generate, load,
                            make_normal, read_pgm, read_ppm, write_pgm,
                            write_pgm16, write_ppm)
-from dualflow.errors import ContractError, DataError
+from dualflow.errors import ContractError, DataError, NumericError
 
 SMALL = DatasetSpec(image_size=64, n_train=3, n_test_normal=2,
                     n_test_anomalous=3, seed=5)
@@ -182,6 +182,27 @@ def test_write_ppm_keeps_a_raster_and_image_values_scale_it(tmp_path):
     assert values.dtype == np.float64 and np.array_equal(values, raster.astype(float) / 255.0)
     floats = raster / 255.0
     assert data.image_values(floats) is floats
+
+
+@pytest.mark.filterwarnings("error")
+def test_write_ppm_rejects_non_finite_and_non_uint8_integer_images(tmp_path):
+    """A NaN was once written as byte 0 with only numpy's cast warning, and
+    +-inf clipped: now both fail before the file is opened. An integer image
+    other than uint8 fails by ``image_values``' dtype rule."""
+    path = tmp_path / "bad.ppm"
+    for special in (np.nan, np.inf, -np.inf):
+        for dtype in (np.float32, np.float64):
+            image = np.full((4, 4, 3), 0.5, dtype=dtype)
+            image[1, 2, 0] = special
+            with pytest.raises(NumericError, match="finite"):
+                write_ppm(path, image)
+            assert not path.exists()
+    for dtype in (np.int64, np.uint16, np.int8, np.bool_):
+        with pytest.raises(ContractError, match="must be uint8 or floating point"):
+            write_ppm(path, np.ones((4, 4, 3), dtype=dtype))
+        with pytest.raises(ContractError, match="must be uint8 or floating point"):
+            data.image_values(np.ones((4, 4, 3), dtype=dtype))
+        assert not path.exists()
 
 
 def test_pgm_roundtrip(tmp_path):

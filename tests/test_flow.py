@@ -5,7 +5,7 @@ normalization by quadrature, and per-location bookkeeping."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from helpers import assert_same_bits, leaky_relu_op, with_specials
+from helpers import assert_same_bits, leaky_relu_op, tanh_op, with_specials
 
 from dualflow import autodiff as ad
 from dualflow.autodiff import Tensor, reset_grads, using_dtype
@@ -120,8 +120,8 @@ def test_odd_width_forward_inverse_and_log_det():
         shape = (1, 2, 2, 15)  # 60 dims
         stack = perturb(FlowStack(15, FlowConfig(n_blocks=3), np.random.default_rng(6)),
                         rng, scale=0.4)
-        assert [c.net.dw_k.shape[-1] for c in stack.couplings] == [7, 8, 7]
-        assert [c.net.pw2_w.shape[-1] for c in stack.couplings] == [16, 14, 16]
+        assert [c.dw_k.shape[-1] for c in stack.couplings] == [7, 8, 7]
+        assert [c.pw2_w.shape[-1] for c in stack.couplings] == [16, 14, 16]
         u0 = rng.normal(size=shape)
         z, fields = stack.forward(Tensor(u0))
         assert np.abs(stack.inverse(z).data - u0).max() < 1e-10
@@ -337,11 +337,12 @@ def scale_shift_chain(layer, a):
     """The clamped log-scale and the shift predicted from ``a``, as tape ops:
     the subnet (conv, 1x1, leaky ReLU, 1x1), the two output halves, then
     ``clamp * tanh(raw / clamp)``."""
-    net, n = layer.net, layer.n_out
-    h = chain_conv(a, net.dw_k, net.dw_b)
-    out = ad.linear(leaky_relu_op(ad.linear(h, net.pw1_w, net.pw1_b)), net.pw2_w, net.pw2_b)
+    n = layer.n_out
+    h = chain_conv(a, layer.dw_k, layer.dw_b)
+    out = ad.linear(leaky_relu_op(ad.linear(h, layer.pw1_w, layer.pw1_b)),
+                    layer.pw2_w, layer.pw2_b)
     raw, t = ad.take_last(out, 0, n), ad.take_last(out, n, 2 * n)
-    return ad.mul(ad.tanh(ad.mul(raw, 1.0 / layer.clamp)), layer.clamp), t
+    return ad.mul(tanh_op(ad.mul(raw, 1.0 / layer.clamp)), layer.clamp), t
 
 
 def join_chain(layer, a, b):
@@ -389,7 +390,7 @@ def test_coupling_gathers_match_permute_then_slice_form_bit_for_bit(channels, dt
             with using_dtype(dtype):
                 layer = CouplingLayer(channels, 1.5, flip, np.random.default_rng(1), 1.5,
                                       perm=rng.permutation(channels) if permuted else None)
-                perturb(layer.net, rng, scale=0.3)
+                perturb(layer, rng, scale=0.3)
             params = list(layer.params().values())
             for batch in (1, 2):
                 xd = with_specials(rng, (batch, 3, 4, channels), dtype)

@@ -19,7 +19,7 @@ from dualflow.config import default_run_config, render_run_config
 from dualflow.data import DatasetSpec, generate, load
 from dualflow.encoder import EncoderConfig, PatchEmbedConfig
 from dualflow.errors import CheckpointError, ContractError, NumericError, ShapeError
-from dualflow.flow import FlowConfig, FlowStack, Subnet
+from dualflow.flow import FlowConfig, FlowStack
 from dualflow.pipeline import (TrainConfig, build_model, collect_joints, loss_flow, recon_loss,
                                train, train_flow, train_transformer)
 from dualflow.scoring import ScoringConfig
@@ -346,7 +346,7 @@ def test_batched_stage1_gradcheck():
         model = pipeline.Model(
             enc_cfg=EncoderConfig(in_size=16, stage_channels=(2, 2, 4)),
             emb_cfg=PatchEmbedConfig(token_dim=12),
-            attn_cfg=DualAttnConfig(depth=1, heads=2, token_dim=12, mlp_ratio=1), seed=0)
+            attn_cfg=DualAttnConfig(depth=1, heads=2, mlp_ratio=1), seed=0)
         model.set_image_norm(np.zeros(3), np.ones(3))
         rng = np.random.default_rng(1)
         batch = stacked([model.prior_features(rng.random((16, 16, 3))) for _ in range(2)])
@@ -527,6 +527,30 @@ def test_anomaly_map_of_a_loaded_sample_matches_its_float_image(small_loaded):
             assert a.image_score == b.image_score
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int8, np.bool_])
+def test_images_neither_uint8_nor_float_are_rejected(small_loaded, dtype):
+    """Only uint8 counts as an 8-bit raster, so any other integer (or bool)
+    image, which would enter the model as its raw values, fails in
+    ``prior_features``, in stage 1's image statistics and in
+    ``anomaly_map``. A float32 image passes, with its float64 form's bits."""
+    rc = tiny_run_config(stage1_epochs=1, stage2_epochs=0)
+    rasters = [s.image for s in small_loaded if s.split == "train"]
+    model = build_model(rc)
+    image = rasters[0].astype(dtype)
+    match = f"must be uint8 or floating point, not {np.dtype(dtype)}"
+    with pytest.raises(ContractError, match=match):
+        model.prior_features(image)
+    with pytest.raises(ContractError, match=match):
+        train_transformer(model, [*rasters[1:], image], rc.train)
+    train_transformer(model, rasters, rc.train)
+    with pytest.raises(ContractError, match=match):
+        scoring.anomaly_map(model, image, "recon_self")
+    floats = rasters[0] / 255.0
+    for got, want in zip(model.prior_features(floats.astype(np.float32)),
+                         model.prior_features(floats)):
+        assert_same_bits(got, want)
+
+
 def test_batches_cover_every_index_once():
     rng = np.random.default_rng(0)
     seen = np.concatenate(list(pipeline._batches(10, 3, rng)))
@@ -698,6 +722,23 @@ def test_checkpoint_bad_config_echo_rejected(tmp_path):
         _assert_rejected(tmp_path / "cfg.ckpt", match=match)
 
 
+def test_build_model_rejects_heads_not_dividing_the_width():
+    """The token width lives in ``patch_embed`` alone, so the heads are
+    checked against it where the model is built."""
+    rc = default_run_config()
+    with pytest.raises(ContractError, match="token_dim 96 must divide over 5 heads"):
+        build_model(replace(rc, attention=replace(rc.attention, heads=5)))
+
+
+def test_checkpoint_echo_with_heads_not_dividing_the_width_rejected(tmp_path):
+    rc = tiny_run_config()
+    blob = _saved(build_model(rc), rc, tmp_path).read_bytes()
+    assert blob.count(b"heads = 2\n") == 1
+    (tmp_path / "heads.ckpt").write_bytes(blob.replace(b"heads = 2\n", b"heads = 5\n"))
+    _assert_rejected(tmp_path / "heads.ckpt",
+                     match="bad config echo: token_dim 24 must divide over 5 heads")
+
+
 # echo splices that turn today's echo into one written before each key retired
 RETIRED_KEYS = {
     # the variant was a [train] key
@@ -811,18 +852,20 @@ def test_checkpoint_array_order_is_pinned(tmp_path):
 
 def test_checkpoint_with_two_subnet_couplings_rejected(tmp_path, capsys, monkeypatch):
     """A checkpoint written while each coupling had a scale and a shift
-    subnet names their arrays ``layerK.s.*`` and ``layerK.t.*``."""
+    subnet names their arrays ``layerK.s.*`` and ``layerK.t.*``: each the
+    shape of today's coupling tensor of that name, but predicting one
+    ``n_out``-wide field instead of both side by side."""
     rc = tiny_run_config()
     model = build_model(rc)
     params = {n: p for n, p in model.parameters().items() if ".layer" not in n}
     rng = np.random.default_rng(0)
     for i, stack in enumerate(model.flows):
         for k, c in enumerate(stack.couplings):
-            n_in, hidden = c.net.pw1_w.shape
             for half in "st":
-                sub = Subnet(n_in, c.n_out, rng, hidden)
-                params.update((f"flow.{i}.layer{k}.{half}.{n}", p)
-                              for n, p in sub.params().items())
+                for n, p in c.params().items():
+                    shape = (*p.shape[:-1], c.n_out) if n.startswith("pw2") else p.shape
+                    params[f"flow.{i}.layer{k}.{half}.{n}"] = Tensor(
+                        rng.normal(size=shape).astype(p.data.dtype), requires_grad=True)
     assert "flow.0.layer0.s.dw.k" in params and "flow.0.layer0.t.pw2.b" in params
     monkeypatch.setattr(model, "parameters", lambda: params)
     path = _saved(model, rc, tmp_path, "old.ckpt")
