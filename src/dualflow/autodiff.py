@@ -10,9 +10,11 @@ output, so an array lives only as long as the forward's own locals or some
 vjp closure refer to it, and whatever no backward reads is freed during the
 forward. ``Tape.backward`` replays the records in reverse, is the only
 caller of the closures, and accumulates gradients into the ``.grad`` field
-of leaf tensors. Work only the gradient needs therefore runs inside the
-closure. Without an active tape the same functions are plain numpy math and
-the closures are dropped unrun, which is how inference runs.
+of leaf tensors. It frees each record once it has run it, so the arrays
+only that closure reads go while the backward goes on, and a tape is
+backpropagated once. Work only the gradient needs runs inside the closure.
+Without an active tape the same functions are plain numpy math and the
+closures are dropped unrun, which is how inference runs.
 
 The float width is a build-wide switch: a model constructed inside
 ``with using_dtype(np.float64):`` is a float64 build for verification, the
@@ -103,18 +105,20 @@ class Tape:
     """Records operations for one backward pass.
 
     Use as a context manager around the forward computation, then call
-    ``backward(loss)`` while still holding the tape. A record is (keys,
-    targets, vjp): the keys of the op's outputs, per input its producing
-    op's key, the leaf tensor that requires grad or None, and the vjp
-    closure, which takes one gradient per output (None for an output that
-    got none) and is skipped when no output got one. The tape keeps no
+    ``backward(loss)`` once, while still holding the tape. A record is
+    (keys, targets, vjp): the keys of the op's outputs, per input its
+    producing op's key, the leaf tensor that requires grad or None, and the
+    vjp closure, which takes one gradient per output (None for an output
+    that got none) and is skipped when no output got one. The tape keeps no
     output array; which arrays outlive the forward is set by what the vjp
     closures read. Backward visits the records in reverse creation order, so
-    gradients are deterministic for a fixed forward program.
+    gradients are deterministic for a fixed forward program, and drops each
+    record once it has run it. ``len(tape)`` counts the records not yet run.
     """
 
     def __init__(self):
         self._records = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _tapes.append(self)
@@ -130,19 +134,28 @@ class Tape:
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires_grad
-        leaf reachable from ``loss``. Repeated calls keep accumulating; use
+        leaf reachable from ``loss``, dropping each record once it has run
+        it: a closure, and every array only it reads, is freed before the
+        next one runs. The tape is then spent, and a second call raises
+        ``ContractError``. Gradients keep accumulating across tapes; use
         ``reset_grads`` between steps."""
         if not isinstance(loss, Tensor):
             raise ContractError("backward expects a Tensor loss")
         if loss.data.shape != ():
             raise ContractError(f"backward expects a scalar loss, shape is {loss.data.shape}")
+        if self._spent:
+            raise ContractError("this tape was backpropagated already; "
+                                "record the forward again on a new tape")
+        self._spent = True
         one = np.ones((), dtype=loss.data.dtype)
-        if loss._node is None:
-            if loss.requires_grad:
-                loss.grad = one if loss.grad is None else loss.grad + one
-            return
-        grads: dict[int, np.ndarray] = {loss._node: one}
-        for keys, targets, vjp in reversed(self._records):
+        grads: dict[int, np.ndarray] = {}
+        if loss._node is not None:
+            grads[loss._node] = one
+        elif loss.requires_grad:
+            loss.grad = one if loss.grad is None else loss.grad + one
+        records = self._records
+        while records:
+            keys, targets, vjp = records.pop()
             gs = [grads.pop(key, None) for key in keys]
             if all(g is None for g in gs):
                 continue
@@ -345,14 +358,16 @@ def linear(x, w, b) -> Tensor:
     """An affine layer over the last axis, ``x @ w + b`` with ``w`` (K, N)
     and ``b`` (N,), as one op: the (rows, K) @ (K, N) product over the
     flattened leading axes, then the bias added to it in place. The vjp
-    reads ``x`` and ``w`` only."""
+    reads ``x`` and ``w`` only, and skips the input's gradient when ``x``
+    requires none."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    xd, wd = x.data, w.data
+    xd, wd, need_gx = x.data, w.data, x.requires_grad
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"linear: operands {xd.shape} @ {wd.shape} do not agree")
     if b.data.shape != (wd.shape[1],):
         raise ShapeError(f"linear: bias {b.data.shape} does not match {wd.shape[1]} outputs")
-    return _emit(_linear_forward(xd, wd, b.data), (x, w, b), lambda g: _linear_vjp(g, xd, wd))
+    return _emit(_linear_forward(xd, wd, b.data), (x, w, b),
+                 lambda g: _linear_vjp(g, xd, wd, need_gx=need_gx))
 
 
 def _linear_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
@@ -363,11 +378,12 @@ def _linear_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarra
     return out.reshape(xd.shape[:-1] + (wd.shape[1],))
 
 
-def _linear_vjp(g: np.ndarray, xd: np.ndarray, wd: np.ndarray) -> tuple:
-    """``linear``'s gradients (input, weight, bias) for output gradient ``g``."""
+def _linear_vjp(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, *, need_gx=True) -> tuple:
+    """``linear``'s gradients (input, weight, bias) for output gradient
+    ``g``; the input's is None without ``need_gx``."""
     gf = g.reshape(-1, wd.shape[1])
-    return ((gf @ wd.T).reshape(xd.shape), xd.reshape(-1, wd.shape[0]).T @ gf,
-            g.sum(axis=tuple(range(g.ndim - 1))))
+    gx = (gf @ wd.T).reshape(xd.shape) if need_gx else None
+    return gx, xd.reshape(-1, wd.shape[0]).T @ gf, g.sum(axis=tuple(range(g.ndim - 1)))
 
 
 def layer_norm(x, gain, bias) -> Tensor:
@@ -423,38 +439,55 @@ def tap_view(xp: np.ndarray, out_shape: tuple, step: int) -> np.ndarray:
     return np.ndarray((3, 3) + tuple(out_shape), xp.dtype, xp, 0, strides)
 
 
+_TAP_BUDGET = 512 * 1024
+
+
 def _dw3x3_forward(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
     """Stride-1 depthwise 3x3 convolution with zero 'same' padding of a
     channels-last (..., H, W, C) map with a (3, 3, C) kernel, no bias: the
-    sum of the nine shifted, kernel-weighted copies of the padded map. The
-    padding is ``zero_pad_hw``, not ``np.pad``, whose Python-level setup
-    cost more than the arithmetic on these small maps. One ``np.multiply``
-    writes the nine products, kernel first, into a (9, ...) buffer, and one
-    ``np.add.reduce`` over its leading axis, started from ``initial=0``,
-    adds them one after another: ((0 + tap (0, 0)) + tap (0, 1)) + ... +
-    tap (2, 2). That is the order of a zero start and one in-place ``+=``
-    per tap in row-major kernel order, which every trained checkpoint was
-    made with, so outputs stay bit-for-bit reproducible (the +0.0 start also
-    turns an all -0.0 sum into +0.0). ``dualflow selftest`` checks the order
-    against that tap-by-tap loop, ``selftest.dw3x3_loop``."""
-    c = xd.shape[-1]
-    taps = np.empty((3, 3) + xd.shape, dtype=xd.dtype)
-    np.multiply(kd.reshape((3, 3) + (1,) * (xd.ndim - 1) + (c,)),
-                tap_view(zero_pad_hw(xd), xd.shape, 1), out=taps)
-    return np.add.reduce(taps.reshape((9,) + xd.shape), axis=0, initial=xd.dtype.type(0))
+    sum of the nine shifted, kernel-weighted copies of the padded map
+    (``zero_pad_hw``, not ``np.pad``, whose Python-level setup cost more
+    than the arithmetic on these small maps). The taps are added one after
+    another to a +0.0 start, ((0 + tap (0, 0)) + tap (0, 1)) + ... + tap
+    (2, 2), the order every trained checkpoint was made with (the +0.0
+    start also turns an all -0.0 sum into +0.0). When the nine products fit
+    in ``_TAP_BUDGET``, 512 KiB, as in every batch-1 scoring call, one
+    ``np.multiply`` writes them into a (9, ...) buffer and one
+    ``np.add.reduce`` from ``initial=0`` adds them. Above it, one multiply
+    per kernel row writes three products into a (3, ...) buffer, each then
+    added in place to a zero-started output: at batch 8, scale 0's nine
+    products take 1.69 MiB, which with their operands overflow a 2 MiB L2
+    cache, and by rows a call peaks at 1.04 MiB under ``tracemalloc``
+    instead of 1.97 (loop tiling: Lam, Rothberg and Wolf, ASPLOS 1991).
+    Both forms give the bits of the tap-by-tap loop
+    ``selftest.dw3x3_loop``, which ``dualflow selftest`` checks."""
+    k = kd.reshape((3, 3) + (1,) * (xd.ndim - 1) + (xd.shape[-1],))
+    taps = tap_view(zero_pad_hw(xd), xd.shape, 1)
+    if 9 * xd.nbytes <= _TAP_BUDGET:
+        prods = np.empty((3, 3) + xd.shape, dtype=xd.dtype)
+        np.multiply(k, taps, out=prods)
+        return np.add.reduce(prods.reshape((9,) + xd.shape), axis=0, initial=xd.dtype.type(0))
+    out = np.zeros(xd.shape, dtype=xd.dtype)
+    prods = np.empty((3,) + xd.shape, dtype=xd.dtype)
+    for dy in range(3):
+        np.multiply(k[dy], taps[dy], out=prods)
+        for prod in prods:
+            out += prod
+    return out
 
 
-def _dw3x3_vjp(g: np.ndarray, xd: np.ndarray, kd: np.ndarray) -> tuple:
+def _dw3x3_vjp(g: np.ndarray, xd: np.ndarray, kd: np.ndarray, *, need_gx=True) -> tuple:
     """The gradients (input, kernel, bias) of ``_dw3x3_forward`` plus a
     per-channel bias, for output gradient ``g``: the input's is the flipped
-    kernel's convolution. The kernel's takes one pass per kernel row: one
-    ``np.multiply`` writes the row's three products into one (3, ...)
-    buffer, and one sum over its (3, rows, C) view reduces each tap's rows
-    in the order a per-tap ``(g * tap).sum`` over every axis but the
-    channels uses: one row after another when C > 1, pairwise when C = 1.
-    So it gives that loop's bits, which ``dualflow selftest`` checks."""
+    kernel's convolution, and None without ``need_gx``. The kernel's takes
+    one pass per kernel row: one ``np.multiply`` writes the row's three
+    products into one (3, ...) buffer, and one sum over its (3, rows, C)
+    view reduces each tap's rows in the order a per-tap ``(g * tap).sum``
+    over every axis but the channels uses: one row after another when
+    C > 1, pairwise when C = 1. So it gives that loop's bits, which
+    ``dualflow selftest`` checks."""
     c = xd.shape[-1]
-    gx = _dw3x3_forward(g, kd[::-1, ::-1])
+    gx = _dw3x3_forward(g, kd[::-1, ::-1]) if need_gx else None
     taps = tap_view(zero_pad_hw(xd), xd.shape, 1)
     row = np.empty((3,) + xd.shape, dtype=np.result_type(g, xd))
     gk = np.empty_like(kd)

@@ -131,8 +131,10 @@ class CouplingLayer:
         they give its bits. The vjp keeps the two halves, the conv output,
         the hidden map before the leaky ReLU and ``tanh``'s output; it
         recomputes ``exp(s)`` and the leaky ReLU's output with the forward's
-        own ops, which is exact and keeps a third less per coupling."""
-        xd, n = x.data, self.n_out
+        own ops, which is exact and keeps a third less per coupling. When
+        ``x`` requires no gradient (the first coupling of a stack), the vjp
+        returns None for it and computes none."""
+        xd, n, need_gx = x.data, self.n_out, x.requires_grad
         a, b = np.take(xd, self.idx_a, axis=-1), np.take(xd, self.idx_b, axis=-1)
         h0, h1, out = self._subnet(a)
         dt, x_shape, out_shape = out.dtype.type, xd.shape, out.shape
@@ -166,8 +168,10 @@ class CouplingLayer:
             del g_out
             g_h *= np.maximum(h1 >= 0, h1.dtype.type(LEAKY_SLOPE))
             g_h, g_w1, g_b1 = ad._linear_vjp(g_h, h0, w1)
-            g_a, g_k, g_dwb = ad._dw3x3_vjp(g_h, a, kd)
+            g_a, g_k, g_dwb = ad._dw3x3_vjp(g_h, a, kd, need_gx=need_gx)
             del g_h
+            if not need_gx:
+                return None, g_k, g_dwb, g_w1, g_b1, g_w2, g_b2
             g_x = np.zeros(x_shape, dtype=g_a.dtype)
             g_x[..., self.idx_a] = g_a if gy is None else gy[..., self.half_a] + g_a
             if gy is not None:

@@ -112,13 +112,16 @@ class Model:
 
     def prior_features(self, image: np.ndarray) -> list:
         """Frozen feature pyramid of an (H, W, 3) image, normalized per channel
-        with the training-set statistics. The image is read through
-        ``data.image_values`` (a uint8 raster as float64 ``raster / 255``, a
-        [0, 1] float image as it is, any other dtype a ``ContractError``),
+        with the training-set statistics. The image must be a numpy array
+        (else ``ContractError``) and is read through ``data.image_values``
+        (a uint8 raster as float64 ``raster / 255``, a [0, 1] float image as
+        it is, any other dtype a ``ContractError``),
         then cast to the default dtype, so a raster and its float64 ``/ 255``
         give the same bits. Every image enters the model here, so a
         non-finite value in it (or one that the cast and the normalization
         make non-finite) fails here, as ``NumericError``."""
+        if not isinstance(image, np.ndarray):
+            raise ContractError(f"an image must be a numpy array, not {type(image).__name__}")
         if image.ndim != 3 or image.shape[-1] != 3:
             raise ShapeError(f"expected (H, W, 3) image, got {image.shape}")
         x = (np.asarray(image_values(image), dtype=default_dtype())
@@ -193,14 +196,19 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[lo:lo + batch_size]
 
 
-def _fit(params: dict, n: int, batch_loss, cfg: TrainConfig, log, *, stage: str,
+def _fit(params: dict, n: int, parts, cfg: TrainConfig, log, *, stage: str,
          what: str, spawn: int, epochs: int) -> None:
     """The loop both stages share: AdamW over ``params``, an order of the
-    ``n`` samples seeded by ``(cfg.seed, spawn)``, then per batch one taped
-    ``batch_loss(indices)``, returning ``(loss, values)``, a finiteness
-    check, backward and a step. Each epoch ends with
-    ``log(stage, epoch, *means)``: the values averaged over the batches,
-    summed as Python floats in batch order."""
+    ``n`` samples seeded by ``(cfg.seed, spawn)``, then per batch one step
+    on the sum of ``parts``: functions of the batch indices, returning
+    ``(loss, values)``, that share no parameter. Each part is built on its
+    own tape, checked finite and backpropagated before the next is built,
+    so one part's backward state is alive at a time, and each gradient
+    still comes from one backward, with the bits of one tape for the sum.
+    The float32 total of the losses is checked finite before the step.
+    Each epoch ends with ``log(stage, epoch, *means)``: the parts' values,
+    added position by position in part order, as Python floats averaged
+    over the batches, summed in batch order."""
     opt = AdamW(list(params.values()), lr=cfg.lr)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(spawn,)))
     for epoch in range(epochs):
@@ -208,13 +216,20 @@ def _fit(params: dict, n: int, batch_loss, cfg: TrainConfig, log, *, stage: str,
         count = 0
         for batch in _batches(n, cfg.batch_size, rng):
             opt.zero_grad()
-            with Tape() as tape:
-                loss, values = batch_loss(batch)
-                if not np.isfinite(loss.data):
-                    raise NumericError(f"non-finite loss in {what} training")
-                tape.backward(loss)
+            total = values = None
+            for part in parts:
+                with Tape() as tape:
+                    loss, part_values = part(batch)
+                    if not np.isfinite(loss.data):
+                        raise NumericError(f"non-finite loss in {what} training")
+                    tape.backward(loss)
+                total = loss.data if total is None else total + loss.data
+                values = part_values if values is None else [
+                    v + pv for v, pv in zip(values, part_values)]
+            if not np.isfinite(total):
+                raise NumericError(f"non-finite loss in {what} training")
             opt.step()
-            sums = [s + v for s, v in zip(sums or [0.0] * len(values), values)]
+            sums = [s + float(v) for s, v in zip(sums or [0.0] * len(values), values)]
             count += 1
         if log is not None:
             log(stage, epoch, *(s / count for s in sums))
@@ -253,7 +268,7 @@ def train_transformer(model: Model, images, cfg: TrainConfig, log=None) -> None:
         loss = ad.mul(ad.add(ls, lm), 1.0 / len(batch))
         return loss, (ls.item() / len(batch), lm.item() / len(batch))
 
-    _fit(model.transformer_parameters(), len(images), batch_loss, cfg, log,
+    _fit(model.transformer_parameters(), len(images), [batch_loss], cfg, log,
          stage="stage1", what="transformer", spawn=100, epochs=cfg.stage1_epochs)
     model.transformer_trained = True
 
@@ -306,18 +321,23 @@ def collect_joints(model: Model, images) -> list:
 def train_flow(model: Model, images, cfg: TrainConfig, log=None) -> None:
     """Stage 2. The transformer must already be fitted; its outputs are
     cached as constants, standardization is fitted once, then the flows
-    train by maximum likelihood."""
+    train by maximum likelihood, one ``_fit`` part per scale: the scales'
+    flows share no parameter. The logged loss is the float32 sum of the
+    scales' losses, in scale order."""
     if not model.transformer_trained:
         raise ContractError("stage 2 requires a trained transformer (run stage 1 first)")
     cached = collect_joints(model, images)
     for stack, (mean, std) in zip(model.flows, flow_input_stats(cached)):
         stack.standardize.set_stats(mean, std)
 
-    def batch_loss(batch):
-        loss = loss_flow(model.flows, [Tensor(stacked[batch]) for stacked in cached])
-        return loss, (loss.item(),)
+    def scale_loss(stack, stacked):
+        def part(batch):
+            loss = loss_flow([stack], [Tensor(stacked[batch])])
+            return loss, (loss.data,)
+        return part
 
-    _fit(model.flow_parameters(), cached[0].shape[0], batch_loss, cfg, log,
+    parts = [scale_loss(stack, stacked) for stack, stacked in zip(model.flows, cached)]
+    _fit(model.flow_parameters(), cached[0].shape[0], parts, cfg, log,
          stage="stage2", what="flow", spawn=200, epochs=cfg.stage2_epochs)
     model.flow_trained = True
 

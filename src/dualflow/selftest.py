@@ -380,14 +380,21 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(uint), b.view(uint))
 
 
+# the flows' depthwise maps: batch 1 and 8, one-channel subnets included,
+# one of them summing more than 128 rows; in float32 and in float64 they fall
+# on both sides of ``autodiff._TAP_BUDGET``
+DW_SHAPES = ((1, 16, 16, 24), (8, 16, 16, 24), (1, 8, 8, 48), (8, 4, 4, 96),
+             (7, 9, 4), (2, 5, 6, 1), (8, 16, 16, 1))
+
+
 def check_conv_taps() -> tuple[bool, str]:
-    """The one-call 3x3 convolutions and the depthwise conv's row-pass
-    kernel gradient against their tap-by-tap loops, bit for bit: a numpy or
-    BLAS upgrade could change the summation orders that
-    ``autodiff._dw3x3_forward`` and ``autodiff._dw3x3_vjp`` state, or the
-    stride-2 conv's GEMMs. Shapes are the flows' (batch 1 and 8, one-channel
-    subnets included, one of them summing more than 128 rows) and the
-    encoder's, default and small; inputs carry zeros, -0.0 and denormals."""
+    """The 3x3 convolutions and the depthwise conv's row-pass kernel
+    gradient against their tap-by-tap loops, bit for bit: a numpy or BLAS
+    upgrade could change the summation orders that
+    ``autodiff._dw3x3_forward`` (in both its forms) and
+    ``autodiff._dw3x3_vjp`` state, or the stride-2 conv's GEMMs. Shapes are
+    the flows' (``DW_SHAPES``) and the encoder's, default and small; inputs
+    carry zeros, -0.0 and denormals."""
     rng = np.random.default_rng(29)
 
     def sample(shape, dtype):
@@ -399,8 +406,7 @@ def check_conv_taps() -> tuple[bool, str]:
 
     n = n_gk = 0
     for dtype in (np.float32, np.float64):
-        for shape in ((1, 16, 16, 24), (8, 16, 16, 24), (1, 8, 8, 48), (8, 4, 4, 96),
-                      (7, 9, 4), (2, 5, 6, 1), (8, 16, 16, 1)):
+        for shape in DW_SHAPES:
             x, k = sample(shape, dtype), sample((3, 3, shape[-1]), dtype)
             for kernel in (k, k[::-1, ::-1]):  # the forward's and the input gradient's
                 n += 1

@@ -2,6 +2,7 @@
 every differentiable primitive, and determinism of backward."""
 
 import ast
+import math
 import pathlib
 import tracemalloc
 import weakref
@@ -17,7 +18,7 @@ from dualflow.encoder import leaky_relu, unpatchify
 from dualflow.errors import ContractError, ShapeError
 from dualflow.flow import CouplingLayer
 from dualflow.optim import AdamW
-from dualflow.selftest import (check_gradients, dw3x3_kernel_grad_loop, dw3x3_loop,
+from dualflow.selftest import (DW_SHAPES, check_gradients, dw3x3_kernel_grad_loop, dw3x3_loop,
                                finite_difference_grads, max_rel_error)
 
 
@@ -42,14 +43,37 @@ def test_backward_requires_scalar_loss(f64):
 
 
 def test_backward_accumulates_until_reset(f64):
+    """Leaf gradients accumulate across tapes until ``reset_grads``; a tape
+    is backpropagated once, and a second backward on it raises and adds
+    nothing."""
     x = Tensor([1.0, 2.0], requires_grad=True)
-    with Tape() as tape:
-        loss = ad.sum_all(ad.mul(x, x))
-        tape.backward(loss)
+    for _ in range(2):
+        with Tape() as tape:
+            loss = ad.sum_all(ad.mul(x, x))
+            tape.backward(loss)
+    with pytest.raises(ContractError, match="backpropagated already"):
         tape.backward(loss)
     np.testing.assert_allclose(x.grad, 4.0 * x.data)
     ad.reset_grads([x])
     assert x.grad is None
+
+
+def test_backward_frees_each_record_once_it_has_run():
+    """An array only a vjp reads (``tanh``'s output) is freed when backward
+    returns, while the tape is still alive; the tape then holds no record,
+    and a second backward raises ``ContractError``."""
+    x = Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
+    with Tape() as tape:
+        t = tanh_op(ad.mul(x, 2.0))
+        ref = weakref.ref(t.data)
+        loss = ad.sum_all(t)
+        del t
+        assert ref() is not None and len(tape) == 3
+        tape.backward(loss)
+        assert ref() is None and len(tape) == 0
+        with pytest.raises(ContractError):
+            tape.backward(loss)
+    np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(2.0 * x.data) ** 2), rtol=1e-6)
 
 
 def test_shared_input_gradients_sum(f64):
@@ -171,6 +195,63 @@ def test_conv2d_batched_matches_loop(f64, rng):
         np.testing.assert_allclose(batched_gx[b], ad._dw3x3_vjp(g[b], x[b], k)[0], atol=1e-12)
 
 
+def test_selftest_conv_shapes_fall_on_both_sides_of_the_tap_budget():
+    """``dualflow selftest`` checks both forms of ``_dw3x3_forward`` in both
+    float widths: its depthwise shapes hold one whose nine products fit the
+    byte budget and one whose products do not, in float32 and in float64."""
+    for dtype in (np.float32, np.float64):
+        sizes = [9 * math.prod(shape) * np.dtype(dtype).itemsize for shape in DW_SHAPES]
+        assert min(sizes) <= ad._TAP_BUDGET < max(sizes), dtype
+
+
+def test_depthwise_conv_at_batch_8_peaks_under_1_25_mib():
+    """A batch-8 scale-0 map, (8, 16, 16, 24) float32, goes one kernel row
+    at a time: one call peaks at about 1.04 MiB under ``tracemalloc`` (the
+    padded map, one row's three products and the output). The one-call form
+    peaked at 1.97 MiB, its nine products alone 1.69 MiB."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(8, 16, 16, 24)).astype(np.float32)
+    k = rng.normal(size=(3, 3, 24)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = ad._dw3x3_forward(x, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_bits(out, dw3x3_loop(x, k))
+    assert peak <= 1.25 * 2 ** 20, peak / 2 ** 20
+
+
+def test_input_gradients_nobody_reads_are_skipped(rng):
+    """``linear`` on a constant input returns no input gradient and the
+    weight and bias gradients of a ``requires_grad`` input with the same
+    data, bit for bit; ``_linear_vjp`` and ``_dw3x3_vjp`` without
+    ``need_gx`` skip the input's and give the other two unchanged."""
+    xd = rng.normal(size=(2, 5, 4)).astype(np.float32)
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    grads = []
+    for needs in (True, False):
+        ad.reset_grads([w, b])
+        x = Tensor(xd, requires_grad=needs)
+        with Tape() as tape:
+            tape.backward(ad.sum_all(tanh_op(ad.linear(x, w, b))))
+        assert (x.grad is not None) == needs
+        grads.append((w.grad, b.grad))
+    for got, want in zip(*grads):
+        assert_same_bits(got, want)
+    g = rng.normal(size=(2, 5, 3))
+    full, part = ad._linear_vjp(g, xd, w.data), ad._linear_vjp(g, xd, w.data, need_gx=False)
+    assert part[0] is None and full[0] is not None
+    for got, want in zip(part[1:], full[1:]):
+        assert_same_bits(got, want)
+    maps, kd = rng.normal(size=(2, 5, 6, 3)), rng.normal(size=(3, 3, 3))
+    full, part = ad._dw3x3_vjp(maps, maps, kd), ad._dw3x3_vjp(maps, maps, kd, need_gx=False)
+    assert part[0] is None and full[0] is not None
+    for got, want in zip(part[1:], full[1:]):
+        assert_same_bits(got, want)
+
+
 def test_conv2d_channel_mismatch_raises():
     with pytest.raises(ShapeError):  # a 1x1 layer is a linear over the channel axis
         ad.linear(Tensor(np.ones((4, 4, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
@@ -192,8 +273,9 @@ def leaky_relu_two_where(xd, slope=0.01):
                                    (8, 16, 16, 1)])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_depthwise_conv3x3_matches_np_pad_form_bit_for_bit(shape, dtype):
-    """The one-call forward (``_dw3x3_forward``, then the bias added in
-    place, as the flow subnet adds it) and the input gradient equal the
+    """The forward (``_dw3x3_forward``, one call or by kernel rows, then
+    the bias added in place, as the flow subnet adds it) and the input
+    gradient equal the
     tap-by-tap ``np.pad`` loop, the bias added after the nine taps, bit for
     bit; the kernel gradient equals its own tap loop, the bias gradient the
     sum of the output gradient over every axis but the channels. The
@@ -321,8 +403,8 @@ def test_outputs_no_vjp_reads_are_freed_during_the_forward():
     soon as the forward drops it, with the tape still alive: a shifted map
     (a constant ``add``) split by two ``take_last``s, an ``add`` scaled by a
     constant ``mul``.
-    An output a vjp reads (``tanh``'s) stays until the tape goes, and the
-    gradients are those of the whole graph."""
+    An output a vjp reads (``tanh``'s) stays until the backward has run it,
+    and the gradients are those of the whole graph."""
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     with Tape() as tape:
@@ -336,14 +418,12 @@ def test_outputs_no_vjp_reads_are_freed_during_the_forward():
         del shifted, summed, t
         assert refs["shifted"]() is None and refs["add"]() is None
         assert refs["tanh"]() is not None
-        tape.backward(ad.sum_all(scaled))
-        tape.backward(ad.sum_all(tanh_op(scaled)))
+        tape.backward(ad.add(ad.sum_all(scaled), ad.sum_all(tanh_op(scaled))))
+        assert refs["tanh"]() is None
     xs = x.data + 1.0
     th = np.tanh(2.0 * (xs[:, :3] + xs[:, 3:]))
     want = np.concatenate([2.0 + 2.0 * (1.0 - th * th)] * 2, axis=1)
     np.testing.assert_allclose(x.grad, want, rtol=1e-6)
-    del tape
-    assert refs["tanh"]() is None
 
 
 def test_keys_route_gradients_only_within_their_tape():
@@ -417,9 +497,9 @@ def test_two_output_op_is_one_record_whose_vjp_gets_a_gradient_per_output():
 
 def test_leaf_loss_gets_grad_and_accumulates():
     x = Tensor(np.array(3.0), requires_grad=True)
-    with Tape() as tape:
-        tape.backward(x)
-        tape.backward(x)
+    for _ in range(2):
+        with Tape() as tape:
+            tape.backward(x)
     np.testing.assert_array_equal(x.grad, np.array(2.0, dtype=x.data.dtype))
     constant = Tensor(np.array(1.0))
     with Tape() as tape:

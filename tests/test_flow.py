@@ -423,6 +423,30 @@ def test_coupling_gathers_match_permute_then_slice_form_bit_for_bit(channels, dt
                                          layer, Tensor(xd), permuted).data)
 
 
+def test_coupling_on_a_constant_input_skips_its_input_gradient():
+    """A coupling whose input requires no gradient (the first of a stack)
+    gives its six parameters the gradients it gives them on a
+    ``requires_grad`` input with the same data, bit for bit, and leaves the
+    input's ``grad`` None."""
+    layer = perturb(CouplingLayer(6, 2.0, True, np.random.default_rng(0), perm=[5, 0, 3, 1, 4, 2]),
+                    np.random.default_rng(1))
+    params = list(layer.params().values())
+    rng = np.random.default_rng(2)
+    xd = rng.normal(size=(2, 3, 3, 6)).astype(np.float32)
+    gd = rng.normal(size=xd.shape).astype(np.float32)
+    grads = []
+    for needs in (True, False):
+        reset_grads(params)
+        x = Tensor(xd, requires_grad=needs)
+        with ad.Tape() as tape:
+            out, s = layer.forward(x)
+            tape.backward(ad.add(ad.sum_all(ad.mul(out, gd)), ad.sum_all(s)))
+        assert (x.grad is not None) == needs
+        grads.append([p.grad for p in params])
+    for got, want in zip(*grads):
+        assert_same_bits(got, want)
+
+
 def test_coupling_record_is_skipped_when_no_output_gets_a_gradient():
     """A coupling whose output and log-scale field the loss never reads is
     one record that backward skips: no gradient reaches its input or its
@@ -433,7 +457,9 @@ def test_coupling_record_is_skipped_when_no_output_gets_a_gradient():
     other = Tensor(np.ones(3), requires_grad=True)
     with ad.Tape() as tape:
         layer.forward(x)
-        tape.backward(ad.sum_all(other))
-    assert len(tape) == 2
+        loss = ad.sum_all(other)
+        assert len(tape) == 2
+        tape.backward(loss)
+    assert len(tape) == 0
     assert x.grad is None and all(p.grad is None for p in layer.params().values())
     np.testing.assert_array_equal(other.grad, np.ones(3, dtype=other.data.dtype))
