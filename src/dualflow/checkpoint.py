@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import default_dtype
 from .config import RunConfig, parse_run_config, render_run_config
-from .errors import CheckpointError, ContractError
+from .errors import CheckpointError, ContractError, NumericError
 from .pipeline import Model, build_model
 
 MAGIC = b"DADF"
@@ -66,9 +66,16 @@ def _write_entry(fh, name: str, arr: np.ndarray) -> None:
 
 
 def save_checkpoint(model: Model, rc: RunConfig, path) -> None:
+    """Write ``model`` and ``rc`` to ``path``. Every array is checked before
+    any byte is written: a non-finite one raises ``NumericError`` naming the
+    first such array, and a file at ``path`` is left as it was, since
+    ``load_checkpoint`` would reject it."""
     entries = dict(model.parameters())
     arrays = [(name, p.data) for name, p in entries.items()]
     arrays += list(model.buffers().items())
+    for name, arr in arrays:
+        if not np.isfinite(arr).all():
+            raise NumericError(f"cannot save a checkpoint: non-finite values in {name!r}")
     buf = io.BytesIO()
     buf.write(MAGIC)
     buf.write(struct.pack("<II", VERSION, len(arrays)))

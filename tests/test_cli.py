@@ -222,6 +222,23 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_refuses_to_save_non_finite_weights(workspace, tmp_path, capsys):
+    """With a learning rate of 1e308, one epoch of one batch passes the loss
+    check, which runs before the step, and the step leaves float32 weights
+    infinite: ``train`` exits 1 and writes no checkpoint, which ``score``
+    would reject."""
+    _, ds, cfg, _ = workspace
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--data", str(ds), "--out", str(ckpt), "--config", str(cfg),
+                 "--stage", "transformer", "--set", "train.lr=1e308",
+                 "--set", "train.stage1_epochs=1", "--set", "train.batch_size=4"]) == 1
+    err = capsys.readouterr().err
+    assert "error: cannot save a checkpoint: non-finite values in 'embed.0.w'" in err
+    assert "wrote" not in err
+    assert not ckpt.exists()
+
+
 def test_runtime_errors_exit_1(tmp_path, capsys):
     assert main(["eval", "--data", str(tmp_path), "--ckpt",
                  str(tmp_path / "none.ckpt")]) == 1

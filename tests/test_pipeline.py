@@ -197,6 +197,44 @@ def test_default_train_flow_batch_peaks_under_20_mib():
     assert peak - start <= 20 * 2 ** 20, (peak - start) / 2 ** 20
 
 
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the ``tracemalloc`` peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _default_rasters(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8) for _ in range(n)]
+
+
+def test_default_collect_joints_peaks_within_3_mib_of_its_joints():
+    """Stage 2's feature cache of 64 default-config images (5.25 MiB of
+    joints) peaks about 1.98 MiB above its joints: it is built 8 images at a
+    time, into arrays allocated once. One reconstruction of all 64 images
+    peaked at 10.5 MiB, twice the joints."""
+    model = build_model(default_run_config())
+    joints, peak = _traced_peak(collect_joints, model, _default_rasters(64))
+    size = sum(j.nbytes for j in joints)
+    assert peak < size + 3 * 2 ** 20, (peak - size) / 2 ** 20
+
+
+def test_default_stacked_pyramids_peak_under_1_25x_their_bytes():
+    """The frozen pyramids of 192 default-config images (5.25 MiB) peak at
+    about 1.17x their bytes: each image's maps are written into the output
+    as they are made. Stacking all 192 pyramids at the end peaked at
+    2.03x."""
+    model = build_model(default_run_config())
+    pyramids, peak = _traced_peak(pipeline._stacked_pyramids, model, _default_rasters(192))
+    size = sum(p.nbytes for p in pyramids)
+    assert peak < 1.25 * size, peak / size
+
+
 def test_loss_flow_stack_count_mismatch():
     rng = np.random.default_rng(0)
     stack = FlowStack(2, FlowConfig(n_blocks=1), rng)
@@ -293,19 +331,24 @@ def stacked(pyramids):
 
 def test_batched_reconstruct_equals_per_image_bit_for_bit():
     model = perturbed_default_model()
-    images = tiny_images(8, size=64, seed=4)
+    images = tiny_images(13, size=64, seed=4)
     pyramids = [model.prior_features(im) for im in images]
-    batch_s, batch_m = model.reconstruct(stacked(pyramids))
+    batch_s, batch_m = model.reconstruct(stacked(pyramids[:8]))
     assert batch_s[0].data.dtype == np.float32
+    per_image = []
     for b, pyr in enumerate(pyramids):
         single_s, single_m = model.reconstruct(pyr)
-        for scale in range(len(pyr)):
-            assert np.array_equal(batch_s[scale].data[b], single_s[scale].data), (b, scale)
-            assert np.array_equal(batch_m[scale].data[b], single_m[scale].data), (b, scale)
-    # joint collection runs the same batched forward
-    per_image = stacked([model.joint_arrays(pyr, *model.reconstruct(pyr)) for pyr in pyramids])
-    for got, want in zip(collect_joints(model, images), per_image):
-        assert np.array_equal(got, want)
+        per_image.append(model.joint_arrays(pyr, single_s, single_m))
+        if b < 8:
+            for scale in range(len(pyr)):
+                assert np.array_equal(batch_s[scale].data[b], single_s[scale].data), (b, scale)
+                assert np.array_equal(batch_m[scale].data[b], single_m[scale].data), (b, scale)
+    # joint collection runs the same batched forward, a block of 8 images at
+    # a time: below one block, exactly one block, and a remainder block
+    for n in (3, 8, 13):
+        for got, want in zip(collect_joints(model, images[:n]), stacked(per_image[:n]),
+                             strict=True):
+            assert_same_bits(got, want)
 
 
 def test_batched_reconstruct_keeps_samples_apart():
@@ -728,10 +771,31 @@ def test_checkpoint_non_utf8_name_rejected(tmp_path):
 
 
 def test_checkpoint_non_finite_parameter_rejected(tmp_path):
+    # save_checkpoint refuses non-finite state, so the NaN is written into
+    # the file: the first element of the first array, "embed.0.w"
     rc = tiny_run_config()
+    blob = bytearray(_saved(build_model(rc), rc, tmp_path).read_bytes())
+    struct.pack_into("<f", blob, _first_entry_dims_offset(blob) + 16, np.nan)
+    (tmp_path / "nan.ckpt").write_bytes(bytes(blob))
+    _assert_rejected(tmp_path / "nan.ckpt", match="non-finite values in 'embed.0.w'")
+
+
+def test_save_checkpoint_refuses_non_finite_state(tmp_path):
+    """A non-finite parameter or buffer raises ``NumericError`` naming the
+    first such array, and an existing file at the path keeps its bytes."""
+    rc = tiny_run_config()
+    path = _saved(build_model(rc), rc, tmp_path)
+    before = path.read_bytes()
     model = build_model(rc)
     model.parameters()["attn.memory0"].data[0, 0] = np.nan
-    _assert_rejected(_saved(model, rc, tmp_path), match="non-finite")
+    model.parameters()["flow.2.layer0.pw1.w"].data[0, 0] = np.inf
+    with pytest.raises(NumericError, match="'attn.memory0'"):
+        save_checkpoint(model, rc, path)
+    model = build_model(rc)
+    model.norm_std = np.array([1.0, np.inf, 1.0], dtype=np.float32)
+    with pytest.raises(NumericError, match="'norm.std'"):
+        save_checkpoint(model, rc, path)
+    assert path.read_bytes() == before
 
 
 def test_checkpoint_wrong_buffer_shape_rejected(tmp_path):
