@@ -160,7 +160,6 @@ class DualAttention:
 
     def __init__(self, cfg: DualAttnConfig, length: int, width: int, rng):
         self.cfg = cfg
-        self.length = length
         self.pos = position_encoding(length, width)
         dt = default_dtype()
         self.self_blocks = [SelfBlock(cfg, width, rng) for _ in range(cfg.depth)]
@@ -175,9 +174,6 @@ class DualAttention:
         return out | {f"memory{i}": m for i, m in enumerate(self.memory)}
 
     def __call__(self, tokens: Tensor):
-        if tokens.shape[-2] != self.length:
-            raise ShapeError(f"expected {self.length} tokens, got {tokens.shape[-2]}")
-
         def memory(level):
             return ad.broadcast_lead(ad.add(self.memory[level], self.pos), tokens.shape)
 

@@ -36,6 +36,9 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.stage == "flow" and args.config:
+        raise ContractError("--stage flow keeps the config of the checkpoint at --out; "
+                            "pass train.* and scoring.* changes with --set, not --config")
     rc = _load_config(args)
     samples = data.load(args.data)
     images = [s.image for s in data.train_split(samples)]
@@ -137,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="override one config value (repeatable)")
     p.add_argument("--stage", default="all", choices=("transformer", "flow", "all"),
-                   help="flow stage resumes from the checkpoint at --out")
+                   help="flow stage resumes from the checkpoint at --out, with its "
+                        "config (no --config; --set train.* and scoring.* only)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("score", help="score one PPM image against a checkpoint")

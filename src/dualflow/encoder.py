@@ -6,8 +6,10 @@ and never receive gradients. Per-scale feature maps are cut into
 non-overlapping patches sized so every scale yields the same token count L,
 projected to a shared width, and concatenated along the channel axis.
 
-The feature taps sit at the fixed strides ``STAGE_STRIDES``, a constant
-rather than a config field, because no other strides are supported.
+The feature taps sit at the fixed strides ``STAGE_STRIDES``, and the patch
+sizes are ``PATCH_SIZES``, the stride ratios (4, 2, 1): one token per cell of
+the stride-16 map, so L is ``(in_size // 16) ** 2``. Both are constants
+rather than config fields, because no other values are supported.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .errors import ContractError, ShapeError, check_field_types
 
 
 STAGE_STRIDES = (4, 8, 16)
+# the only patch sizes giving every scale the same token grid at the fixed
+# strides: one token per cell of the coarsest (stride-16) map
+PATCH_SIZES = tuple(STAGE_STRIDES[-1] // s for s in STAGE_STRIDES)
 LEAKY_SLOPE = 0.01  # of every leaky ReLU: the frozen encoder's and the flow subnets'
 
 
@@ -96,21 +101,14 @@ class FrozenEncoder:
 
 @dataclass(frozen=True)
 class PatchEmbedConfig:
-    patch_sizes: tuple[int, ...] = (4, 2, 1)
     token_dim: int = 96
 
     def __post_init__(self):
         check_field_types(self)
-        if len(self.patch_sizes) == 0 or any(p <= 0 for p in self.patch_sizes):
-            raise ContractError("patch_sizes must be positive")
-        if self.token_dim < 1:
-            raise ContractError("token_dim must be positive")
-        n = len(self.patch_sizes)
-        if self.token_dim % n != 0:
-            raise ContractError(f"token_dim {self.token_dim} must divide evenly over {n} scales")
-        if (self.token_dim // n) % 4 != 0:
-            raise ContractError("per-scale token width must be a multiple of 4 "
-                                "(sin/cos pairs per grid axis)")
+        n = 4 * len(PATCH_SIZES)  # each scale's slice: sin/cos pairs per grid axis
+        if self.token_dim < 1 or self.token_dim % n:
+            raise ContractError(f"token_dim must be a positive multiple of {n}, "
+                                f"got {self.token_dim}")
 
 
 def patchify(fmap: np.ndarray, p: int) -> np.ndarray:
@@ -181,13 +179,9 @@ class PatchEmbed:
     feature maps."""
 
     def __init__(self, stage_channels, cfg: PatchEmbedConfig, rng: np.random.Generator):
-        if len(stage_channels) != len(cfg.patch_sizes):
-            raise ContractError("one patch size per pyramid scale is required")
-        self.cfg = cfg
-        self.n_scales = len(cfg.patch_sizes)
-        self.width = cfg.token_dim // self.n_scales
+        self.width = cfg.token_dim // len(PATCH_SIZES)
         self.heads = [affine_params(rng, c * p * p, self.width)
-                      for c, p in zip(stage_channels, cfg.patch_sizes)]
+                      for c, p in zip(stage_channels, PATCH_SIZES)]
 
     def params(self):
         return head_params(self.heads)
@@ -195,14 +189,7 @@ class PatchEmbed:
     def __call__(self, pyramid) -> Tensor:
         """Tokens of a pyramid of (..., H, W, C) maps whose leading axes agree
         across scales."""
-        if len(pyramid) != self.n_scales:
-            raise ShapeError(f"expected {self.n_scales} feature maps, got {len(pyramid)}")
-        lengths = []
-        parts = []
-        for fmap, p, (w, b) in zip(pyramid, self.cfg.patch_sizes, self.heads):
-            rows = patchify(np.asarray(fmap), p)
-            lengths.append(rows.shape[-2])
-            parts.append(ad.linear(Tensor(rows), w, b))
-        if len(set(lengths)) != 1:
-            raise ShapeError(f"token counts differ across scales: {lengths}")
-        return ad.concat_last(parts)
+        if len(pyramid) != len(PATCH_SIZES):
+            raise ShapeError(f"expected {len(PATCH_SIZES)} feature maps, got {len(pyramid)}")
+        return ad.concat_last([ad.linear(Tensor(patchify(np.asarray(fmap), p)), w, b)
+                               for fmap, p, (w, b) in zip(pyramid, PATCH_SIZES, self.heads)])

@@ -18,8 +18,8 @@ from . import autodiff as ad
 from .attention import DualAttention, DualAttnConfig, OutputHeads
 from .autodiff import Tape, Tensor, default_dtype
 from .data import image_values
-from .encoder import (STAGE_STRIDES, EncoderConfig, FrozenEncoder, PatchEmbed, PatchEmbedConfig,
-                      merged_params)
+from .encoder import (PATCH_SIZES, STAGE_STRIDES, EncoderConfig, FrozenEncoder, PatchEmbed,
+                      PatchEmbedConfig, merged_params)
 from .errors import ContractError, NumericError, ShapeError, check_field_types
 from .flow import FLOW_VARIANTS, FlowConfig, FlowStack, checked_stats
 from .optim import AdamW
@@ -57,15 +57,7 @@ class Model:
         self.encoder = FrozenEncoder(enc_cfg)
         channels = enc_cfg.stage_channels
         map_sizes = [enc_cfg.in_size // s for s in STAGE_STRIDES]
-        grids = []
-        for m, p in zip(map_sizes, emb_cfg.patch_sizes):
-            if m % p:
-                raise ContractError(f"map size {m} not divisible by patch size {p}")
-            grids.append(m // p)
-        if len(set(grids)) != 1:
-            raise ContractError(f"patch sizes {emb_cfg.patch_sizes} give unequal "
-                                f"token grids {grids}")
-        length = grids[0] * grids[0]
+        length = map_sizes[-1] ** 2  # one token per cell of the stride-16 map
 
         def rng(*key):
             return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
@@ -73,7 +65,7 @@ class Model:
         self.embed = PatchEmbed(channels, emb_cfg, rng(0))
         self.attn = DualAttention(attn_cfg, length, emb_cfg.token_dim, rng(1))
         self.heads_self, self.heads_mem = (
-            OutputHeads(channels, emb_cfg.patch_sizes, map_sizes, self.embed.width, rng(k))
+            OutputHeads(channels, PATCH_SIZES, map_sizes, self.embed.width, rng(k))
             for k in (2, 3))
         n_branch = len(FLOW_VARIANTS[self.variant])
         self.flows = [FlowStack(c * n_branch, flow_cfg, rng(4, i))
@@ -205,10 +197,12 @@ def _fit(params: dict, n: int, parts, cfg: TrainConfig, log, *, stage: str,
     own tape, checked finite and backpropagated before the next is built,
     so one part's backward state is alive at a time, and each gradient
     still comes from one backward, with the bits of one tape for the sum.
-    The float32 total of the losses is checked finite before the step.
-    Each epoch ends with ``log(stage, epoch, *means)``: the parts' values,
-    added position by position in part order, as Python floats averaged
-    over the batches, summed in batch order."""
+    The float32 total of the losses is checked finite before the step, and
+    ``params`` after each epoch's last step: a non-finite one is a
+    ``NumericError`` naming it, ``what`` and the epoch. Each epoch then ends
+    with ``log(stage, epoch, *means)``: the parts' values, added position by
+    position in part order, as Python floats averaged over the batches,
+    summed in batch order."""
     opt = AdamW(list(params.values()), lr=cfg.lr)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(spawn,)))
     for epoch in range(epochs):
@@ -231,6 +225,10 @@ def _fit(params: dict, n: int, parts, cfg: TrainConfig, log, *, stage: str,
             opt.step()
             sums = [s + float(v) for s, v in zip(sums or [0.0] * len(values), values)]
             count += 1
+        bad = next((k for k, t in params.items() if not np.isfinite(t.data).all()), None)
+        if bad is not None:
+            raise NumericError(f"non-finite values in {what} parameter {bad!r} "
+                               f"after epoch {epoch}")
         if log is not None:
             log(stage, epoch, *(s / count for s in sums))
 
@@ -386,11 +384,17 @@ def train(images, rc, log=None) -> Model:
 def switch_variant(model: Model, rc, variant: str) -> Model:
     """New model with a copy of ``model``'s stage-1 parameters and image
     statistics but fresh flows sized for ``variant`` (to retrain the flows
-    under a different variant)."""
+    under a different variant). ``rc`` must be the config ``model`` was
+    built from: a parameter whose name or shape differs under it is a
+    ``ContractError``."""
     out = build_model(replace(rc, flow=replace(rc.flow, variant=variant)))
     src, dst = model.transformer_parameters(), out.transformer_parameters()
     if src.keys() != dst.keys():
         raise ContractError("transformer parameter sets differ between models")
+    bad = next((k for k in src if src[k].shape != dst[k].shape), None)
+    if bad is not None:
+        raise ContractError(f"transformer parameter {bad!r} is {src[bad].shape} in the model "
+                            f"but {dst[bad].shape} under the config")
     for k in src:
         dst[k].data = src[k].data.copy()
     out.set_image_norm(model.norm_mean, model.norm_std)

@@ -88,8 +88,7 @@ def test_staged_training_matches_single_run(workspace, tmp_path, capsys):
     ckpt = tmp_path / "staged.ckpt"
     assert main(["train", "--data", str(ds), "--out", str(ckpt),
                  "--config", str(cfg), "--stage", "transformer"]) == 0
-    assert main(["train", "--data", str(ds), "--out", str(ckpt),
-                 "--config", str(cfg), "--stage", "flow"]) == 0
+    assert main(["train", "--data", str(ds), "--out", str(ckpt), "--stage", "flow"]) == 0
     capsys.readouterr()
     assert ckpt.read_bytes() == ckpt_all.read_bytes()
 
@@ -97,9 +96,27 @@ def test_staged_training_matches_single_run(workspace, tmp_path, capsys):
 def test_stage_flow_without_checkpoint_fails(workspace, tmp_path, capsys):
     root, ds, cfg, _ = workspace
     missing = tmp_path / "nope.ckpt"
-    assert main(["train", "--data", str(ds), "--out", str(missing),
-                 "--config", str(cfg), "--stage", "flow"]) == 1
+    assert main(["train", "--data", str(ds), "--out", str(missing), "--stage", "flow"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_stage_flow_refuses_a_config_file(workspace, tmp_path, capsys):
+    """The resumed checkpoint's config is the run's config, so a file given
+    with ``--stage flow`` was read and then ignored: now it is refused
+    before anything is written, whatever it holds."""
+    _, ds, _, ckpt = workspace
+    out = tmp_path / "o.ckpt"
+    out.write_bytes(ckpt.read_bytes())
+    cfg = tmp_path / "flow.cfg"
+    cfg.write_text("[encoder]\nin_size = 64\n[train]\nstage2_epochs = 1\n", encoding="ascii")
+    capsys.readouterr()
+    assert main(["train", "--data", str(ds), "--out", str(out), "--config", str(cfg),
+                 "--stage", "flow"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no epoch ran
+    assert "--stage flow keeps the config of the checkpoint at --out" in captured.err
+    assert "--set" in captured.err
+    assert out.read_bytes() == ckpt.read_bytes()
 
 
 def test_stage_flow_rejects_structural_overrides(workspace, tmp_path, capsys):
@@ -226,15 +243,17 @@ def test_usage_errors_exit_2(capsys):
 def test_train_refuses_to_save_non_finite_weights(workspace, tmp_path, capsys):
     """With a learning rate of 1e308, one epoch of one batch passes the loss
     check, which runs before the step, and the step leaves float32 weights
-    infinite: ``train`` exits 1 and writes no checkpoint, which ``score``
-    would reject."""
+    infinite: the end-of-epoch parameter check stops the stage, so
+    ``train`` exits 1 and writes no checkpoint, which ``score`` would
+    reject."""
     _, ds, cfg, _ = workspace
     ckpt = tmp_path / "m.ckpt"
     assert main(["train", "--data", str(ds), "--out", str(ckpt), "--config", str(cfg),
                  "--stage", "transformer", "--set", "train.lr=1e308",
                  "--set", "train.stage1_epochs=1", "--set", "train.batch_size=4"]) == 1
     err = capsys.readouterr().err
-    assert "error: cannot save a checkpoint: non-finite values in 'embed.0.w'" in err
+    assert ("error: non-finite values in transformer parameter 'embed.0.w' "
+            "after epoch 0") in err
     assert "wrote" not in err
     assert not ckpt.exists()
 
@@ -339,7 +358,7 @@ def test_config_surface_is_pinned():
     """Every knob of the run config; adding or retiring one edits this list."""
     assert _config_keys() == [
         "encoder.in_size", "encoder.stage_channels",
-        "patch_embed.patch_sizes", "patch_embed.token_dim",
+        "patch_embed.token_dim",
         "attention.depth", "attention.heads", "attention.mlp_ratio",
         "flow.variant", "flow.n_blocks", "flow.clamp", "flow.hidden_ratio",
         "train.lr", "train.batch_size", "train.stage1_epochs", "train.stage2_epochs",
@@ -360,13 +379,19 @@ def test_every_config_field_is_a_key():
 # a valid value other than the default for every config key
 NON_DEFAULT = {
     "encoder.in_size": "128", "encoder.stage_channels": "8,16,32",
-    "patch_embed.patch_sizes": "8,4,2", "patch_embed.token_dim": "120",
+    "patch_embed.token_dim": "120",
     "attention.depth": "3", "attention.heads": "8", "attention.mlp_ratio": "2",
     "flow.variant": "P-M", "flow.n_blocks": "4", "flow.clamp": "1.5",
     "flow.hidden_ratio": "0.5", "train.lr": "0.001", "train.batch_size": "4",
     "train.stage1_epochs": "5", "train.stage2_epochs": "7", "train.seed": "3",
     "scoring.mode": "recon_mem",
     "scoring.smooth_sigma": "2.5", "scoring.fuse_weight": "0.25", "scoring.fpr_limit": "0.05"}
+
+
+def test_non_default_values_cover_exactly_the_config_keys():
+    """A retired key's stale entry, or a new key without one, fails here
+    rather than going unnoticed by the per-key test below."""
+    assert sorted(NON_DEFAULT) == sorted(_config_keys())
 
 
 @pytest.mark.parametrize("key", _config_keys())

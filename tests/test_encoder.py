@@ -1,15 +1,19 @@
 """Frozen extractor and tokenization tests, including a receptive-field
 oracle derived independently from the conv stack geometry."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from helpers import assert_same_bits, permute, reshape, with_specials
+from helpers import assert_same_bits, permute, reshape, tiny_run_config, with_specials
 
 from dualflow import autodiff as ad
 from dualflow.autodiff import Tape, Tensor, using_dtype
-from dualflow.encoder import (EncoderConfig, FrozenEncoder, PatchEmbed, PatchEmbedConfig,
-                              _conv3x3_s2, patchify, position_encoding, unpatchify)
+from dualflow.encoder import (PATCH_SIZES, EncoderConfig, FrozenEncoder, PatchEmbed,
+                              PatchEmbedConfig, _conv3x3_s2, patchify, position_encoding,
+                              unpatchify)
 from dualflow.errors import ContractError, ShapeError
+from dualflow.pipeline import build_model
 from dualflow.selftest import conv3x3_s2_loop
 
 
@@ -43,8 +47,8 @@ def test_config_validation():
         EncoderConfig(stage_channels=(16, 32))
     with pytest.raises(ContractError):
         EncoderConfig(stage_channels=(0, 32, 64))
-    for token_dim in (0, -12):
-        with pytest.raises(ContractError):
+    for token_dim in (0, -12, 18, 20):  # 4 sin/cos columns per grid axis over 3 scales
+        with pytest.raises(ContractError, match="token_dim must be a positive multiple of 12"):
             PatchEmbedConfig(token_dim=token_dim)
 
 
@@ -176,30 +180,56 @@ def test_patch_embed_token_shape_and_scale_mixing(rng):
     assert tokens.shape == (16, 96)
 
 
+def _small_pyramid(rng, grid=2, channels=(4, 6, 8)):
+    """A 3-scale pyramid of a ``16 * grid`` image: maps of side 4, 2 and 1
+    times ``grid``, so one token per cell of the last map."""
+    return [rng.random((grid * p, grid * p, c)) for p, c in zip(PATCH_SIZES, channels)]
+
+
+def test_patch_sizes_are_the_stride_ratios():
+    assert PATCH_SIZES == (4, 2, 1)
+
+
+@pytest.mark.parametrize("in_size", [16, 32, 64, 128])
+def test_model_tokens_are_the_stride_16_cells(in_size, rng):
+    """Every scale of a built model's pyramid yields one token per cell of
+    its stride-16 map, and so does the embedding."""
+    rc = tiny_run_config()
+    model = build_model(replace(rc, encoder=replace(rc.encoder, in_size=in_size)))
+    pyramid = model.prior_features(rng.random((in_size, in_size, 3)))
+    length = (in_size // 16) ** 2
+    for fmap, p in zip(pyramid, PATCH_SIZES):
+        assert patchify(fmap, p).shape[0] == length
+    assert model.embed(pyramid).shape == (length, rc.patch_embed.token_dim)
+
+
 def test_patch_embed_is_linear_at_init(rng):
     with using_dtype(np.float64):
-        embed = PatchEmbed((4, 8), PatchEmbedConfig(patch_sizes=(2, 1), token_dim=16),
-                           np.random.default_rng(1))
-        pyr = [rng.random((4, 4, 4)), rng.random((2, 2, 8))]
+        embed = PatchEmbed((4, 6, 8), PatchEmbedConfig(token_dim=12), np.random.default_rng(1))
+        pyr = _small_pyramid(rng)
         one = embed(pyr).data
         three = embed([3.0 * m for m in pyr]).data
         np.testing.assert_allclose(three, 3.0 * one, rtol=1e-5, atol=1e-12)
 
 
-def test_patch_embed_rejects_unequal_token_counts(rng):
-    embed = PatchEmbed((4, 8), PatchEmbedConfig(patch_sizes=(2, 2), token_dim=16),
-                       np.random.default_rng(1))
-    with pytest.raises(ShapeError):
-        embed([rng.random((4, 4, 4)), rng.random((2, 2, 8))])
+def test_patch_embed_rejects_wrong_size_maps(rng):
+    """Without a token-count check of its own, a pyramid of wrong-size maps
+    still fails as ``ShapeError``: unequal token counts at the concatenation,
+    a map not divisible into patches at ``patchify``, a missing scale at the
+    scale count."""
+    embed = PatchEmbed((4, 6, 8), PatchEmbedConfig(token_dim=12), np.random.default_rng(1))
+    good = _small_pyramid(rng)
+    for pyr in (good[:2] + [rng.random((4, 4, 8))], [rng.random((6, 6, 4))] + good[1:],
+                good[:2]):
+        with pytest.raises(ShapeError):
+            embed(pyr)
 
 
 def test_patch_embed_gradients_reach_heads(rng):
-    embed = PatchEmbed((4,), PatchEmbedConfig(patch_sizes=(2,), token_dim=8),
-                       np.random.default_rng(1))
-    pyr = [rng.random((4, 4, 4))]
+    embed = PatchEmbed((4, 6, 8), PatchEmbedConfig(token_dim=12), np.random.default_rng(1))
     with ad.Tape() as tape:
-        tokens = embed(pyr)
+        tokens = embed(_small_pyramid(rng))
         tape.backward(ad.sum_all(ad.mul(tokens, tokens)))
-    w, b = embed.heads[0]
-    assert w.grad is not None and np.abs(w.grad).max() > 0
-    assert b.grad is not None
+    for w, b in embed.heads:
+        assert w.grad is not None and np.abs(w.grad).max() > 0
+        assert b.grad is not None

@@ -659,6 +659,17 @@ def test_switch_variant_shares_transformer():
     assert alt.flows[0].channels * 3 == model.flows[0].channels
 
 
+def test_switch_variant_rejects_a_config_of_other_shapes():
+    """A model switched under a config that sizes its transformer otherwise
+    once copied its parameters over and failed later, in ``reconstruct``."""
+    rc = tiny_run_config()
+    model = build_model(rc)
+    narrow = replace(rc, patch_embed=PatchEmbedConfig(token_dim=12))
+    with pytest.raises(ContractError, match=r"transformer parameter 'embed.0.w' is \(64, 8\) "
+                                            r"in the model but \(64, 4\) under the config"):
+        pipeline.switch_variant(model, narrow, "P")
+
+
 def test_joint_arrays_variant_selection():
     rc = tiny_run_config()
     model_p = build_model(replace(rc, flow=replace(rc.flow, variant="P")))
@@ -853,6 +864,7 @@ RETIRED_KEYS = {
                                          b"[attention]\nmemorial_query_source = stream\n"),),
     "encoder.seed": ((b"[encoder]\n", b"[encoder]\nseed = 0\n"),),
     "train.weight_decay": ((b"\n\n[scoring]\n", b"\nweight_decay = 0.0\n\n[scoring]\n"),),
+    "patch_embed.patch_sizes": ((b"[patch_embed]\n", b"[patch_embed]\npatch_sizes = 4,2,1\n"),),
 }
 
 
@@ -888,7 +900,7 @@ def test_retired_key_rejected_in_config_file_and_override(tmp_path, capsys, key)
     ("train", dict(lr=np.float64(1e-4))), ("flow", dict(clamp=np.float64(1.5))),
     ("scoring", dict(smooth_sigma=np.float64(2.5))),
     ("encoder", dict(stage_channels=[np.int64(4), 6, 8])),
-    ("patch_embed", dict(patch_sizes=[4, 2, 1])), ("train", dict(seed=np.int32(3)))])
+    ("patch_embed", dict(token_dim=np.int64(24))), ("train", dict(seed=np.int32(3)))])
 def test_numpy_and_list_config_values_round_trip(tmp_path, section, values):
     """Such values were built, trained and saved, and then the checkpoint's
     own echo was rejected on load."""
@@ -903,7 +915,7 @@ def test_numpy_and_list_config_values_round_trip(tmp_path, section, values):
     (TrainConfig, dict(lr="a")), (FlowConfig, dict(n_blocks=2.5)),
     (FlowConfig, dict(variant=["D"])), (DualAttnConfig, dict(depth=1.5)),
     (EncoderConfig, dict(in_size=64.0)), (EncoderConfig, dict(stage_channels=(16, 32.0, 64))),
-    (PatchEmbedConfig, dict(patch_sizes=4)), (ScoringConfig, dict(smooth_sigma="x")),
+    (PatchEmbedConfig, dict(token_dim=24.0)), (ScoringConfig, dict(smooth_sigma="x")),
     (DatasetSpec, dict(n_train=2.5)), (DatasetSpec, dict(seed=-1))])
 def test_config_values_of_a_wrong_type_rejected(cls, values):
     with pytest.raises(ContractError):
@@ -1051,6 +1063,29 @@ def test_fit_rejects_non_finite_loss():
     weight.data.flat[0] = np.nan
     with pytest.raises(NumericError, match="non-finite values after flow stage"):
         train_flow(model, images, rc.train)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("stage, first", [("transformer", "embed.0.w"),
+                                          ("flow", "flow.0.layer0.dw.k")])
+def test_fit_rejects_non_finite_parameters_after_an_epoch(stage, first):
+    """With a learning rate of 1e308, one epoch of one batch passes the loss
+    check, which runs before the step, and the step leaves the weights
+    non-finite: the stage stops at the end of the epoch, before its log
+    row, naming the first such parameter."""
+    rc = tiny_run_config(stage1_epochs=1, stage2_epochs=1, batch_size=4)
+    images = tiny_images(4)
+    model = build_model(rc)
+    huge = replace(rc.train, lr=1e308)
+    fit = train_transformer
+    if stage == "flow":
+        train_transformer(model, images, rc.train)
+        fit = train_flow
+    rows = []
+    with pytest.raises(NumericError, match=f"non-finite values in {stage} parameter "
+                                           f"'{first}' after epoch 0"):
+        fit(model, images, huge, log=lambda *row: rows.append(row))
+    assert rows == []
 
 
 def test_fit_rejects_non_finite_stage2_loss(monkeypatch):
