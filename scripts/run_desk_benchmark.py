@@ -78,7 +78,7 @@ def main() -> int:
         if variant == rc.flow.variant:
             continue
         print(f"stage 2: flows, variant {variant} ...", file=sys.stderr)
-        alt = switch_variant(model, rc, variant)
+        alt = switch_variant(model, variant)
         train_flow(alt, train_images, rc.train, log=log)
         record(f"likelihood_{variant}", alt, "likelihood")
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, default_dtype
-from .encoder import affine_params, head_params, merged_params, position_encoding, unpatchify
+from .encoder import (PATCH_SIZES, affine_params, head_params, merged_params,
+                      position_encoding, unpatchify)
 from .errors import ContractError, ShapeError, check_field_types
 
 
@@ -188,21 +189,21 @@ class DualAttention:
 
 class OutputHeads:
     """Affine heads mapping each scale's ``width``-channel token slice of
-    (..., L, D) tokens back to its (..., H, W, C) feature map."""
+    (..., L, D) tokens back to its (..., H, W, C) feature map, one patch of
+    ``encoder.PATCH_SIZES`` per token."""
 
-    def __init__(self, stage_channels, patch_sizes, map_sizes, width: int, rng):
+    def __init__(self, stage_channels, map_sizes, width: int, rng):
         self.width = width
-        self.patch_sizes = tuple(patch_sizes)
         self.map_shapes = [(s, s, c) for s, c in zip(map_sizes, stage_channels)]
         self.heads = [affine_params(rng, self.width, c * p * p)
-                      for c, p in zip(stage_channels, patch_sizes)]
+                      for c, p in zip(stage_channels, PATCH_SIZES)]
 
     def params(self):
         return head_params(self.heads)
 
     def __call__(self, tokens: Tensor) -> list:
         maps = []
-        for i, ((w, b), p, (h, wd, c)) in enumerate(zip(self.heads, self.patch_sizes,
+        for i, ((w, b), p, (h, wd, c)) in enumerate(zip(self.heads, PATCH_SIZES,
                                                         self.map_shapes)):
             lo, hi = i * self.width, (i + 1) * self.width
             rows = ad.linear(ad.take_last(tokens, lo, hi), w, b)

@@ -33,24 +33,29 @@ MAGIC = b"DADF"
 VERSION = 1
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_STATE_KEYS = ("transformer_trained", "flow_trained")
+_MODEL_SECTIONS = ("encoder", "patch_embed", "attention", "flow")  # what builds a model
 
 
 def _state_text(model: Model) -> str:
-    return ("[state]\n"
-            f"transformer_trained = {str(model.transformer_trained).lower()}\n"
-            f"flow_trained = {str(model.flow_trained).lower()}\n")
+    return "[state]\n" + "".join(f"{k} = {str(getattr(model, k)).lower()}\n" for k in _STATE_KEYS)
 
 
 def _split_state(text: str, path):
+    """(config text, state) of an echo whose ``[state]`` section gives each
+    of ``transformer_trained`` and ``flow_trained`` once, as true or false."""
     head, sep, tail = text.partition("[state]")
     if not sep:
         raise CheckpointError(f"{path}: checkpoint config echo lacks a [state] section")
     state = {}
     for line in tail.strip().splitlines():
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in ("transformer_trained", "flow_trained") or value not in ("true", "false"):
-            raise CheckpointError(f"{path}: malformed [state] line {line!r}")
+        if key not in _STATE_KEYS or value not in ("true", "false") or key in state:
+            raise CheckpointError(f"{path}: malformed or repeated [state] line {line!r}")
         state[key] = value == "true"
+    missing = [k for k in _STATE_KEYS if k not in state]
+    if missing:
+        raise CheckpointError(f"{path}: [state] section lacks {missing}")
     return head, state
 
 
@@ -66,10 +71,17 @@ def _write_entry(fh, name: str, arr: np.ndarray) -> None:
 
 
 def save_checkpoint(model: Model, rc: RunConfig, path) -> None:
-    """Write ``model`` and ``rc`` to ``path``. Every array is checked before
-    any byte is written: a non-finite one raises ``NumericError`` naming the
-    first such array, and a file at ``path`` is left as it was, since
-    ``load_checkpoint`` would reject it."""
+    """Write ``model`` and ``rc`` to ``path``. ``rc`` may differ from
+    ``model.config`` only in its ``train`` and ``scoring`` sections; any
+    other differing section, which would load as another model, raises
+    ``ContractError`` naming it, and a non-finite array ``NumericError``
+    naming it. Both are checked before any byte is written, so a file at
+    ``path`` is left as it was."""
+    bad = next((k for k in _MODEL_SECTIONS
+                if getattr(rc, k) != getattr(model.config, k)), None)
+    if bad is not None:
+        raise ContractError(f"cannot save a checkpoint: the config's [{bad}] section "
+                            f"differs from the one the model was built from")
     entries = dict(model.parameters())
     arrays = [(name, p.data) for name, p in entries.items()]
     arrays += list(model.buffers().items())
@@ -90,7 +102,7 @@ def save_checkpoint(model: Model, rc: RunConfig, path) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild (model, run_config) from a checkpoint file. Arrays are cast
+    """Rebuild (model, model.config) from a checkpoint file. Arrays are cast
     to the active default dtype on assignment. Every defect of the file,
     including a config echo the model cannot be built from, raises
     ``CheckpointError``; no read or allocation goes past the file's end."""
@@ -143,8 +155,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: trailing bytes after config echo")
     cfg_part, state = _split_state(config_text, path)
     try:
-        rc = parse_run_config(cfg_part)
-        model = build_model(rc)
+        model = build_model(parse_run_config(cfg_part))
     except ContractError as exc:
         raise CheckpointError(f"{path}: bad config echo: {exc}") from exc
     params = model.parameters()
@@ -169,6 +180,6 @@ def load_checkpoint(path):
             stack.standardize.set_stats(arrays[f"flow.{i}.in_mean"], arrays[f"flow.{i}.in_std"])
     except ContractError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    model.transformer_trained = state.get("transformer_trained", False)
-    model.flow_trained = state.get("flow_trained", False)
-    return model, rc
+    model.transformer_trained = state["transformer_trained"]
+    model.flow_trained = state["flow_trained"]
+    return model, model.config

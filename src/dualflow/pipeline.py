@@ -15,13 +15,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .attention import DualAttention, DualAttnConfig, OutputHeads
+from .attention import DualAttention, OutputHeads
 from .autodiff import Tape, Tensor, default_dtype
 from .data import image_values
-from .encoder import (PATCH_SIZES, STAGE_STRIDES, EncoderConfig, FrozenEncoder, PatchEmbed,
-                      PatchEmbedConfig, merged_params)
+from .encoder import STAGE_STRIDES, FrozenEncoder, PatchEmbed, merged_params
 from .errors import ContractError, NumericError, ShapeError, check_field_types
-from .flow import FLOW_VARIANTS, FlowConfig, FlowStack, checked_stats
+from .flow import FLOW_VARIANTS, FlowStack, checked_stats
 from .optim import AdamW
 
 
@@ -43,32 +42,28 @@ class TrainConfig:
 
 class Model:
     """Frozen extractor + tokenizer + dual-attention reconstructor + one
-    flow stack per scale, sized for the flow input variant
-    ``flow_cfg.variant``. Learnable state is reachable through
+    flow stack per scale, built from the run config bundle ``config`` (kept
+    as ``model.config``): flows sized for ``config.flow.variant``, weights
+    drawn from ``config.train.seed``. Learnable state is reachable through
     ``parameters()``; fitted statistics through ``buffers()``."""
 
-    def __init__(self, enc_cfg: EncoderConfig = EncoderConfig(),
-                 emb_cfg: PatchEmbedConfig = PatchEmbedConfig(),
-                 attn_cfg: DualAttnConfig = DualAttnConfig(),
-                 flow_cfg: FlowConfig = FlowConfig(), seed: int = 0):
-        self.enc_cfg = enc_cfg
-        self.variant = flow_cfg.variant
-
-        self.encoder = FrozenEncoder(enc_cfg)
-        channels = enc_cfg.stage_channels
-        map_sizes = [enc_cfg.in_size // s for s in STAGE_STRIDES]
+    def __init__(self, config):
+        self.config = config
+        channels = config.encoder.stage_channels
+        map_sizes = [config.encoder.in_size // s for s in STAGE_STRIDES]
         length = map_sizes[-1] ** 2  # one token per cell of the stride-16 map
 
         def rng(*key):
-            return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+            return np.random.default_rng(np.random.SeedSequence(config.train.seed,
+                                                                spawn_key=key))
 
-        self.embed = PatchEmbed(channels, emb_cfg, rng(0))
-        self.attn = DualAttention(attn_cfg, length, emb_cfg.token_dim, rng(1))
+        self.encoder = FrozenEncoder(config.encoder)
+        self.embed = PatchEmbed(channels, config.patch_embed, rng(0))
+        self.attn = DualAttention(config.attention, length, config.patch_embed.token_dim, rng(1))
         self.heads_self, self.heads_mem = (
-            OutputHeads(channels, PATCH_SIZES, map_sizes, self.embed.width, rng(k))
-            for k in (2, 3))
-        n_branch = len(FLOW_VARIANTS[self.variant])
-        self.flows = [FlowStack(c * n_branch, flow_cfg, rng(4, i))
+            OutputHeads(channels, map_sizes, self.embed.width, rng(k)) for k in (2, 3))
+        n_branch = len(FLOW_VARIANTS[config.flow.variant])
+        self.flows = [FlowStack(c * n_branch, config.flow, rng(4, i))
                       for i, c in enumerate(channels)]
 
         dt = default_dtype()
@@ -136,11 +131,9 @@ class Model:
         branch_maps = {"prior": pyramid,
                        "self": [m.data for m in recon_self],
                        "memorial": [m.data for m in recon_mem]}
-        joints = []
-        for i in range(len(pyramid)):
-            parts = [np.asarray(branch_maps[b][i]) for b in FLOW_VARIANTS[self.variant]]
-            joints.append(np.concatenate(parts, axis=-1))
-        return joints
+        names = FLOW_VARIANTS[self.config.flow.variant]
+        return [np.concatenate([np.asarray(branch_maps[b][i]) for b in names], axis=-1)
+                for i in range(len(pyramid))]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +235,7 @@ def _check_images(model: Model, images) -> None:
     """Both training stages' input check: one or more images of the model's shape."""
     if len(images) == 0:
         raise ContractError("training needs at least one image")
-    want = (model.enc_cfg.in_size, model.enc_cfg.in_size, 3)
+    want = (model.config.encoder.in_size,) * 2 + (3,)
     for i, image in enumerate(images):
         if np.shape(image) != want:  # before flow_input_stats reshapes it into rows
             raise ShapeError(f"training image {i} has shape {np.shape(image)}, "
@@ -367,10 +360,9 @@ def train_flow(model: Model, images, cfg: TrainConfig, log=None) -> None:
 
 
 def build_model(rc) -> Model:
-    """Model from a run config bundle (attributes: encoder, patch_embed,
-    attention, flow, train)."""
-    return Model(enc_cfg=rc.encoder, emb_cfg=rc.patch_embed, attn_cfg=rc.attention,
-                 flow_cfg=rc.flow, seed=rc.train.seed)
+    """``Model(rc)``: the model of a run config bundle, which keeps ``rc``
+    as its ``config``."""
+    return Model(rc)
 
 
 def train(images, rc, log=None) -> Model:
@@ -381,20 +373,15 @@ def train(images, rc, log=None) -> Model:
     return model
 
 
-def switch_variant(model: Model, rc, variant: str) -> Model:
-    """New model with a copy of ``model``'s stage-1 parameters and image
+def switch_variant(model: Model, variant: str) -> Model:
+    """New model built from ``model.config`` with ``flow.variant`` set to
+    ``variant``, holding a copy of ``model``'s stage-1 parameters and image
     statistics but fresh flows sized for ``variant`` (to retrain the flows
-    under a different variant). ``rc`` must be the config ``model`` was
-    built from: a parameter whose name or shape differs under it is a
-    ``ContractError``."""
-    out = build_model(replace(rc, flow=replace(rc.flow, variant=variant)))
+    under a different variant). Both models are built from one encoder,
+    patch embed and attention config, so every transformer parameter
+    matches by construction."""
+    out = Model(replace(model.config, flow=replace(model.config.flow, variant=variant)))
     src, dst = model.transformer_parameters(), out.transformer_parameters()
-    if src.keys() != dst.keys():
-        raise ContractError("transformer parameter sets differ between models")
-    bad = next((k for k in src if src[k].shape != dst[k].shape), None)
-    if bad is not None:
-        raise ContractError(f"transformer parameter {bad!r} is {src[bad].shape} in the model "
-                            f"but {dst[bad].shape} under the config")
     for k in src:
         dst[k].data = src[k].data.copy()
     out.set_image_norm(model.norm_mean, model.norm_std)

@@ -112,7 +112,7 @@ def anomaly_map(model, image: np.ndarray, mode: str = ScoringConfig.mode,
     """Fused input-resolution anomaly map and image score for one image. The
     arguments are checked as ``ScoringConfig`` fields (``ContractError``)."""
     ScoringConfig(mode=mode, smooth_sigma=smooth_sigma, fuse_weight=fuse_weight)
-    size = model.enc_cfg.in_size
+    size = model.config.encoder.in_size
     per_scale = []
     for raw in raw_scale_maps(model, image, mode, fuse_weight):
         up = bilinear_upsample(raw, size, size)

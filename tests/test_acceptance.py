@@ -217,15 +217,18 @@ def test_criterion_03_density_normalization():
 def test_criterion_04_gradient_integrity():
     """Finite differences confirm the tape gradients of both composite stage
     objectives, covering every learnable parameter of every module."""
+    from dataclasses import replace
+
     from dualflow.attention import DualAttnConfig
     from dualflow.encoder import EncoderConfig, PatchEmbedConfig
 
     with using_dtype(np.float64):
-        model = pipeline.Model(
-            enc_cfg=EncoderConfig(in_size=16, stage_channels=(2, 2, 4)),
-            emb_cfg=PatchEmbedConfig(token_dim=12),
-            attn_cfg=DualAttnConfig(depth=1, heads=2, mlp_ratio=1),
-            flow_cfg=FlowConfig(n_blocks=2, hidden_ratio=1.0), seed=0)
+        model = pipeline.Model(replace(
+            default_run_config(),
+            encoder=EncoderConfig(in_size=16, stage_channels=(2, 2, 4)),
+            patch_embed=PatchEmbedConfig(token_dim=12),
+            attention=DualAttnConfig(depth=1, heads=2, mlp_ratio=1),
+            flow=FlowConfig(n_blocks=2, hidden_ratio=1.0)))
         model.set_image_norm(np.zeros(3), np.ones(3))
         rng = np.random.default_rng(0)
         pyr = model.prior_features(rng.random((16, 16, 3)))
@@ -311,7 +314,7 @@ def test_criterion_08_joint_features_beat_prior_only(dataset, trained, map_cache
     """Flows over the concatenated (prior, self, memorial) features score at
     least as well as flows over the prior features alone."""
     model, rc = trained["model"], trained["rc"]
-    alt = pipeline.switch_variant(model, rc, "P")
+    alt = pipeline.switch_variant(model, "P")
     pipeline.train_flow(alt, dataset["train_images"], rc.train)
     d = _pixel_auroc(dataset["test"], map_cache(model, "likelihood", "D"))
     p = _pixel_auroc(dataset["test"], map_cache(alt, "likelihood", "P"))

@@ -362,7 +362,7 @@ def test_memory_tokens_are_learnable_and_per_level():
 
 def test_unproject_shapes_and_zero_tokens_give_bias_maps():
     with using_dtype(np.float64):
-        heads = OutputHeads((16, 32, 64), (4, 2, 1), (16, 8, 4), 32, np.random.default_rng(1))
+        heads = OutputHeads((16, 32, 64), (16, 8, 4), 32, np.random.default_rng(1))
         maps = heads(Tensor(np.zeros((16, 96))))
         assert [m.shape for m in maps] == [(16, 16, 16), (8, 8, 32), (4, 4, 64)]
         for (w, b), m, p in zip(heads.heads, maps, (4, 2, 1)):
@@ -374,7 +374,7 @@ def test_unproject_pseudo_inverse_roundtrip(rng):
     of each head must recover the token slice exactly (heads are injective
     token -> patch maps at these widths)."""
     with using_dtype(np.float64):
-        heads = OutputHeads((16, 32, 64), (4, 2, 1), (16, 8, 4), 32, np.random.default_rng(2))
+        heads = OutputHeads((16, 32, 64), (16, 8, 4), 32, np.random.default_rng(2))
         tokens = rng.normal(size=(16, 96))
         maps = heads(Tensor(tokens))
         for i, ((w, b), m, p) in enumerate(zip(heads.heads, maps, (4, 2, 1))):
@@ -384,10 +384,16 @@ def test_unproject_pseudo_inverse_roundtrip(rng):
 
 
 def test_unproject_gradients_reach_tokens_and_heads(rng):
-    heads = OutputHeads((4,), (2,), (4,), 8, np.random.default_rng(3))
-    tokens = Tensor(rng.normal(size=(4, 8)).astype(np.float32), requires_grad=True)
+    """Every scale's maps, on a 2x2 token grid, send gradients back to
+    that scale's token slice and to its head."""
+    heads = OutputHeads((4, 4, 8), (8, 4, 2), 8, np.random.default_rng(3))
+    tokens = Tensor(rng.normal(size=(4, 24)).astype(np.float32), requires_grad=True)
     with Tape() as tape:
         maps = heads(tokens)
-        tape.backward(ad.sum_all(ad.mul(maps[0], maps[0])))
-    assert tokens.grad is not None
-    assert heads.heads[0][0].grad is not None
+        loss = ad.sum_all(ad.mul(maps[0], maps[0]))
+        for m in maps[1:]:
+            loss = ad.add(loss, ad.sum_all(ad.mul(m, m)))
+        tape.backward(loss)
+    for i in range(3):
+        assert np.abs(tokens.grad[:, 8 * i:8 * (i + 1)]).min() > 0
+        assert all(np.abs(p.grad).max() > 0 for p in heads.heads[i])

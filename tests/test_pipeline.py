@@ -120,7 +120,7 @@ def test_default_stage1_loss_records_102_tape_ops():
     recorded 158 with each core an op chain of 12 and each ``unpatchify`` a
     chain of 3. The count does not depend on the pyramid's values."""
     model = build_model(default_run_config())
-    pyramid = model.prior_features(np.zeros((model.enc_cfg.in_size,) * 2 + (3,)))
+    pyramid = model.prior_features(np.zeros((model.config.encoder.in_size,) * 2 + (3,)))
     targets = [np.stack([m] * 8) for m in pyramid]
     with Tape() as tape:
         recon_s, recon_m = model.reconstruct(targets)
@@ -130,7 +130,7 @@ def test_default_stage1_loss_records_102_tape_ops():
 
 def _default_batch_joints(model):
     rng = np.random.default_rng(0)
-    maps = model.prior_features(np.zeros((model.enc_cfg.in_size,) * 2 + (3,)))
+    maps = model.prior_features(np.zeros((model.config.encoder.in_size,) * 2 + (3,)))
     return [Tensor(rng.normal(size=(8,) + m.shape[:2] + (s.channels,)).astype(np.float32))
             for m, s in zip(maps, model.flows)]
 
@@ -184,7 +184,7 @@ def test_default_train_flow_batch_peaks_under_20_mib():
     model = build_model(default_run_config())
     model.transformer_trained = True
     rng = np.random.default_rng(0)
-    images = [rng.random((model.enc_cfg.in_size,) * 2 + (3,)) for _ in range(8)]
+    images = [rng.random((model.config.encoder.in_size,) * 2 + (3,)) for _ in range(8)]
     cfg = TrainConfig(stage1_epochs=0, stage2_epochs=1)
     tracemalloc.start()
     try:
@@ -318,7 +318,7 @@ def test_mixed_size_training_images_raise_shape_error():
 def perturbed_default_model(seed=0):
     """A default-config model whose transformer weights are moved off their
     initial values, so that every branch and memory table carries signal."""
-    model = pipeline.Model()
+    model = pipeline.Model(default_run_config())
     rng = np.random.default_rng(seed)
     for p in model.transformer_parameters().values():
         p.data = p.data + rng.normal(0.0, 0.05, size=p.data.shape).astype(p.data.dtype)
@@ -411,10 +411,10 @@ def test_batched_stage1_gradcheck():
     """Finite differences confirm the tape gradients of the stage-1 loss of
     a stacked batch of two pyramids, for every transformer parameter."""
     with using_dtype(np.float64):
-        model = pipeline.Model(
-            enc_cfg=EncoderConfig(in_size=16, stage_channels=(2, 2, 4)),
-            emb_cfg=PatchEmbedConfig(token_dim=12),
-            attn_cfg=DualAttnConfig(depth=1, heads=2, mlp_ratio=1), seed=0)
+        model = pipeline.Model(replace(
+            default_run_config(), encoder=EncoderConfig(in_size=16, stage_channels=(2, 2, 4)),
+            patch_embed=PatchEmbedConfig(token_dim=12),
+            attention=DualAttnConfig(depth=1, heads=2, mlp_ratio=1)))
         model.set_image_norm(np.zeros(3), np.ones(3))
         rng = np.random.default_rng(1)
         batch = stacked([model.prior_features(rng.random((16, 16, 3))) for _ in range(2)])
@@ -649,8 +649,8 @@ def test_switch_variant_shares_transformer():
     rc = tiny_run_config()
     images = tiny_images(4)
     model = train(images, rc)
-    alt = pipeline.switch_variant(model, rc, "P")
-    assert alt.variant == "P"
+    alt = pipeline.switch_variant(model, "P")
+    assert alt.config == replace(rc, flow=replace(rc.flow, variant="P"))
     assert not alt.flow_trained
     src, dst = model.transformer_parameters(), alt.transformer_parameters()
     for k in src:
@@ -659,15 +659,23 @@ def test_switch_variant_shares_transformer():
     assert alt.flows[0].channels * 3 == model.flows[0].channels
 
 
-def test_switch_variant_rejects_a_config_of_other_shapes():
-    """A model switched under a config that sizes its transformer otherwise
-    once copied its parameters over and failed later, in ``reconstruct``."""
+def test_switch_variant_keeps_the_transformer_config():
+    """The switched model is built from the source model's own config, so
+    a structural field that no parameter shape shows, such as
+    ``attention.heads``, carries over, and both branches reconstruct with
+    the source model's bits. A config passed beside the model once let a
+    model switched under another heads count reconstruct differently."""
     rc = tiny_run_config()
     model = build_model(rc)
-    narrow = replace(rc, patch_embed=PatchEmbedConfig(token_dim=12))
-    with pytest.raises(ContractError, match=r"transformer parameter 'embed.0.w' is \(64, 8\) "
-                                            r"in the model but \(64, 4\) under the config"):
-        pipeline.switch_variant(model, narrow, "P")
+    rng = np.random.default_rng(4)
+    for p in model.transformer_parameters().values():
+        p.data = p.data + rng.normal(0.0, 0.05, size=p.data.shape).astype(p.data.dtype)
+    alt = pipeline.switch_variant(model, "P")
+    assert alt.config == replace(model.config, flow=replace(model.config.flow, variant="P"))
+    pyramid = model.prior_features(tiny_images(1)[0])
+    for got, want in zip(alt.reconstruct(pyramid), model.reconstruct(pyramid)):
+        for g, w in zip(got, want):
+            assert_same_bits(g.data, w.data)
 
 
 def test_joint_arrays_variant_selection():
@@ -701,7 +709,7 @@ def test_checkpoint_roundtrip_bit_identical_maps(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, rc, path)
     loaded, rc2 = load_checkpoint(path)
-    assert rc2 == rc
+    assert rc2 == rc and loaded.config == rc
     for img in tiny_images(5, seed=9):
         a = scoring.anomaly_map(model, img, "likelihood")
         b = scoring.anomaly_map(loaded, img, "likelihood")
@@ -809,6 +817,29 @@ def test_save_checkpoint_refuses_non_finite_state(tmp_path):
     assert path.read_bytes() == before
 
 
+def test_save_checkpoint_refuses_another_model_config(tmp_path):
+    """An echo whose ``encoder``, ``patch_embed``, ``attention`` or ``flow``
+    section differs from the model's config once loaded without error as
+    another model; its ``train`` and ``scoring`` sections may differ."""
+    rc = tiny_run_config()
+    model = build_model(rc)
+    path = _saved(model, rc, tmp_path)
+    before = path.read_bytes()
+    for other, section in (
+            (replace(rc, attention=replace(rc.attention, heads=4),
+                     flow=replace(rc.flow, clamp=1.0)), "attention"),
+            (replace(rc, flow=replace(rc.flow, clamp=1.0)), "flow"),
+            (replace(rc, encoder=replace(rc.encoder, in_size=64)), "encoder"),
+            (replace(rc, patch_embed=PatchEmbedConfig(token_dim=12)), "patch_embed")):
+        with pytest.raises(ContractError, match=rf"the config's \[{section}\] section differs"):
+            save_checkpoint(model, other, path)
+        assert path.read_bytes() == before
+    loose = replace(rc, train=replace(rc.train, lr=1e-3, seed=5),
+                    scoring=replace(rc.scoring, mode="latent_norm"))
+    save_checkpoint(model, loose, path)
+    assert load_checkpoint(path)[1] == loose
+
+
 def test_checkpoint_wrong_buffer_shape_rejected(tmp_path):
     rc = tiny_run_config()
     model = build_model(rc)
@@ -855,6 +886,28 @@ def test_checkpoint_echo_with_heads_not_dividing_the_width_rejected(tmp_path):
                      match="bad config echo: token_dim 24 must divide over 5 heads")
 
 
+def _with_echo(blob: bytes, edit) -> bytes:
+    """``blob`` with its config echo replaced by ``edit(echo)`` and the
+    echo's u32 length rewritten to match."""
+    start = blob.index(b"[encoder]")
+    echo = edit(blob[start:])
+    return blob[:start - 4] + struct.pack("<I", len(echo)) + echo
+
+
+@pytest.mark.parametrize("state", [
+    b"", b"\n  \n\n",
+    b"transformer_trained = false\nflow_trained = false\nflow_trained = true\n"],
+    ids=["empty", "blank", "repeated"])
+def test_checkpoint_state_needs_each_key_once(tmp_path, state):
+    """An empty or blank ``[state]`` section, or one giving a key twice,
+    once loaded as untrained or with the key's last value."""
+    rc = tiny_run_config()
+    blob = _saved(build_model(rc), rc, tmp_path).read_bytes()
+    path = tmp_path / "state.ckpt"
+    path.write_bytes(_with_echo(blob, lambda echo: echo[:echo.index(b"[state]\n") + 8] + state))
+    _assert_rejected(path, match=r"\[state\] section lacks|repeated \[state\] line")
+
+
 # echo splices that turn today's echo into one written before each key retired
 RETIRED_KEYS = {
     # the variant was a [train] key
@@ -872,13 +925,15 @@ RETIRED_KEYS = {
 def test_checkpoint_with_retired_key_rejected(tmp_path, capsys, key):
     rc = tiny_run_config()
     blob = _saved(build_model(rc), rc, tmp_path).read_bytes()
-    start = blob.index(b"[encoder]")
-    echo = blob[start:]
-    for old, new in RETIRED_KEYS[key]:
-        assert echo.count(old) == 1
-        echo = echo.replace(old, new)
+
+    def splice(echo):
+        for old, new in RETIRED_KEYS[key]:
+            assert echo.count(old) == 1
+            echo = echo.replace(old, new)
+        return echo
+
     path = tmp_path / "old.ckpt"
-    path.write_bytes(blob[:start - 4] + struct.pack("<I", len(echo)) + echo)
+    path.write_bytes(_with_echo(blob, splice))
     _assert_rejected(path, match=f"unknown config key {key}")
     capsys.readouterr()
     assert main(["eval", "--data", str(tmp_path), "--ckpt", str(path)]) == 1

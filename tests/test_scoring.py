@@ -232,7 +232,7 @@ def test_likelihood_is_half_energy_for_identity_flow(probe):
 
 def test_map_shapes_and_fusion(model, probe):
     out = anomaly_map(model, probe, "likelihood")
-    size = model.enc_cfg.in_size
+    size = model.config.encoder.in_size
     assert out.scores.shape == (size, size)
     assert len(out.per_scale) == len(model.flows)
     for m in out.per_scale:
