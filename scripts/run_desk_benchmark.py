@@ -65,10 +65,7 @@ def main() -> int:
 
     def record(cell, scored, mode):
         t0 = time.perf_counter()
-        report = evaluate(scored, test_samples, mode=mode,
-                          smooth_sigma=rc.scoring.smooth_sigma,
-                          fuse_weight=rc.scoring.fuse_weight,
-                          fpr_limit=rc.scoring.fpr_limit)
+        report = evaluate(scored, test_samples, mode)
         (workdir / f"report_{cell}.json").write_text(report.to_json())
         rows.append((cell, report, time.perf_counter() - t0))
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import data, metrics, pipeline, scoring
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import apply_overrides, default_run_config, load_run_config, render_run_config
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .selftest import run_selftest
 
 
@@ -70,15 +70,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    model, rc = load_checkpoint(args.ckpt)
-    image = data.read_ppm(args.image)
-    expected = rc.encoder.in_size
-    if image.shape[0] != expected or image.shape[1] != expected:
-        raise ShapeError(f"checkpoint expects {expected}x{expected} images, "
-                         f"got {image.shape[1]}x{image.shape[0]}")
-    amap = scoring.anomaly_map(model, image, mode=args.mode or rc.scoring.mode,
-                               smooth_sigma=rc.scoring.smooth_sigma,
-                               fuse_weight=rc.scoring.fuse_weight)
+    model, _ = load_checkpoint(args.ckpt)
+    amap = scoring.anomaly_map(model, data.read_ppm(args.image), args.mode)
     if args.heatmap:
         lo = float(amap.scores.min())
         hi = float(amap.scores.max())
@@ -90,12 +83,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, rc = load_checkpoint(args.ckpt)
-    samples = data.load(args.data)
-    report = metrics.evaluate(
-        model, data.test_split(samples), mode=args.mode or rc.scoring.mode,
-        smooth_sigma=rc.scoring.smooth_sigma, fuse_weight=rc.scoring.fuse_weight,
-        fpr_limit=rc.scoring.fpr_limit)
+    model, _ = load_checkpoint(args.ckpt)
+    report = metrics.evaluate(model, data.test_split(data.load(args.data)), args.mode)
     text = report.to_json()
     if args.report:
         with open(args.report, "w", encoding="ascii") as fh:

@@ -78,7 +78,6 @@ class FrozenEncoder:
     appear in an optimizer."""
 
     def __init__(self, cfg: EncoderConfig):
-        self.cfg = cfg
         rng = np.random.default_rng(np.random.SeedSequence(0))
         c1, c2, c3 = cfg.stage_channels
         dt = default_dtype()
@@ -88,9 +87,7 @@ class FrozenEncoder:
             self.weights.append((w, rng.normal(0.0, 0.1, size=cout).astype(dt)))
 
     def __call__(self, image: np.ndarray) -> list:
-        s = self.cfg.in_size
-        if image.shape != (s, s, 3):
-            raise ShapeError(f"encoder expects image of shape ({s}, {s}, 3), got {image.shape}")
+        """The taps of an (H, W, 3) image, H and W multiples of 16."""
         x = np.asarray(image, dtype=default_dtype())
         maps = []
         for w, b in self.weights:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ContractError, NumericError, ShapeError
-from .scoring import ScoringConfig, anomaly_map
+from .scoring import MODES, ScoringConfig, anomaly_map
 
 
 def auroc(scores, labels) -> float:
@@ -183,27 +183,34 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def evaluate(model, samples, mode: str = ScoringConfig.mode,
-             smooth_sigma: float = ScoringConfig.smooth_sigma,
-             fuse_weight: float = ScoringConfig.fuse_weight,
-             fpr_limit: float = ScoringConfig.fpr_limit) -> EvalReport:
-    """Full test-set evaluation. ``samples`` need ``image``, ``mask``,
-    ``label`` and ``saturation`` attributes; both classes must be present.
-    The arguments are checked as ``ScoringConfig`` fields (``ContractError``)
-    before any image is scored."""
-    cfg = ScoringConfig(mode=mode, smooth_sigma=smooth_sigma, fuse_weight=fuse_weight,
-                        fpr_limit=fpr_limit)
+def evaluate(model, samples, mode: str | None = None) -> EvalReport:
+    """Full test-set evaluation, scored by ``anomaly_map`` as
+    ``model.config.scoring`` says (``mode`` overrides its mode), with AU-PRO
+    and sPRO read up to its ``fpr_limit``. ``samples`` need ``image``,
+    ``mask``, ``label`` and ``saturation`` attributes; both classes must be
+    present. An unknown mode, a label other than 0 or 1 and a saturation
+    outside (0, 1] raise ``ContractError`` before any image is scored."""
+    cfg = model.config.scoring
+    mode = cfg.mode if mode is None else mode
+    if mode not in MODES:
+        raise ContractError(f"unknown scoring mode {mode!r}")
     if not samples:
         raise ContractError("evaluation needs at least one sample")
     labels = np.array([s.label for s in samples])
+    if not np.isin(labels, (0, 1)).all():
+        raise ContractError("AUROC labels must be 0 or 1")
     if labels.min() == labels.max():
         raise ContractError("evaluation needs both normal and anomalous samples")
-    results = [anomaly_map(model, s.image, mode=cfg.mode, smooth_sigma=cfg.smooth_sigma,
-                           fuse_weight=cfg.fuse_weight) for s in samples]
+    try:
+        sats = np.asarray([s.saturation for s in samples], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ContractError("saturations must be numbers, one per map") from None
+    if not ((sats > 0.0) & (sats <= 1.0)).all():
+        raise ContractError("saturation must be a region fraction in (0, 1]")
+    results = [anomaly_map(model, s.image, mode) for s in samples]
     image_scores = [r.image_score for r in results]
     maps = [r.scores for r in results]
     masks = [np.asarray(s.mask, dtype=bool) for s in samples]
-    sats = [s.saturation for s in samples]
     pixel_scores = np.concatenate([m.reshape(-1) for m in maps])
     pixel_labels = np.concatenate([m.reshape(-1) for m in masks]).astype(np.int64)
     report = EvalReport(

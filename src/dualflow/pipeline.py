@@ -98,8 +98,9 @@ class Model:
                                                       default_dtype())
 
     def prior_features(self, image: np.ndarray) -> list:
-        """Frozen feature pyramid of an (H, W, 3) image, normalized per channel
-        with the training-set statistics. The image must be a numpy array
+        """Frozen feature pyramid of an (in_size, in_size, 3) image (else
+        ``ShapeError``), normalized per channel with the training-set
+        statistics. The image must be a numpy array
         (else ``ContractError``) and is read through ``data.image_values``
         (a uint8 raster as float64 ``raster / 255``, a [0, 1] float image as
         it is, any other dtype a ``ContractError``),
@@ -109,8 +110,10 @@ class Model:
         make non-finite) fails here, as ``NumericError``."""
         if not isinstance(image, np.ndarray):
             raise ContractError(f"an image must be a numpy array, not {type(image).__name__}")
-        if image.ndim != 3 or image.shape[-1] != 3:
-            raise ShapeError(f"expected (H, W, 3) image, got {image.shape}")
+        size = self.config.encoder.in_size
+        if image.shape != (size, size, 3):
+            raise ShapeError(f"the model expects {size}x{size} images with 3 channels, "
+                             f"got shape {image.shape}")
         x = (np.asarray(image_values(image), dtype=default_dtype())
              - self.norm_mean) / self.norm_std
         if not np.isfinite(x).all():

@@ -3,6 +3,9 @@
 Every mode produces one raw map per scale at feature resolution, bilinearly
 upsampled to input resolution and Gaussian smoothed; the fused map is their
 sum and the image score its maximum. Higher always means more anomalous.
+The settings are the model's run config section ``model.config.scoring``
+(a ``ScoringConfig``): only the mode may be given per call. To score with
+other settings, score a model whose ``config`` carries them.
 
 Modes:
   likelihood   per-location negative log-likelihood terms from the flows,
@@ -56,7 +59,6 @@ class ScoringConfig:
 class AnomalyMap:
     scores: np.ndarray        # (in_size, in_size) fused map
     image_score: float
-    mode: str
     per_scale: list           # upsampled, smoothed per-scale maps
 
 
@@ -82,15 +84,15 @@ def _sq_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)) ** 2).sum(axis=-1)
 
 
-def raw_scale_maps(model, image: np.ndarray, mode: str,
-                   fuse_weight: float = ScoringConfig.fuse_weight) -> list:
-    """Feature-resolution score map per scale for one image."""
+def raw_scale_maps(model, image: np.ndarray, mode: str) -> list:
+    """Feature-resolution score map per scale for one image; ``recon_fused``
+    mixes with ``model.config.scoring.fuse_weight``."""
     if mode not in MODES:
         raise ContractError(f"unknown scoring mode {mode!r}")
     pyramid = model.prior_features(image)
     recon_s, recon_m = model.reconstruct(pyramid)
     if mode.startswith("recon_"):
-        w = {"recon_self": 0.0, "recon_mem": 1.0}.get(mode, fuse_weight)
+        w = {"recon_self": 0.0, "recon_mem": 1.0}.get(mode, model.config.scoring.fuse_weight)
         return [(1 - w) * _sq_error(rs.data, p) + w * _sq_error(rm.data, p)
                 for rs, rm, p in zip(recon_s, recon_m, pyramid)]
     if mode == "likelihood" and not model.flow_trained:
@@ -106,19 +108,17 @@ def raw_scale_maps(model, image: np.ndarray, mode: str,
     return maps
 
 
-def anomaly_map(model, image: np.ndarray, mode: str = ScoringConfig.mode,
-                smooth_sigma: float = ScoringConfig.smooth_sigma,
-                fuse_weight: float = ScoringConfig.fuse_weight) -> AnomalyMap:
-    """Fused input-resolution anomaly map and image score for one image. The
-    arguments are checked as ``ScoringConfig`` fields (``ContractError``)."""
-    ScoringConfig(mode=mode, smooth_sigma=smooth_sigma, fuse_weight=fuse_weight)
+def anomaly_map(model, image: np.ndarray, mode: str | None = None) -> AnomalyMap:
+    """Fused input-resolution anomaly map and image score for one image,
+    scored as ``model.config.scoring`` says; ``mode`` (one of ``MODES``, else
+    ``ContractError``) overrides its mode."""
+    cfg = model.config.scoring
     size = model.config.encoder.in_size
     per_scale = []
-    for raw in raw_scale_maps(model, image, mode, fuse_weight):
+    for raw in raw_scale_maps(model, image, cfg.mode if mode is None else mode):
         up = bilinear_upsample(raw, size, size)
-        if smooth_sigma > 0:
-            up = gaussian_filter(up, sigma=smooth_sigma, mode="reflect")
+        if cfg.smooth_sigma > 0:
+            up = gaussian_filter(up, sigma=cfg.smooth_sigma, mode="reflect")
         per_scale.append(up)
     fused = np.sum(per_scale, axis=0)
-    return AnomalyMap(scores=fused, image_score=float(fused.max()), mode=mode,
-                      per_scale=per_scale)
+    return AnomalyMap(scores=fused, image_score=float(fused.max()), per_scale=per_scale)

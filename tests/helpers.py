@@ -1,10 +1,12 @@
-"""Small shared fixtures: a fast model configuration, toy image sets,
-inputs and checks for bit-for-bit comparisons, dataset symlinks, and the
-generic tape ops that the one-op attention, ``unpatchify`` and the flow
+"""Small shared fixtures: a fast model configuration, a model copy scored
+with other settings, toy image sets, inputs and checks for bit-for-bit
+comparisons, dataset symlinks, and the generic tape ops that the one-op attention, ``unpatchify`` and the flow
 coupling replaced, kept as their oracles (``tanh_op`` also serves the
 engine's own tests as a plain nonlinearity)."""
 
+import copy
 import shutil
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,6 +31,14 @@ def tiny_run_config(**train_kw) -> RunConfig:
         train=TrainConfig(**train_args),
         scoring=ScoringConfig(),
     )
+
+
+def with_scoring(model, **fields):
+    """A shallow copy of ``model`` whose ``config.scoring`` has ``fields``
+    replaced: the same weights, scored with other settings."""
+    out = copy.copy(model)
+    out.config = replace(model.config, scoring=replace(model.config.scoring, **fields))
+    return out
 
 
 def tiny_images(n, size=32, seed=0):

@@ -15,6 +15,8 @@ from dualflow.cli import main
 from dualflow.config import (apply_overrides, default_run_config, parse_run_config,
                              render_run_config)
 from dualflow.errors import ContractError
+from dualflow.metrics import evaluate
+from dualflow.scoring import anomaly_map
 
 TINY_CONFIG = """\
 [encoder]
@@ -224,6 +226,31 @@ def test_eval_mode_override(workspace, capsys):
     assert main(["eval", "--data", str(ds), "--ckpt", str(ckpt)]) == 0
     b = json.loads(capsys.readouterr().out)
     assert a != b
+
+
+def test_python_scores_a_checkpoint_as_the_cli_does(workspace, tmp_path, capsys):
+    """``evaluate`` and ``anomaly_map`` score a loaded model with its own
+    ``[scoring]`` section, as ``dualflow eval`` and ``score`` do: with
+    non-default settings, both print the same bytes, in the checkpoint's
+    mode and in the mode that reads ``fuse_weight``."""
+    _, ds, _, ckpt = workspace
+    model, rc = load_checkpoint(ckpt)
+    path = tmp_path / "scoring.ckpt"
+    save_checkpoint(model, apply_overrides(rc, ["scoring.smooth_sigma=1.0",
+                                                "scoring.fuse_weight=0.25",
+                                                "scoring.fpr_limit=0.1"]), path)
+    loaded, _ = load_checkpoint(path)
+    test = data.test_split(data.load(ds))
+    sample = next(s for s in test if s.label == 1)
+    capsys.readouterr()
+    for mode in (None, "recon_fused"):
+        flags, args = (["--mode", mode], [mode]) if mode else ([], [])
+        assert main(["eval", "--data", str(ds), "--ckpt", str(path), *flags]) == 0
+        assert capsys.readouterr().out == evaluate(loaded, test, *args).to_json()
+        assert main(["score", "--image", str(ds / sample.path), "--ckpt", str(path),
+                     *flags]) == 0
+        score = anomaly_map(loaded, sample.image, *args).image_score
+        assert capsys.readouterr().out == repr(score) + "\n"
 
 
 def test_usage_errors_exit_2(capsys):

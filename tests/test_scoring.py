@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import tiny_images, tiny_run_config
+from helpers import tiny_images, tiny_run_config, with_scoring
 
 from dualflow import autodiff as ad, metrics, pipeline
 from dualflow.errors import ContractError, NumericError, ShapeError
@@ -103,7 +103,7 @@ def test_config_validation():
     ScoringConfig(smooth_sigma=MAX_SMOOTH_SIGMA)
     for bad in (dict(smooth_sigma=float("nan")), dict(smooth_sigma=-2.0),
                 dict(smooth_sigma=float("inf")), dict(smooth_sigma=MAX_SMOOTH_SIGMA * 2),
-                dict(fuse_weight=float("nan")),
+                dict(fuse_weight=float("nan")), dict(fuse_weight=7.0), dict(fuse_weight=-0.5),
                 dict(fpr_limit=0.0), dict(mode="badmode")):
         with pytest.raises(ContractError):
             ScoringConfig(**bad)
@@ -112,13 +112,13 @@ def test_config_validation():
 def test_signature_defaults_are_the_scoring_config_defaults():
     default = ScoringConfig()
     checked = 0
-    for fn in (anomaly_map, raw_scale_maps, evaluate, metrics.au_pro, metrics.spro):
+    for fn in (metrics.au_pro, metrics.spro):
         params = inspect.signature(fn).parameters
         for name in ("mode", "smooth_sigma", "fuse_weight", "fpr_limit"):
             if name in params and params[name].default is not inspect.Parameter.empty:
                 assert params[name].default == getattr(default, name), (fn.__name__, name)
                 checked += 1
-    assert checked == 10
+    assert checked == 2
 
 
 def test_unknown_mode_rejected(model, probe):
@@ -137,31 +137,24 @@ def normal_and_anomalous(image):
                             saturation=1.0) for label in (0, 1)]
 
 
-@pytest.mark.parametrize("bad", [dict(smooth_sigma=-1.0), dict(smooth_sigma=float("nan")),
-                                 dict(smooth_sigma=float("inf")), dict(fuse_weight=7.0),
-                                 dict(fuse_weight=-0.5), dict(fuse_weight=float("nan"))])
-def test_anomaly_map_and_evaluate_check_scoring_arguments(model, probe, bad):
-    with pytest.raises(ContractError):
-        anomaly_map(model, probe, **bad)
-    samples = normal_and_anomalous(probe)
-    with pytest.raises(ContractError):
-        evaluate(model, samples, **bad)
-
-
-@pytest.mark.parametrize("fpr_limit", [7.0, 0.0, -0.3, float("nan")])
-def test_evaluate_checks_fpr_limit_before_scoring(model, probe, monkeypatch, fpr_limit):
+@pytest.mark.parametrize("mode, defect", [("badmode", {}), ("likelihood", dict(label=2)),
+                                          ("likelihood", dict(saturation=0.0))],
+                         ids=["mode", "label", "saturation"])
+def test_evaluate_checks_mode_labels_and_saturations_before_scoring(model, probe, monkeypatch,
+                                                                     mode, defect):
     scored = []
 
-    def counting(model, image, **kwargs):
+    def counting(model, image, *args, **kwargs):
         scored.append(image)
-        return anomaly_map(model, image, **kwargs)
+        return anomaly_map(model, image, *args, **kwargs)
 
     monkeypatch.setattr(metrics, "anomaly_map", counting)
     samples = normal_and_anomalous(probe)
+    vars(samples[1]).update(defect)
     with pytest.raises(ContractError):
-        evaluate(model, samples, fpr_limit=fpr_limit)
+        evaluate(model, samples, mode)
     assert scored == []
-    evaluate(model, samples)  # the wrapper counts every scored image
+    evaluate(model, normal_and_anomalous(probe))  # the wrapper counts every scored image
     assert len(scored) == 2
 
 
@@ -186,7 +179,7 @@ def test_fused_is_convex_combination(model, probe):
     s = raw_scale_maps(model, probe, "recon_self")
     m = raw_scale_maps(model, probe, "recon_mem")
     for w in (0.0, 0.3, 1.0):
-        f = raw_scale_maps(model, probe, "recon_fused", fuse_weight=w)
+        f = raw_scale_maps(with_scoring(model, fuse_weight=w), probe, "recon_fused")
         for fs, ss, ms in zip(f, s, m):
             np.testing.assert_allclose(fs, (1 - w) * ss + w * ms, rtol=1e-12)
 
@@ -240,7 +233,6 @@ def test_map_shapes_and_fusion(model, probe):
     np.testing.assert_allclose(out.scores, np.sum(out.per_scale, axis=0),
                                rtol=1e-12)
     assert out.image_score == out.scores.max()
-    assert out.mode == "likelihood"
 
 
 def test_map_deterministic(model, probe):
@@ -271,8 +263,8 @@ def test_every_mode_rejects_a_non_finite_image(model, probe, bad):
 
 
 def test_smoothing_toggle_changes_map_but_not_order_of_magnitude(model, probe):
-    smooth = anomaly_map(model, probe, "likelihood", smooth_sigma=4.0)
-    raw = anomaly_map(model, probe, "likelihood", smooth_sigma=0.0)
+    smooth = anomaly_map(with_scoring(model, smooth_sigma=4.0), probe, "likelihood")
+    raw = anomaly_map(with_scoring(model, smooth_sigma=0.0), probe, "likelihood")
     assert not np.array_equal(smooth.scores, raw.scores)
     # Smoothing averages locally: the smoothed max can only drop (or tie).
     assert smooth.image_score <= raw.image_score + 1e-9
@@ -280,6 +272,6 @@ def test_smoothing_toggle_changes_map_but_not_order_of_magnitude(model, probe):
 
 def test_smoothed_map_mean_is_preserved_approximately(model, probe):
     # Reflect-mode Gaussian filtering redistributes mass without creating it.
-    raw = anomaly_map(model, probe, "likelihood", smooth_sigma=0.0)
-    smooth = anomaly_map(model, probe, "likelihood", smooth_sigma=4.0)
+    raw = anomaly_map(with_scoring(model, smooth_sigma=0.0), probe, "likelihood")
+    smooth = anomaly_map(with_scoring(model, smooth_sigma=4.0), probe, "likelihood")
     assert smooth.scores.mean() == pytest.approx(raw.scores.mean(), rel=0.05)
